@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,8 @@ from . import flops
 from .errors import InfeasibleSystemError, InvalidInputError, ShapeError, SingularMatrixError
 from .kernels import (
     SubspaceBasis,
+    _nullspace_rows,
+    _rank_cutoff,
     as_complex_matrix,
     left_nullspace_basis,
     matmul,
@@ -48,9 +51,6 @@ __all__ = [
     "verify_decoupling",
     "DecouplingReport",
 ]
-
-_EPS = np.finfo(np.float64).eps
-
 
 @dataclass(frozen=True)
 class SystemChannel:
@@ -154,22 +154,6 @@ class PartitionNode:
 # ---------------------------------------------------------------------------
 # Algorithm core.
 
-def _nullspace_rows(tmat: np.ndarray, tol: float) -> np.ndarray:
-    """Rows spanning the left nullspace of ``tmat`` (raw ndarray, no checks)."""
-    t, m = tmat.shape
-    if t == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    if m == 0:
-        return np.eye(t, dtype=np.complex128)
-    u, s, _ = np.linalg.svd(tmat, full_matrices=True)
-    rel = tol if tol > 0 else max(t, m) * _EPS
-    cutoff = rel * (float(s[0]) if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    if rank == 0:
-        return np.eye(t, dtype=np.complex128)
-    return np.ascontiguousarray(u[:, rank:].conj().T)
-
-
 def _annihilate(z: np.ndarray, blocks, tol: float) -> np.ndarray:
     """Fold each block's left nullspace into ``z``, one block at a time.
 
@@ -221,30 +205,43 @@ def recursive_common_nullspace(blocks, z0: SubspaceBasis, tol: float = 0.0) -> S
 # ---------------------------------------------------------------------------
 # Sequential decoupler over the binary partition tree.
 
-class _Node:
-    """Internal tree node: ambient basis plus pending blocks in node coordinates."""
+class _Node(NamedTuple):
+    """Internal tree node: ambient basis plus pending channels in node coordinates."""
 
-    __slots__ = ("z", "local", "processed", "pending")
-
-    def __init__(self, z, local, processed, pending):
-        self.z = z                # (t x n_r) ambient row-orthonormal basis
-        self.local = local        # {user: (t x m) block expressed in this basis}
-        self.processed = processed
-        self.pending = pending
+    z: np.ndarray             # (t x n_r) ambient row-orthonormal basis
+    local: np.ndarray         # (t x pending streams) pending blocks side by side, in this basis
+    processed: tuple[int, ...]
+    pending: tuple[int, ...]
 
 
-def _split(pending: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    half = (len(pending) + 1) // 2
-    return pending[:half], pending[half:]
+def _fold_half(a: np.ndarray, widths, tol: float) -> np.ndarray:
+    """Rows spanning the common left nullspace of a node's annihilated half.
+
+    ``a`` (t x M) holds the half's blocks side by side, ``widths`` their
+    stream counts.  If ``a`` has full column rank under the fold's cutoff
+    rule, which then holds for every block of the fold too, the trailing
+    columns of one complete QR span the nullspace.  Otherwise (M >= t or
+    rank lost) the blocks are folded one at a time, each with its own rank.
+    """
+    t, width = a.shape
+    if width < t:
+        q, r = np.linalg.qr(a, mode="complete")
+        s = np.linalg.svd(r[:width], compute_uv=False)  # a's singular values
+        if s[-1] > _rank_cutoff(s, a.shape, tol)[1]:
+            if flops.is_instrumenting():
+                flops.charge(flops._node_charge(t, widths, flops.active_model()))
+            return np.ascontiguousarray(q[:, width:].conj().T)
+    blocks = np.split(a, np.cumsum(widths)[:-1], axis=1)
+    return _annihilate(np.eye(t, dtype=np.complex128), blocks, tol)
 
 
 def _sd_levels(sys: SystemChannel, tol: float) -> list[list[_Node]]:
     """Run the level-order tree walk, returning every level including the root."""
     k = sys.k
-    n_r = sys.n_r
+    widths = sys.m_per_user
     root = _Node(
-        z=np.eye(n_r, dtype=np.complex128),
-        local={i: sys.users[i] for i in range(k)},
+        z=np.eye(sys.n_r, dtype=np.complex128),
+        local=sys.stacked(),
         processed=(),
         pending=tuple(range(k)),
     )
@@ -254,27 +251,23 @@ def _sd_levels(sys: SystemChannel, tol: float) -> list[list[_Node]]:
     for _ in range(depth):
         nxt: list[_Node] = []
         for node in current:
-            first, second = _split(node.pending)
-            for keep, annihilate in ((first, second), (second, first)):
+            first, second = flops._split_pending(node.pending)
+            cut = sum(widths[p] for p in first)
+            head, tail = node.local[:, :cut], node.local[:, cut:]
+            for keep, kept, annihilate, a in ((first, head, second, tail),
+                                              (second, tail, first, head)):
                 if not keep:
                     # dead branch for non-power-of-two K: materialized, no work
-                    nxt.append(_Node(node.z, {}, node.processed, ()))
+                    nxt.append(_Node(node.z, kept, node.processed, ()))
                     continue
                 if not annihilate:
-                    nxt.append(_Node(node.z, node.local, node.processed, keep))
+                    nxt.append(_Node(node.z, kept, node.processed, keep))
                     continue
-                entry_dim = node.z.shape[0]
-                v = _annihilate(
-                    np.eye(entry_dim, dtype=np.complex128),
-                    [node.local[p] for p in annihilate],
-                    tol,
-                )
-                # basis assembly and block transport: orthonormal bookkeeping
-                z_child = v @ node.z
-                local_child = {p: v @ node.local[p] for p in keep}
-                nxt.append(
-                    _Node(z_child, local_child, node.processed + annihilate, keep)
-                )
+                v = _fold_half(a, [widths[p] for p in annihilate], tol)
+                # basis assembly and block transport: orthonormal bookkeeping;
+                # the root's basis is the identity
+                z_child = v @ node.z if node.processed else v
+                nxt.append(_Node(z_child, v @ kept, node.processed + annihilate, keep))
         all_levels.append(nxt)
         current = nxt
     return all_levels
@@ -331,7 +324,6 @@ def include_users(
     existing: DecouplerSet,
     new_channels,
     tol: float = 0.0,
-    literal_update: bool = False,
 ) -> tuple[SystemChannel, DecouplerSet]:
     """Extend a decoupler set when new users join, without a full rebuild.
 
@@ -342,12 +334,6 @@ def include_users(
     system.  Feasibility of the augmented system is checked before
     anything is touched; with no new channels the inputs are returned
     unchanged.
-
-    ``literal_update=True`` switches the per-user update to fold in the
-    i-th original user's channel instead of the newcomer's.  Existing
-    decouplers already annihilate those channels, so this variant leaves
-    them untouched and fails to decouple the newcomers; it exists only
-    for comparing the two readings of the update rule.
     """
     if existing.k != sys.k:
         raise InvalidInputError(
@@ -367,16 +353,8 @@ def include_users(
     for idx, h_new in enumerate(new_mats):
         donor = holders[0]
         w_new = _annihilate(w_all[donor], [augmented.users[donor]], tol)
-        if literal_update:
-            if idx >= k:
-                raise InvalidInputError(
-                    "literal update needs at least as many existing users as inclusions"
-                )
-            fold_in = augmented.users[idx]
-        else:
-            fold_in = h_new
         for j in holders:
-            w_all[j] = _annihilate(w_all[j], [fold_in], tol)
+            w_all[j] = _annihilate(w_all[j], [h_new], tol)
         w_all.append(w_new)
         holders.append(k + idx)
     return augmented, DecouplerSet(tuple(w_all), method="SD",

@@ -134,6 +134,21 @@ def numerical_rank(a, tol: float = 0.0) -> int:
     return int(np.sum(s > cutoff))
 
 
+def _nullspace_rows(t_mat: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """SVD kernel of :func:`left_nullspace_basis`: nullspace rows, no checks, no charge."""
+    t, m = t_mat.shape
+    if t == 0:
+        return np.zeros((0, 0), dtype=np.complex128)
+    if m == 0:
+        return np.eye(t, dtype=np.complex128)
+    u, s, _ = np.linalg.svd(t_mat, full_matrices=True)
+    _, cutoff = _rank_cutoff(s, t_mat.shape, tol)
+    rank = int(np.sum(s > cutoff))
+    if rank == 0:
+        return np.eye(t, dtype=np.complex128)
+    return np.ascontiguousarray(u[:, rank:].conj().T)
+
+
 def left_nullspace_basis(t_mat, tol: float = 0.0) -> SubspaceBasis:
     """Row-orthonormal basis of the left nullspace of ``t_mat`` (t x m).
 
@@ -148,19 +163,9 @@ def left_nullspace_basis(t_mat, tol: float = 0.0) -> SubspaceBasis:
     t, m = t_mat.shape
     if flops.is_instrumenting():
         flops.charge(flops.active_model().svd_full(t, m))
-    if t == 0:
-        return SubspaceBasis(np.zeros((0, 0), dtype=np.complex128), 0, tol)
-    if m == 0:
-        rel = tol if tol > 0 else t * _EPS
-        return SubspaceBasis(np.eye(t, dtype=np.complex128), t, rel)
-    u, s, _ = np.linalg.svd(t_mat, full_matrices=True)
-    rel, cutoff = _rank_cutoff(s, t_mat.shape, tol)
-    rank = int(np.sum(s > cutoff))
-    if rank == 0:
-        basis = np.eye(t, dtype=np.complex128)
-    else:
-        basis = u[:, rank:].conj().T
-    return SubspaceBasis(np.ascontiguousarray(basis), t, rel)
+    # an empty ambient space records the requested tol as given
+    rel = tol if tol > 0 or t == 0 else max(t, m) * _EPS
+    return SubspaceBasis(_nullspace_rows(t_mat, tol), t, rel)
 
 
 def pseudo_inverse(a) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from decoupsim import decouplers, flops
 from decoupsim.errors import InfeasibleSystemError, InvalidInputError, SingularMatrixError
 from decoupsim.kernels import SubspaceBasis, identity_basis, left_nullspace_basis, subspace_distance
 from decoupsim.decouplers import (
@@ -159,6 +160,79 @@ class TestSequentialDecoupler:
             assert rep.all_full_rank()
 
 
+class TestNodeUpdate:
+    """One complete QR per annihilated half, with the per-block fold as fallback."""
+
+    @pytest.fixture
+    def fold_calls(self, monkeypatch):
+        calls = []
+        fold = decouplers._annihilate
+
+        def spy(z, blocks, tol):
+            calls.append(len(blocks))
+            return fold(z, blocks, tol)
+
+        monkeypatch.setattr(decouplers, "_annihilate", spy)
+        return calls
+
+    @staticmethod
+    def assert_matches_svd(sd, oracle, n_r):
+        for w_sd, w_svd in zip(sd.w, oracle.w, strict=True):
+            assert w_sd.shape == w_svd.shape
+            assert subspace_distance(basis_of(w_sd, n_r), basis_of(w_svd, n_r)) <= 1e-8
+
+    def test_collinear_user_takes_the_fold_and_keeps_its_tally(self, fold_calls):
+        rng = np.random.default_rng(70)
+        users = [crandn(rng, 12, 2) for _ in range(4)]
+        users[0][:, 1] = 2.0 * users[0][:, 0]
+        sys = SystemChannel(12, users)
+        with flops.counting() as tally:
+            sd = sequential_decoupler(sys)
+        assert fold_calls
+        self.assert_matches_svd(sd, svd_decoupler(sys), 12)
+        # per-block charge at the row counts the fold reaches: user 0's
+        # rank-1 block removes one row, so user 1 is factored at t = 11
+        model = flops.active_model()
+
+        def block(t, entry_dim):
+            return model.matmul(t, entry_dim, 2) + model.svd_values(t, 2)
+
+        expected = (block(12, 12) + block(10, 12) + block(12, 12) + block(11, 12)
+                    + 2 * block(8, 8) + 2 * block(9, 9))
+        assert tally.total == expected == 20068
+
+    def test_faint_user_takes_the_fast_path(self, fold_calls):
+        rng = np.random.default_rng(71)
+        users = [crandn(rng, 24, 2) for _ in range(8)]
+        unit = SystemChannel(24, users)
+        faint = SystemChannel(24, [users[0] * 1e-8] + users[1:])
+        sd = sequential_decoupler(faint)
+        assert not fold_calls
+        # scaling a user's columns leaves every nullspace unchanged; the
+        # oracle runs at unit amplitude, where the SVD baseline is accurate
+        self.assert_matches_svd(sd, svd_decoupler(unit), 24)
+        assert verify_decoupling(faint, sd).max_cross_residual <= 1e-10
+
+    @pytest.mark.parametrize("k", [5, 7, 80])
+    def test_mixed_streams_match_oracle_and_estimate(self, k, fold_calls):
+        rng = np.random.default_rng(72 + k)
+        m_list = [1 + i % 3 for i in range(k)]
+        n_r = sum(m_list) + 10
+        sys = random_system(rng, n_r, k, m_list)
+        with flops.counting() as tally:
+            sd = sequential_decoupler(sys)
+        assert not fold_calls
+        assert tally.total == flops.estimate_flops("SD", n_r, m_list).total
+        self.assert_matches_svd(sd, svd_decoupler(sys), n_r)
+
+    def test_repeat_builds_are_bit_identical(self):
+        rng = np.random.default_rng(73)
+        sys = random_system(rng, 40, 13, [2 + i % 2 for i in range(13)])
+        first, second = sequential_decoupler(sys), sequential_decoupler(sys)
+        for a, b in zip(first.w, second.w, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestPartitionTree:
     def test_root_shape(self):
         rng = np.random.default_rng(20)
@@ -274,16 +348,6 @@ class TestIncludeUsers:
         dec = sequential_decoupler(sys)
         with pytest.raises(InfeasibleSystemError):
             include_users(sys, dec, [crandn(rng, 6, 3), crandn(rng, 6, 3)])
-
-    def test_literal_update_leaves_existing_users_exposed(self):
-        rng = np.random.default_rng(54)
-        sys = random_system(rng, 12, 3, 2)
-        dec = sequential_decoupler(sys)
-        new = [crandn(rng, 12, 2)]
-        aug, upd = include_users(sys, dec, new, literal_update=True)
-        rep = verify_decoupling(aug, upd)
-        # old users' decouplers never saw the new channel: residual is O(1)
-        assert rep.max_cross_residual > 1e-2
 
 
 class TestVerifyDecoupling:
