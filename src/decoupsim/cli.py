@@ -194,6 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a config's cost model applies to its own subcommand only
+    previous_model = flops.active_model()
     try:
         return args.func(args)
     except InvalidConfigError as exc:
@@ -205,6 +207,8 @@ def main(argv=None) -> int:
     except (SingularMatrixError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        flops.configure(previous_model)
 
 
 if __name__ == "__main__":

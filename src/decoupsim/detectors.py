@@ -24,7 +24,9 @@ __all__ = [
     "build_link",
     "lmmse_filter",
     "lmmse_detect",
+    "lmmse_stack",
     "sic_detect",
+    "sic_stack",
     "modulate_bits",
     "demodulate_symbols",
     "slice_symbols",
@@ -92,8 +94,9 @@ def _axis_positions(values: np.ndarray, cons: Constellation) -> np.ndarray:
     """Index of the nearest per-axis level for each real value."""
     # levels are uniformly spaced: round to the grid, then clip
     step = cons.levels[1] - cons.levels[0] if cons.levels.size > 1 else 1.0
-    pos = np.rint((values - cons.levels[0]) / step).astype(int)
-    return np.clip(pos, 0, cons.levels.size - 1)
+    pos = np.rint((values - cons.levels[0]) / step)
+    # clip before the integer cast; fmax/fmin send NaN to level 0
+    return np.fmin(np.fmax(pos, 0.0), cons.levels.size - 1).astype(np.intp)
 
 
 def slice_symbols(z, cons: Constellation) -> np.ndarray:
@@ -102,25 +105,6 @@ def slice_symbols(z, cons: Constellation) -> np.ndarray:
     i_pos = _axis_positions(z.real, cons)
     q_pos = _axis_positions(z.imag, cons)
     return cons.levels[i_pos] + 1j * cons.levels[q_pos]
-
-
-def _slice_scalar(z: complex, cons: Constellation) -> complex:
-    """Nearest constellation point of one sample, bypassing array machinery.
-
-    Uses the same round-to-grid rule as :func:`slice_symbols` so scalar
-    and vector paths always agree.
-    """
-    levels = cons.levels
-    n = levels.size
-    if n == 1:
-        return complex(levels[0], levels[0])
-    step = levels[1] - levels[0]
-    lo = levels[0]
-    pi = round((z.real - lo) / step)
-    pq = round((z.imag - lo) / step)
-    pi = 0 if pi < 0 else (n - 1 if pi > n - 1 else pi)
-    pq = 0 if pq < 0 else (n - 1 if pq > n - 1 else pq)
-    return complex(levels[pi], levels[pq])
 
 
 def _symbol_indices(z, cons: Constellation) -> np.ndarray:
@@ -189,6 +173,22 @@ def build_link(w_i, h_i, y, sigma_n2: float) -> EffectiveLink:
     )
 
 
+def _whiten(shape: np.ndarray, h: np.ndarray, *vectors: np.ndarray):
+    """Whiten stacked links whose noise covariance is ``sigma_n2 * shape``.
+
+    ``shape`` is ``(..., t, t)``, ``h`` is ``(..., t, m)`` and each vector
+    ``(..., t)``.  With ``L L^H = shape`` (batched Cholesky) this returns
+    ``L^-1 h`` and ``L^-1 v`` for every vector, from one batched solve.
+    """
+    try:
+        chol = np.linalg.cholesky(shape)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("noise covariance is not positive definite") from exc
+    m = h.shape[-1]
+    out = np.linalg.solve(chol, np.concatenate([h] + [v[..., None] for v in vectors], axis=-1))
+    return (out[..., :m],) + tuple(out[..., m + i] for i in range(len(vectors)))
+
+
 def _whitened(link: EffectiveLink) -> tuple[np.ndarray, np.ndarray]:
     """Return (H, y) transformed so the noise covariance becomes sigma_n2 * I."""
     t = link.noise_cov.shape[0]
@@ -197,13 +197,31 @@ def _whitened(link: EffectiveLink) -> tuple[np.ndarray, np.ndarray]:
     shape_matrix = link.noise_cov / link.sigma_n2
     if np.linalg.norm(shape_matrix - np.eye(t)) <= 1e-9 * max(1.0, np.sqrt(t)):
         return link.h_tilde, link.y_tilde
+    return _whiten(shape_matrix, link.h_tilde, link.y_tilde)
+
+
+def lmmse_stack(h, a, b, sigmas) -> np.ndarray:
+    """Unsliced MMSE filter outputs of G links over a grid of S noise levels.
+
+    Link g has effective channel ``h[g]`` (t x m) and at grid point s
+    observes ``a[g] + sigmas[s] * b[g]`` in white noise of variance
+    ``sigmas[s]**2``: a sweep that scales one unit-noise draw ``b``.
+    Returns ``(G, S, m)``: ``(H^H H + sigma^2 I)^-1 H^H y`` for every
+    link and noise level, from one batched solve.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    hh = np.conj(np.swapaxes(h, -1, -2))
+    gram = hh @ h
+    hta = hh @ np.asarray(a, dtype=np.complex128)[..., None]
+    htb = hh @ np.asarray(b, dtype=np.complex128)[..., None]
+    lhs = gram[:, None] + (sigmas * sigmas)[:, None, None] * np.eye(h.shape[-1])
+    rhs = hta[:, None] + sigmas[:, None, None] * htb[:, None]
     try:
-        chol = np.linalg.cholesky(shape_matrix)
+        return np.linalg.solve(lhs, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("noise covariance is not positive definite") from exc
-    h = np.linalg.solve(chol, link.h_tilde)
-    y = np.linalg.solve(chol, link.y_tilde)
-    return h, y
+        raise SingularMatrixError("normal matrix is singular (rank-deficient link with "
+                                  "sigma_n2 = 0)") from exc
 
 
 def lmmse_filter(link: EffectiveLink, whiten: bool = False) -> np.ndarray:
@@ -216,15 +234,8 @@ def lmmse_filter(link: EffectiveLink, whiten: bool = False) -> np.ndarray:
     construction).
     """
     h, y = _whitened(link) if whiten else (link.h_tilde, link.y_tilde)
-    m = h.shape[1]
-    a = h.conj().T @ h + link.sigma_n2 * np.eye(m)
-    rhs = h.conj().T @ y
-    try:
-        return np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            "normal matrix is singular (rank-deficient link with sigma_n2 = 0)"
-        ) from exc
+    return lmmse_stack(h[None], y[None], np.zeros_like(y)[None],
+                       [np.sqrt(link.sigma_n2)])[0, 0]
 
 
 def lmmse_detect(link: EffectiveLink, cons: Constellation, whiten: bool = False) -> np.ndarray:
@@ -232,33 +243,44 @@ def lmmse_detect(link: EffectiveLink, cons: Constellation, whiten: bool = False)
     return slice_symbols(lmmse_filter(link, whiten=whiten), cons)
 
 
-def _sic_backsubstitute(v: np.ndarray, r: np.ndarray, cons: Constellation) -> np.ndarray:
-    """Slice-and-cancel back-substitution shared by all SIC entry points."""
-    m = r.shape[1]
-    x_hat = np.zeros(m, dtype=np.complex128)
-    scale = float(np.linalg.norm(r))
+def sic_stack(h, a, b, sigmas, cons: Constellation) -> np.ndarray:
+    """QR-based SIC decisions of G links over a grid of S noise levels.
+
+    Links and observations are as in :func:`lmmse_stack`.  Each ``h[g]``
+    is factored once (stacked :func:`qr_decompose`), ``v = Q^H y`` is
+    formed for every noise level, and symbols are detected from the last
+    stream to the first, subtracting each sliced decision from the
+    streams still to come:
+
+        x_hat[j] = slice((v[j] - sum_{p>j} R[j,p] x_hat[p]) / R[j,j])
+
+    The loop runs over the m streams only, vectorized over links and
+    noise levels.  Returns ``(G, S, m)`` constellation points.  Requires
+    full-column-rank effective channels (t >= m and every R[j,j] != 0).
+    """
+    factors = qr_decompose(h)
+    r = factors.r
+    qh = np.conj(np.swapaxes(factors.q, -1, -2))
+    va = (qh @ np.asarray(a, dtype=np.complex128)[..., None])[..., 0]
+    vb = (qh @ np.asarray(b, dtype=np.complex128)[..., None])[..., 0]
+    v = va[:, None] + np.asarray(sigmas, dtype=np.float64)[:, None] * vb[:, None]
+    m = r.shape[-1]
+    pivots = np.diagonal(r, axis1=-2, axis2=-1).real
+    scale = np.maximum(np.linalg.norm(r, axis=(-2, -1)), 1.0)
+    if np.any(np.abs(pivots) <= 1e-12 * scale[:, None]):
+        raise SingularMatrixError("zero pivot on the R diagonal in SIC back-substitution")
+    x_hat = np.zeros(v.shape, dtype=np.complex128)
     for j in range(m - 1, -1, -1):
-        if abs(r[j, j]) <= 1e-12 * max(scale, 1.0):
-            raise SingularMatrixError(f"zero pivot R[{j},{j}] in SIC back-substitution")
-        residual = v[j] - r[j, j + 1:] @ x_hat[j + 1:]
-        x_hat[j] = _slice_scalar(residual / r[j, j], cons)
+        residual = v[..., j] - (r[:, None, j:j + 1, j + 1:] @ x_hat[..., j + 1:, None])[..., 0, 0]
+        # slice (re, im) pairs as floats: exact real division, one axis rule
+        pairs = residual.view(np.float64) / pivots[:, j, None]
+        x_hat[..., j] = cons.levels[_axis_positions(pairs, cons)].view(np.complex128)
     return x_hat
 
 
 def sic_detect(link: EffectiveLink, cons: Constellation) -> np.ndarray:
-    """QR-based successive interference cancellation.
-
-    Factor ``H_tilde = Q R``, rotate ``v = Q^H y_tilde`` and detect
-    symbols from the last stream to the first, subtracting each sliced
-    decision from the streams still to come:
-
-        x_hat[j] = slice((v[j] - sum_{p>j} R[j,p] x_hat[p]) / R[j,j])
-
-    Requires a full-column-rank effective channel (every R[j,j] != 0).
-    """
-    h = link.h_tilde
-    if h.shape[0] < h.shape[1]:
-        raise ShapeError(f"effective channel {h.shape} has more streams than rows")
-    factors = qr_decompose(h)
-    v = factors.q.conj().T @ link.y_tilde
-    return _sic_backsubstitute(v, factors.r, cons)
+    """QR-based successive interference cancellation on one link: factor
+    ``H_tilde = Q R``, rotate ``v = Q^H y_tilde`` and detect symbols from
+    the last stream to the first (see :func:`sic_stack`)."""
+    y = link.y_tilde
+    return sic_stack(link.h_tilde[None], y[None], np.zeros_like(y)[None], [0.0], cons)[0, 0]

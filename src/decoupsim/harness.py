@@ -52,18 +52,18 @@ from .decouplers import (
 )
 from .detectors import (
     Constellation,
-    _sic_backsubstitute,
     _symbol_indices,
+    _whiten,
+    lmmse_stack,
     modulate_bits,
+    sic_stack,
 )
 from .errors import (
     InfeasibleSystemError,
     InvalidConfigError,
     InvalidInputError,
-    ShapeError,
-    SingularMatrixError,
 )
-from .kernels import SubspaceBasis, qr_decompose, subspace_distance
+from .kernels import SubspaceBasis, subspace_distance
 
 __all__ = [
     "SimConfig",
@@ -179,55 +179,33 @@ class SimConfig:
         return (self.m_total / self.k) * 10.0 ** (-snr_db / 10.0)
 
     def to_dict(self) -> dict:
-        d = {
+        """Dict form (the config-file schema); unset sections are ``None``."""
+        return {
             "system": {"n_r": self.n_r, "k": self.k, "m_i": list(self.m_i)},
-            "decoupler": self.decoupler,
-            "detector": self.detector,
-            "constellation": self.constellation,
+            **{name: getattr(self, name) for name in _SCALAR_FIELDS},
             "snr_db": list(self.snr_db),
-            "bits_per_point": self.bits_per_point,
-            "seed": self.seed,
-            "whiten": self.whiten,
-            "threads": self.threads,
-            "n_subcarriers": self.n_subcarriers,
-            "audit_trials": self.audit_trials,
-            "channel": {
-                "kronecker": asdict(self.kronecker) if self.kronecker else None,
-                "large_scale": asdict(self.large_scale) if self.large_scale else None,
-                "ce_error": asdict(self.ce_error) if self.ce_error else None,
-            },
+            "channel": {name: _asdict_or_none(getattr(self, name)) for name in _CHANNEL_PARAMS},
+            "cost_model": _asdict_or_none(self.cost_model),
         }
-        if self.cost_model is not None:
-            d["cost_model"] = asdict(self.cost_model)
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
+        """Build a configuration from its dict form; unknown keys are errors."""
         try:
+            _reject_unknown("", d, (*_SCALAR_FIELDS, "system", "channel", "cost_model"))
             system = d["system"]
+            _reject_unknown("system.", system, ("n_r", "k", "m_i"))
             channel = d.get("channel") or {}
-            kron = channel.get("kronecker")
-            ls = channel.get("large_scale")
-            ce = channel.get("ce_error")
+            _reject_unknown("channel.", channel, _CHANNEL_PARAMS)
             cm = d.get("cost_model")
             return cls(
                 n_r=int(system["n_r"]),
                 k=int(system["k"]),
                 m_i=system["m_i"] if isinstance(system["m_i"], int) else tuple(system["m_i"]),
-                decoupler=str(d.get("decoupler", "SD")),
-                detector=str(d.get("detector", "LMMSE")),
-                constellation=str(d.get("constellation", "QPSK")),
-                snr_db=tuple(d.get("snr_db", (0.0, 4.0, 8.0, 12.0, 16.0))),
-                bits_per_point=int(d.get("bits_per_point", 120000)),
-                seed=int(d.get("seed", 0)),
-                whiten=bool(d.get("whiten", False)),
-                threads=int(d.get("threads", 1)),
-                n_subcarriers=int(d.get("n_subcarriers", 1)),
-                audit_trials=int(d.get("audit_trials", 100)),
-                kronecker=KroneckerParams(**kron) if kron else None,
-                large_scale=LargeScaleParams(**ls) if ls else None,
-                ce_error=CeErrorParams(**ce) if ce else None,
                 cost_model=flops.CostModel(**cm) if cm else None,
+                **{name: cast(d[name]) for name, cast in _SCALAR_FIELDS.items() if name in d},
+                **{name: params(**channel[name])
+                   for name, params in _CHANNEL_PARAMS.items() if channel.get(name)},
             )
         except InvalidConfigError:
             raise
@@ -235,19 +213,44 @@ class SimConfig:
             raise InvalidConfigError(f"bad configuration: {exc}") from exc
 
     def with_overrides(self, overrides: dict) -> "SimConfig":
-        """Apply dotted-path overrides (e.g. {"system.k": 8}) to a copy."""
+        """Apply dotted-path overrides (e.g. {"system.k": 8}) to a copy.
+
+        Every path must name a config key; an unset (``null``) section such
+        as ``channel.ce_error`` may be given fields."""
         d = self.to_dict()
         for path, value in overrides.items():
             node = d
-            parts = path.split(".")
-            for part in parts[:-1]:
-                nxt = node.get(part)
-                if not isinstance(nxt, dict):
-                    nxt = {}
-                    node[part] = nxt
-                node = nxt
-            node[parts[-1]] = value
+            *parents, leaf = path.split(".")
+            for part in parents:
+                if part not in node:
+                    raise InvalidConfigError(f"unknown config path {path!r}")
+                if node[part] is None:
+                    node[part] = {}
+                node = node[part]
+                if not isinstance(node, dict):
+                    raise InvalidConfigError(f"config path {path!r} runs through a value")
+            node[leaf] = value
         return SimConfig.from_dict(d)
+
+
+# top-level config keys of SimConfig's scalar fields, each with its coercion
+_SCALAR_FIELDS = {"decoupler": str, "detector": str, "constellation": str, "snr_db": tuple,
+                  "bits_per_point": int, "seed": int, "whiten": bool, "threads": int,
+                  "n_subcarriers": int, "audit_trials": int}
+_CHANNEL_PARAMS = {"kronecker": KroneckerParams, "large_scale": LargeScaleParams,
+                   "ce_error": CeErrorParams}
+
+
+def _asdict_or_none(params):
+    return asdict(params) if params else None
+
+
+def _reject_unknown(prefix: str, section, known) -> None:
+    if not isinstance(section, dict):
+        raise InvalidConfigError(f"config section {prefix[:-1] or 'root'} must be an object")
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise InvalidConfigError(f"unknown config key(s) {', '.join(prefix + k for k in unknown)}")
 
 
 @dataclass(frozen=True)
@@ -358,61 +361,32 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
         )
 
     n_snr = len(cfg.snr_db)
-    sigmas = [float(np.sqrt(cfg.sigma_n2(s))) for s in cfg.snr_db]
+    sigmas = np.sqrt([cfg.sigma_n2(s) for s in cfg.snr_db])
     bits_per_vec = cons.bits_per_symbol * cfg.m_total
     bit_weights = 1 << np.arange(cons.bits_per_symbol - 1, -1, -1)
     popcount = np.array([bin(i).count("1") for i in range(cons.order)], dtype=np.int64)
-    user_slices = []
-    off = 0
-    for m_u in cfg.m_i:
-        user_slices.append(slice(off, off + m_u))
-        off += m_u
-    lmmse_ti = detectors.index("LMMSE") if "LMMSE" in detectors else None
-    sic_ti = detectors.index("SIC") if "SIC" in detectors else None
-    eyes = {m: np.eye(m, dtype=np.complex128) for m in set(cfg.m_i)}
+    offsets = np.cumsum((0,) + cfg.m_i)
+    user_streams = [np.arange(offsets[u], offsets[u + 1]) for u in range(cfg.k)]
 
-    def detect_user(errors, di, u, w, row_orth, h_used, y_clean, unit, tx_labels):
-        """One user's detections across the whole SNR grid.
-
-        The effective channel, its factorizations and the two projected
-        signal/noise components are computed once; each SNR point then
-        costs only a small solve or back-substitution.  Decisions agree
-        with the per-link public detectors (covered by tests).
-        """
-        a = w @ y_clean
-        b = w @ unit
-        ht = w @ h_used
-        if cfg.whiten and not row_orth:
-            chol = np.linalg.cholesky(w @ w.conj().T)
-            ht = np.linalg.solve(chol, ht)
-            a = np.linalg.solve(chol, a)
-            b = np.linalg.solve(chol, b)
-        m_u = ht.shape[1]
-        if lmmse_ti is not None:
-            gram = ht.conj().T @ ht
-            hta = ht.conj().T @ a
-            htb = ht.conj().T @ b
-        if sic_ti is not None:
-            if ht.shape[0] < m_u:
-                raise ShapeError(f"effective channel {ht.shape} has more streams than rows")
-            factors = qr_decompose(ht)
-            qh = factors.q.conj().T
-            va = qh @ a
-            vb = qh @ b
-        for si, sig in enumerate(sigmas):
-            if lmmse_ti is not None:
-                try:
-                    xf = np.linalg.solve(gram + (sig * sig) * eyes[m_u], hta + sig * htb)
-                except np.linalg.LinAlgError as exc:
-                    raise SingularMatrixError(
-                        "normal matrix is singular (rank-deficient link with sigma_n2 = 0)"
-                    ) from exc
-                rx = _symbol_indices(xf, cons)
-                errors[di, lmmse_ti, u, si] += int(popcount[tx_labels ^ rx].sum())
-            if sic_ti is not None:
-                symbols = _sic_backsubstitute(va + sig * vb, factors.r, cons)
-                rx = _symbol_indices(symbols, cons)
-                errors[di, sic_ti, u, si] += int(popcount[tx_labels ^ rx].sum())
+    def detect(errors, di, dec, used_chans, y_clean, unit, tx_labels):
+        """Detect every user at every SNR point, stacked over each group of
+        users whose decoupler shape and stream count agree.  Decisions agree
+        with the per-link public detectors (covered by tests)."""
+        groups: dict[tuple, list[int]] = {}
+        for u in range(cfg.k):
+            groups.setdefault((dec.w[u].shape, cfg.m_i[u]), []).append(u)
+        for users in groups.values():
+            w = np.stack([dec.w[u] for u in users])
+            ht = w @ np.stack([used_chans[u] for u in users])
+            a = w @ y_clean
+            b = w @ unit
+            if cfg.whiten and not dec.row_orthonormal:
+                ht, a, b = _whiten(w @ np.conj(np.swapaxes(w, -1, -2)), ht, a, b)
+            tx = tx_labels[np.stack([user_streams[u] for u in users])][:, None, :]
+            for ti, det in enumerate(detectors):
+                z = (lmmse_stack(ht, a, b, sigmas) if det == "LMMSE"
+                     else sic_stack(ht, a, b, sigmas, cons))
+                errors[di, ti, users] += popcount[tx ^ _symbol_indices(z, cons)].sum(axis=-1)
 
     def one_trial(trial: int) -> np.ndarray:
         errors = np.zeros((len(decouplers), len(detectors), cfg.k, n_snr), dtype=np.int64)
@@ -436,11 +410,8 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
             tx_labels = bits[sc].reshape(-1, cons.bits_per_symbol) @ bit_weights
             y_clean = h_true @ x
             for di, dec_name in enumerate(decouplers):
-                dec = _DECOUPLE_FN[dec_name](sys_used)
-                for u in range(cfg.k):
-                    detect_user(errors, di, u, dec.w[u], dec.row_orthonormal,
-                                used_chans[u], y_clean, unit_noise[sc],
-                                tx_labels[user_slices[u]])
+                detect(errors, di, _DECOUPLE_FN[dec_name](sys_used), used_chans,
+                       y_clean, unit_noise[sc], tx_labels)
         return errors
 
     trials = cfg.trials

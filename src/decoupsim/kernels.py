@@ -92,7 +92,7 @@ class SubspaceBasis:
 @dataclass(frozen=True)
 class QrFactors:
     """Thin QR factors: Q has orthonormal columns, R is upper-triangular
-    with real non-negative diagonal."""
+    with real non-negative diagonal (stacked alike for stacked input)."""
 
     q: np.ndarray
     r: np.ndarray
@@ -185,26 +185,31 @@ def pseudo_inverse(a) -> np.ndarray:
 def qr_decompose(a) -> QrFactors:
     """Thin QR factorization with a fixed sign convention.
 
-    Requires n >= m for an n x m input.  The diagonal of R is forced to
-    be real and non-negative (column phases are absorbed into Q), which
-    makes the factorization deterministic across runs and backends.
+    ``a`` is one n x m matrix or a stack ``(..., n, m)`` of them, factored
+    matrix by matrix; requires n >= m.  The diagonal of each R is forced
+    to be real and non-negative (column phases are absorbed into Q),
+    which makes the factorization deterministic across runs and
+    backends.  The FLOP counter is charged once per matrix.
     """
-    a = as_complex_matrix(a, "a")
-    n, m = a.shape
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 3:
+        a = as_complex_matrix(a, "a")
+    elif a.size and not np.all(np.isfinite(a)):
+        raise InvalidInputError("a contains non-finite entries")
+    n, m = a.shape[-2:]
     if n < m:
         raise ShapeError(f"qr_decompose needs n >= m, got {n} x {m}")
     if flops.is_instrumenting():
-        flops.charge(flops.active_model().qr(n, m))
+        flops.charge(flops.active_model().qr(n, m) * int(np.prod(a.shape[:-2])))
     q, r = np.linalg.qr(a, mode="reduced")
-    diag = np.diagonal(r).copy()
-    phases = np.ones(m, dtype=np.complex128)
-    nonzero = np.abs(diag) > 0
-    phases[nonzero] = diag[nonzero] / np.abs(diag[nonzero])
-    q = q * phases[None, :]
-    r = phases.conj()[:, None] * r
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    mag = np.abs(diag)
+    phases = np.where(mag > 0, diag / np.where(mag > 0, mag, 1.0), 1.0)
+    q = q * phases[..., None, :]
+    r = phases.conj()[..., :, None] * r
     # the diagonal is now real up to rounding noise; make it exactly real
     idx = np.arange(m)
-    r[idx, idx] = r[idx, idx].real
+    r[..., idx, idx] = r[..., idx, idx].real
     return QrFactors(q, r)
 
 

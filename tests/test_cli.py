@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from decoupsim import flops
 from decoupsim.cli import main
 
 
@@ -54,6 +55,25 @@ class TestBerCommand:
     def test_invalid_field_is_config_error(self, ber_config, tmp_path):
         assert main(["ber", "--config", str(ber_config), "--out", str(tmp_path),
                      "--override", "detector=\"ML\""]) == 2
+
+    @pytest.mark.parametrize("override", ["decodpler=\"PINV\"", "sytem.k=8"])
+    def test_misspelt_key_is_config_error(self, ber_config, tmp_path, override):
+        assert main(["ber", "--config", str(ber_config), "--out", str(tmp_path),
+                     "--override", override]) == 2
+
+    def test_misspelt_key_in_config_file_is_config_error(self, ber_config, tmp_path):
+        cfg = json.loads(ber_config.read_text())
+        cfg["decodpler"] = cfg.pop("decoupler")
+        ber_config.write_text(json.dumps(cfg))
+        assert main(["ber", "--config", str(ber_config), "--out", str(tmp_path)]) == 2
+
+    def test_cost_model_is_scoped_to_the_subcommand(self, ber_config, tmp_path):
+        before = flops.active_model()
+        assert main(["ber", "--config", str(ber_config), "--out", str(tmp_path),
+                     "--override", 'cost_model={"add": 1, "mul": 1, "div": 1}']) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["cost_model"]["mul"] == 1
+        assert flops.active_model() == before
 
     def test_infeasible_system_exit_code(self, ber_config, tmp_path):
         assert main(["ber", "--config", str(ber_config), "--out", str(tmp_path),

@@ -12,8 +12,10 @@ from decoupsim.detectors import (
     demodulate_symbols,
     lmmse_detect,
     lmmse_filter,
+    lmmse_stack,
     modulate_bits,
     sic_detect,
+    sic_stack,
     slice_symbols,
 )
 from decoupsim.decouplers import SystemChannel, pinv_decoupler, sequential_decoupler
@@ -222,3 +224,47 @@ class TestSic:
         out = sic_detect(link, cons)
         for s in out:
             assert np.min(np.abs(cons.points - s)) <= 1e-12
+
+
+class TestStackedDetectors:
+    """One stacked call over G links and S noise levels against G x S single-link calls."""
+
+    @pytest.fixture
+    def links(self):
+        rng = np.random.default_rng(15)
+        sys = SystemChannel(14, [crandn(rng, 14, 3) for _ in range(4)])
+        dec = sequential_decoupler(sys)
+        h = np.stack([dec.w[u] @ sys.users[u] for u in range(4)])
+        a = np.stack([dec.w[u] @ (sys.stacked() @ crandn(rng, 12)) for u in range(4)])
+        b = np.stack([dec.w[u] @ crandn(rng, 14) for u in range(4)])
+        return h, a, b, np.array([0.3, 0.7, 1.4])
+
+    @staticmethod
+    def single(h, a, b, g, sigma):
+        y = a[g] + sigma * b[g]
+        return build_link(np.eye(h.shape[1]), h[g], y, sigma * sigma)
+
+    def test_lmmse_stack_matches_single_links(self, links):
+        h, a, b, sigmas = links
+        cons = Constellation.square_qam(16)
+        out = lmmse_stack(h, a, b, sigmas)
+        assert out.shape == (4, 3, 3)
+        for g, (s, sigma) in itertools.product(range(4), enumerate(sigmas)):
+            link = self.single(h, a, b, g, sigma)
+            assert np.linalg.norm(out[g, s] - lmmse_filter(link)) <= 1e-12
+            assert np.array_equal(slice_symbols(out[g, s], cons), lmmse_detect(link, cons))
+
+    def test_sic_stack_matches_single_links(self, links):
+        h, a, b, sigmas = links
+        cons = Constellation.square_qam(16)
+        out = sic_stack(h, a, b, sigmas, cons)
+        assert out.shape == (4, 3, 3)
+        for g, (s, sigma) in itertools.product(range(4), enumerate(sigmas)):
+            assert np.array_equal(out[g, s], sic_detect(self.single(h, a, b, g, sigma), cons))
+
+    def test_sic_stack_raises_on_any_rank_deficient_link(self, links):
+        h, a, b, sigmas = links
+        h = h.copy()
+        h[2, :, 1] = h[2, :, 0]
+        with pytest.raises(SingularMatrixError):
+            sic_stack(h, a, b, sigmas, Constellation.qpsk())

@@ -153,6 +153,20 @@ class TestRunBerSweep:
         assert tuple(errors[0]) == res[("SD", "LMMSE")].aggregate.bit_errors
         assert tuple(errors[1]) == res[("SD", "SIC")].aggregate.bit_errors
 
+    def test_golden_per_user_bit_errors(self):
+        # counts frozen from the per-user, per-SNR-point detection loop that
+        # preceded stacked detection: mixed m_i, QAM16, whitening, 2 subcarriers
+        cfg = SimConfig(n_r=20, k=5, m_i=(1, 2, 3, 2, 4), constellation="QAM16",
+                        snr_db=(0.0, 6.0, 12.0), bits_per_point=1920, seed=5,
+                        whiten=True, n_subcarriers=2)
+        res = run_paired_ber(cfg, ("SD", "SVD", "PINV"), ("LMMSE", "SIC"))
+        golden = {
+            "LMMSE": ((23, 5, 0), (49, 9, 0), (72, 15, 0), (49, 12, 1), (111, 14, 0)),
+            "SIC": ((18, 3, 0), (51, 6, 0), (70, 15, 1), (46, 11, 0), (105, 18, 0)),
+        }
+        for (dec, det), result in res.items():
+            assert tuple(c.bit_errors for c in result.per_user) == golden[det], (dec, det)
+
     def test_channel_factory_hook_drives_per_subcarrier_loop(self):
         cfg = small_cfg(n_subcarriers=2, bits_per_point=2400)
         calls = []

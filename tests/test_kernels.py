@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from decoupsim import flops
 from decoupsim.errors import InvalidInputError, ShapeError
 from decoupsim.kernels import (
     QrFactors,
@@ -135,6 +136,29 @@ class TestQrDecompose:
     def test_wide_matrix_rejected(self):
         with pytest.raises(ShapeError):
             qr_decompose(np.ones((2, 3)))
+        with pytest.raises(ShapeError):
+            qr_decompose(np.ones((4, 2, 3)))
+
+    def test_stack_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(33)
+        stack = crandn(rng, 5, 7, 3)
+        stack[2, :, 1] = 0.0  # a zero column keeps its unit phase
+        f = qr_decompose(stack)
+        assert f.q.shape == (5, 7, 3) and f.r.shape == (5, 3, 3)
+        for g in range(5):
+            one = qr_decompose(stack[g])
+            assert np.array_equal(f.q[g], one.q)
+            assert np.array_equal(f.r[g], one.r)
+
+    def test_stack_charges_once_per_matrix(self):
+        rng = np.random.default_rng(34)
+        stack = crandn(rng, 4, 7, 3)  # the model price of one 7 x 3 QR is a whole number
+        with flops.counting() as one:
+            qr_decompose(stack[0])
+        with flops.counting() as tally:
+            qr_decompose(stack)
+        assert one.total > 0
+        assert tally.total == 4 * one.total
 
 
 class TestSubspaceDistance:
