@@ -42,8 +42,10 @@ from .detectors import (
     demodulate_symbols,
     lmmse_detect,
     lmmse_filter,
+    lmmse_stack,
     modulate_bits,
     sic_detect,
+    sic_stack,
     slice_symbols,
 )
 from .errors import (

@@ -19,21 +19,20 @@ interference of any decoupler set.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import flops
-from .errors import InfeasibleSystemError, InvalidInputError, ShapeError, SingularMatrixError
+from .errors import InvalidInputError, ShapeError, SingularMatrixError
 from .kernels import (
     SubspaceBasis,
     _nullspace_rows,
     _rank_cutoff,
     as_complex_matrix,
     left_nullspace_basis,
-    matmul,
     numerical_rank,
     pseudo_inverse,
 )
@@ -79,13 +78,7 @@ class SystemChannel:
             mats.append(h)
         if not mats:
             raise InvalidInputError("at least one user is required")
-        total = sum(h.shape[1] for h in mats)
-        for i, h in enumerate(mats):
-            if total - h.shape[1] >= n_r:
-                raise InfeasibleSystemError(
-                    f"user {i} cannot be decoupled: other users carry "
-                    f"{total - h.shape[1]} streams but n_r={n_r}"
-                )
+        flops._check_feasible(n_r, [h.shape[1] for h in mats])
         object.__setattr__(self, "n_r", int(n_r))
         object.__setattr__(self, "users", tuple(mats))
 
@@ -183,7 +176,8 @@ def recursive_common_nullspace(blocks, z0: SubspaceBasis, tol: float = 0.0) -> S
     row space of ``z0``.  An empty block list returns ``z0`` unchanged.
     The result does not depend on the block order (only on the spanned
     subspace), and equals the nullspace of the column-concatenation of
-    the blocks when ``z0`` is the full space.
+    the blocks when ``z0`` is the full space.  It is the sequential
+    decoupler's per-block fold, charged the same way.
     """
     mats = [as_complex_matrix(b, f"block {i}") for i, b in enumerate(blocks)]
     n = z0.ambient_dim
@@ -194,83 +188,73 @@ def recursive_common_nullspace(blocks, z0: SubspaceBasis, tol: float = 0.0) -> S
             )
     if not mats:
         return z0
-    z = z0.basis
-    for b in mats:
-        tmat = matmul(z, b)
-        w = left_nullspace_basis(tmat, tol)
-        z = matmul(w.basis, z)
-    return SubspaceBasis(z, n, tol if tol > 0 else 0.0)
+    return SubspaceBasis(_annihilate(z0.basis, mats, tol), n, tol if tol > 0 else 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Sequential decoupler over the binary partition tree.
 
 class _Node(NamedTuple):
-    """Internal tree node: ambient basis plus pending channels in node coordinates."""
+    """Executed tree node, aligned with its :func:`flops._sd_plan` entry."""
 
     z: np.ndarray             # (t x n_r) ambient row-orthonormal basis
     local: np.ndarray         # (t x pending streams) pending blocks side by side, in this basis
-    processed: tuple[int, ...]
-    pending: tuple[int, ...]
 
 
 def _fold_half(a: np.ndarray, widths, tol: float) -> np.ndarray:
     """Rows spanning the common left nullspace of a node's annihilated half.
 
     ``a`` (t x M) holds the half's blocks side by side, ``widths`` their
-    stream counts.  If ``a`` has full column rank under the fold's cutoff
-    rule, which then holds for every block of the fold too, the trailing
-    columns of one complete QR span the nullspace.  Otherwise (M >= t or
-    rank lost) the blocks are folded one at a time, each with its own rank.
+    stream counts.  Feasibility keeps M < t: the node's processed users
+    and the half leave out a kept user, so their streams sum below n_r,
+    and a fold removes at most its blocks' streams from t.  If ``a`` has
+    full column rank under the fold's cutoff rule, which then holds for
+    every block too, the trailing columns of one complete QR span the
+    nullspace; otherwise the blocks are folded one at a time.
     """
     t, width = a.shape
-    if width < t:
-        q, r = np.linalg.qr(a, mode="complete")
-        s = np.linalg.svd(r[:width], compute_uv=False)  # a's singular values
-        if s[-1] > _rank_cutoff(s, a.shape, tol)[1]:
-            if flops.is_instrumenting():
-                flops.charge(flops._node_charge(t, widths, flops.active_model()))
-            return np.ascontiguousarray(q[:, width:].conj().T)
+    q, r = np.linalg.qr(a, mode="complete")
+    s = np.linalg.svd(r[:width], compute_uv=False)  # a's singular values
+    if s[-1] > _rank_cutoff(s, a.shape, tol)[1]:
+        if flops.is_instrumenting():
+            flops.charge(flops._node_charge(t, widths, flops.active_model()))
+        return np.ascontiguousarray(q[:, width:].conj().T)
     blocks = np.split(a, np.cumsum(widths)[:-1], axis=1)
     return _annihilate(np.eye(t, dtype=np.complex128), blocks, tol)
 
 
+def _columns(local: np.ndarray, offsets, pending, users) -> np.ndarray:
+    """``users``' blocks inside ``local``, which holds ``pending``'s blocks side by side."""
+    base = offsets[pending[0]]
+    return local[:, offsets[users[0]] - base:offsets[users[-1] + 1] - base]
+
+
 def _sd_levels(sys: SystemChannel, tol: float) -> list[list[_Node]]:
-    """Run the level-order tree walk, returning every level including the root."""
-    k = sys.k
+    """Execute the partition-tree plan, returning every level including the root."""
     widths = sys.m_per_user
-    root = _Node(
-        z=np.eye(sys.n_r, dtype=np.complex128),
-        local=sys.stacked(),
-        processed=(),
-        pending=tuple(range(k)),
-    )
-    all_levels = [[root]]
-    depth = math.ceil(math.log2(k)) if k > 1 else 0
-    current = [root]
-    for _ in range(depth):
+    offsets = (0, *itertools.accumulate(widths))
+    plan = flops._sd_plan(sys.k)
+    levels = [[_Node(np.eye(sys.n_r, dtype=np.complex128), sys.stacked())]]
+    for parent_specs, specs in zip(plan, plan[1:]):
         nxt: list[_Node] = []
-        for node in current:
-            first, second = flops._split_pending(node.pending)
-            cut = sum(widths[p] for p in first)
-            head, tail = node.local[:, :cut], node.local[:, cut:]
-            for keep, kept, annihilate, a in ((first, head, second, tail),
-                                              (second, tail, first, head)):
-                if not keep:
-                    # dead branch for non-power-of-two K: materialized, no work
-                    nxt.append(_Node(node.z, kept, node.processed, ()))
-                    continue
-                if not annihilate:
-                    nxt.append(_Node(node.z, kept, node.processed, keep))
-                    continue
-                v = _fold_half(a, [widths[p] for p in annihilate], tol)
-                # basis assembly and block transport: orthonormal bookkeeping;
-                # the root's basis is the identity
-                z_child = v @ node.z if node.processed else v
-                nxt.append(_Node(z_child, v @ kept, node.processed + annihilate, keep))
-        all_levels.append(nxt)
-        current = nxt
-    return all_levels
+        for spec in specs:
+            parent, parent_spec = levels[-1][spec.parent], parent_specs[spec.parent]
+            if not spec.pending:
+                # dead branch for non-power-of-two K: materialized, no work
+                nxt.append(_Node(parent.z, parent.local[:, :0]))
+                continue
+            kept = _columns(parent.local, offsets, parent_spec.pending, spec.pending)
+            if not spec.annihilate:
+                nxt.append(_Node(parent.z, kept))
+                continue
+            a = _columns(parent.local, offsets, parent_spec.pending, spec.annihilate)
+            v = _fold_half(a, [widths[p] for p in spec.annihilate], tol)
+            # basis assembly and block transport: orthonormal bookkeeping;
+            # the root's basis is the identity
+            z_child = v @ parent.z if parent_spec.processed else v
+            nxt.append(_Node(z_child, v @ kept))
+        levels.append(nxt)
+    return levels
 
 
 def sequential_decoupler(sys: SystemChannel, tol: float = 0.0) -> DecouplerSet:
@@ -279,23 +263,17 @@ def sequential_decoupler(sys: SystemChannel, tol: float = 0.0) -> DecouplerSet:
     At each level every node's pending users are split in half; each
     child annihilates the sibling half's channels inside the parent's
     accumulated nullspace, so no channel is ever factored at full
-    receiver dimension more than once.  After ceil(log2 K) levels each
-    surviving leaf holds exactly one user's decoupler.  A single-user
-    system needs no interference removal and gets the identity.
+    receiver dimension more than once.  Each live leaf ends up holding
+    one user's decoupler.  A single-user system needs no interference
+    removal and gets the identity.
 
     The result spans, per user, the same subspace as the per-user SVD
     baseline, and every matrix has orthonormal rows.
     """
-    levels = _sd_levels(sys, tol)
-    w: list[np.ndarray | None] = [None] * sys.k
-    for leaf in levels[-1]:
-        if leaf.pending:
-            if len(leaf.pending) != 1:
-                raise AssertionError("leaf with more than one pending user")
-            w[leaf.pending[0]] = leaf.z
-    if any(m is None for m in w):
-        raise AssertionError("partition tree failed to cover every user")
-    return DecouplerSet(tuple(w), method="SD", row_orthonormal=True)
+    # the halving keeps user order, so the live leaves come in user order
+    leaves = zip(flops._sd_plan(sys.k)[-1], _sd_levels(sys, tol)[-1])
+    w = tuple(leaf.z for spec, leaf in leaves if spec.pending)
+    return DecouplerSet(w, method="SD", row_orthonormal=True)
 
 
 def partition_tree(sys: SystemChannel, tol: float = 0.0) -> list[list[PartitionNode]]:
@@ -309,13 +287,13 @@ def partition_tree(sys: SystemChannel, tol: float = 0.0) -> list[list[PartitionN
         [
             PartitionNode(
                 level=level,
-                processed=node.processed,
-                pending=node.pending,
+                processed=spec.processed,
+                pending=spec.pending,
                 z=SubspaceBasis(node.z, sys.n_r, tol),
             )
-            for node in nodes
+            for spec, node in zip(specs, nodes)
         ]
-        for level, nodes in enumerate(_sd_levels(sys, tol))
+        for level, (specs, nodes) in enumerate(zip(flops._sd_plan(sys.k), _sd_levels(sys, tol)))
     ]
 
 
@@ -370,12 +348,18 @@ def svd_decoupler(sys: SystemChannel, tol: float = 0.0) -> DecouplerSet:
     This is the correctness oracle for the tree-based construction and
     the expensive baseline of the complexity comparisons: user i's
     decoupler is the left-nullspace basis of the concatenation of all
-    other users' channels.  Rows are orthonormal by construction.
+    other users' channels.  Rows are orthonormal by construction.  Nonzero
+    columns are first scaled to unit norm (uncharged): this leaves every
+    nullspace unchanged and keeps a faint user above the rank cutoff.
     """
+    h = sys.stacked()
+    norms = np.linalg.norm(h, axis=0)
+    h = h / np.where(norms > 0, norms, 1.0)
+    offsets = (0, *itertools.accumulate(sys.m_per_user))
     w = []
     for i in range(sys.k):
-        basis = left_nullspace_basis(sys.complement(i), tol)
-        w.append(basis.basis)
+        complement = np.concatenate((h[:, :offsets[i]], h[:, offsets[i + 1]:]), axis=1)
+        w.append(left_nullspace_basis(complement, tol).basis)
     return DecouplerSet(tuple(w), method="SVD", row_orthonormal=True)
 
 

@@ -20,7 +20,9 @@ pending channel blocks into a child node's coordinates) is bookkeeping
 on known-orthonormal data and is excluded from the tally.  The
 sequential decoupler executes each tree node's annihilated half as one
 complete QR, yet is charged as the paper's per-block recursion
-(:func:`_node_charge`, shared with the closed-form estimate).  The same
+(:func:`_node_charge`, shared with the closed-form estimate), and so is
+``recursive_common_nullspace``.  Execution, ``partition_tree`` and the
+estimate read one shape-only plan of the tree (:func:`_sd_plan`).  The same
 convention is applied to every algorithm being compared, so reported
 ratios are internally consistent; the convention is recorded in every
 output manifest.
@@ -28,10 +30,11 @@ output manifest.
 
 from __future__ import annotations
 
-import math
 import threading
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 from .errors import InfeasibleSystemError, InvalidInputError
 
@@ -225,18 +228,44 @@ def _normalize_users(k: int | None, m_per_user) -> tuple[int, ...]:
     return m_list
 
 
-def _check_feasible(n_r: int, m_list: tuple[int, ...]) -> None:
+def _check_feasible(n_r: int, m_list) -> None:
+    """The one feasibility rule: every user's complement stays below n_r."""
     total = sum(m_list)
     for i, m in enumerate(m_list):
         if total - m >= n_r:
             raise InfeasibleSystemError(
-                f"user {i}: complementary streams {total - m} must be < n_r={n_r}"
+                f"user {i} cannot be decoupled: other users carry "
+                f"{total - m} streams but n_r={n_r}"
             )
 
 
-def _split_pending(pending: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    half = (len(pending) + 1) // 2
-    return pending[:half], pending[half:]
+_PlanNode = namedtuple("_PlanNode", "parent processed pending annihilate")
+
+
+@lru_cache
+def _sd_plan(k: int) -> tuple[tuple[_PlanNode, ...], ...]:
+    """The sequential decoupler's binary partition tree for K users, level by level.
+
+    A node is ``(parent, processed, pending, annihilate)``: its parent's
+    index in the previous level (-1 at the root), the users its basis
+    annihilates, the users still pending, and the users it folds in
+    (none: it keeps its parent's basis).  Pending users split in half,
+    the first half taking the extra user; child 2i keeps the first half
+    and annihilates the second, child 2i+1 the reverse.  A child with
+    nothing to keep is a dead branch (non-power-of-two K).  Levels are
+    added until no node holds more than one pending user.
+    """
+    levels = [(_PlanNode(-1, (), tuple(range(k)), ()),)]
+    while any(len(node.pending) > 1 for node in levels[-1]):
+        nxt = []
+        for i, node in enumerate(levels[-1]):
+            half = (len(node.pending) + 1) // 2
+            first, second = node.pending[:half], node.pending[half:]
+            for keep, other in ((first, second), (second, first)):
+                annihilate = other if keep else ()
+                nxt.append(_PlanNode(i, node.processed + annihilate, keep, annihilate))
+        levels.append(tuple(nxt))
+    return tuple(levels)
 
 
 def _node_charge(entry_dim: int, m_annihilated, model: CostModel) -> float:
@@ -251,30 +280,13 @@ def _node_charge(entry_dim: int, m_annihilated, model: CostModel) -> float:
 
 
 def _sd_breakdown(n_r: int, m_list: tuple[int, ...], model: CostModel):
-    """Walk the partition tree, summing the charged recursion arithmetic per level."""
-    k = len(m_list)
-    per_level: list[float] = []
-    if k == 1:
-        return per_level
-    levels = math.ceil(math.log2(k))
-    nodes = [(n_r, tuple(range(k)))]
-    for _ in range(levels):
-        level_cost = 0.0
-        nxt = []
-        for entry_dim, pending in nodes:
-            first, second = _split_pending(pending)
-            for keep, annihilate in ((first, second), (second, first)):
-                if not keep:
-                    continue  # dead leaf: no nullspace work
-                if not annihilate:
-                    nxt.append((entry_dim, keep))
-                    continue
-                m_annihilated = [m_list[p] for p in annihilate]
-                level_cost += _node_charge(entry_dim, m_annihilated, model)
-                nxt.append((entry_dim - sum(m_annihilated), keep))
-        per_level.append(level_cost)
-        nodes = nxt
-    return per_level
+    """Charged recursion arithmetic per plan level, at generic dimensions."""
+    plan = _sd_plan(len(m_list))
+    return [
+        sum(_node_charge(n_r - sum(m_list[p] for p in parents[node.parent].processed),
+                         [m_list[p] for p in node.annihilate], model) for node in nodes)
+        for parents, nodes in zip(plan, plan[1:])
+    ]
 
 
 def _sd_ui_breakdown(n_r: int, m_list: tuple[int, ...], added: tuple[int, ...],

@@ -354,7 +354,7 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
     cons = Constellation.from_name(cfg.constellation)
     roots = _kronecker_roots(cfg)
     # fail fast on infeasible dimensions before spending any work
-    SystemChannel(cfg.n_r, [np.ones((cfg.n_r, m)) for m in cfg.m_i])
+    flops._check_feasible(cfg.n_r, cfg.m_i)
     if "PINV" in decouplers and cfg.m_total > cfg.n_r:
         raise InfeasibleSystemError(
             f"pseudo-inverse decoupler needs total streams {cfg.m_total} <= n_r={cfg.n_r}"

@@ -85,6 +85,16 @@ class TestRecursiveCommonNullspace:
         with pytest.raises(InvalidInputError):
             recursive_common_nullspace([np.ones((3, 1))], identity_basis(4))
 
+    def test_tally_is_the_node_charge(self):
+        # the fold is charged per block, like a sequential-decoupler node
+        rng = np.random.default_rng(8)
+        for n, m_a, m_b in ((6, 2, 1), (14, 3, 4)):
+            blocks = [crandn(rng, n, m_a), crandn(rng, n, m_b)]
+            with flops.counting() as tally:
+                recursive_common_nullspace(blocks, identity_basis(n))
+            expected = flops._node_charge(n, [m_a, m_b], flops.active_model())
+            assert tally.total == round(expected)
+
     def test_restricts_to_initial_subspace(self):
         rng = np.random.default_rng(7)
         z0 = left_nullspace_basis(crandn(rng, 8, 2))
@@ -213,7 +223,7 @@ class TestNodeUpdate:
         self.assert_matches_svd(sd, svd_decoupler(unit), 24)
         assert verify_decoupling(faint, sd).max_cross_residual <= 1e-10
 
-    @pytest.mark.parametrize("k", [5, 7, 80])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 16, 17, 80])
     def test_mixed_streams_match_oracle_and_estimate(self, k, fold_calls):
         rng = np.random.default_rng(72 + k)
         m_list = [1 + i % 3 for i in range(k)]
@@ -257,6 +267,24 @@ class TestPartitionTree:
                 assert node.z.dim == expected
         assert all(len(leaf.pending) <= 1 for leaf in levels[-1])
 
+    def test_dead_branch_layout(self):
+        rng = np.random.default_rng(23)
+        sys = random_system(rng, 14, 5, 2)
+        levels = partition_tree(sys)
+        assert [len(nodes) for nodes in levels] == [1, 2, 4, 8]
+        for parents, nodes in zip(levels, levels[1:]):
+            for i, node in enumerate(nodes):
+                parent = parents[i // 2]
+                if not parent.pending:
+                    assert not node.pending
+                if not node.pending:
+                    # a dead node does no work: its parent's basis, bit for bit
+                    assert node.processed == parent.processed
+                    assert node.z.basis.tobytes() == parent.z.basis.tobytes()
+        assert sum(1 for leaf in levels[-1] if not leaf.pending) == 3
+        leaf_users = sorted(u for leaf in levels[-1] for u in leaf.pending)
+        assert leaf_users == list(range(5))
+
     def test_level_count(self):
         rng = np.random.default_rng(22)
         sys = random_system(rng, 16, 6, 2)
@@ -277,6 +305,31 @@ class TestSvdDecoupler:
         sd, sv = sequential_decoupler(sys), svd_decoupler(sys)
         for i in range(2):
             assert subspace_distance(basis_of(sd.w[i], 3), basis_of(sv.w[i], 3)) <= 1e-10
+
+    @pytest.mark.parametrize("amplitude", [1e-8, 1e-12])
+    def test_faint_user_matches_unit_amplitude(self, amplitude):
+        # column scaling leaves every nullspace unchanged, so the faint
+        # system's decouplers must span the unit-amplitude system's
+        rng = np.random.default_rng(32)
+        users = [crandn(rng, 24, 2) for _ in range(8)]
+        unit = svd_decoupler(SystemChannel(24, users))
+        faint_sys = SystemChannel(24, [users[0] * amplitude] + users[1:])
+        faint = svd_decoupler(faint_sys)
+        for w_faint, w_unit in zip(faint.w, unit.w, strict=True):
+            assert w_faint.shape == w_unit.shape
+            assert subspace_distance(basis_of(w_faint, 24), basis_of(w_unit, 24)) <= 1e-8
+        assert verify_decoupling(faint_sys, faint).max_cross_residual <= 1e-10
+
+    def test_zero_column_user_matches_sequential(self):
+        rng = np.random.default_rng(33)
+        users = [crandn(rng, 12, 2) for _ in range(4)]
+        users[1][:, 0] = 0.0
+        sys = SystemChannel(12, users)
+        sv, sd = svd_decoupler(sys), sequential_decoupler(sys)
+        for w_svd, w_sd in zip(sv.w, sd.w, strict=True):
+            assert np.all(np.isfinite(w_svd))
+            assert w_svd.shape == w_sd.shape
+            assert subspace_distance(basis_of(w_svd, 12), basis_of(w_sd, 12)) <= 1e-8
 
     def test_large_system_residuals(self):
         rng = np.random.default_rng(31)

@@ -110,7 +110,7 @@ class TestRunBerSweep:
         assert res.aggregate.bits_sent[0] == 1200
 
     def test_infeasible_system_rejected(self):
-        with pytest.raises(InfeasibleSystemError):
+        with pytest.raises(InfeasibleSystemError, match="user 0 cannot be decoupled"):
             run_ber_sweep(SimConfig(n_r=4, k=3, m_i=2, snr_db=(0.0,),
                                     bits_per_point=120, seed=0))
 
