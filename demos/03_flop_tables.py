@@ -12,16 +12,16 @@ Run:  python demos/03_flop_tables.py
 from decoupsim.harness import FlopSweep, run_flop_bench
 
 
-def show(rows, param_key):
+def show(rows, label):
     algs = []
     for r in rows:
         if r["algorithm"] not in algs:
             algs.append(r["algorithm"])
-    points = sorted({r[param_key] for r in rows})
-    header = f"{param_key:>6} " + "".join(f"{a:>16}" for a in algs) + f"{'SD/SVD':>10}{'SD/PINV':>10}"
+    points = sorted({r["param"] for r in rows})
+    header = f"{label:>6} " + "".join(f"{a:>16}" for a in algs) + f"{'SD/SVD':>10}{'SD/PINV':>10}"
     print(header)
     for p in points:
-        at_p = {r["algorithm"]: r for r in rows if r[param_key] == p}
+        at_p = {r["algorithm"]: r for r in rows if r["param"] == p}
         cells = "".join(f"{at_p[a]['flops_estimate']:>16,}" for a in algs)
         sd = at_p.get("SD") or at_p.get("SD_UI")
         print(f"{p:>6} {cells}{sd['ratio_to_svd']:>10.4%}{sd['ratio_to_pinv']:>10.2%}")
@@ -37,6 +37,6 @@ print("\n=== adding P users to a {130, 60, 2} system ===")
 rows = run_flop_bench(FlopSweep(mode="inclusion", base_n_r=130, base_k=60,
                                 m_i=2, p_max=5, instrumented=False))
 print(f"{'P':>3} {'incremental':>14} {'rebuild':>14} {'SVD rebuild':>16} {'pinv rebuild':>14}")
-for p in sorted({r["p"] for r in rows}):
-    at_p = {r["algorithm"]: r["flops_estimate"] for r in rows if r["p"] == p}
+for p in sorted({r["param"] for r in rows}):
+    at_p = {r["algorithm"]: r["flops_estimate"] for r in rows if r["param"] == p}
     print(f"{p:>3} {at_p['SD_UI']:>14,} {at_p['SD']:>14,} {at_p['SVD']:>16,} {at_p['PINV']:>14,}")

@@ -10,7 +10,9 @@ Subcommands::
 The config file is JSON mirroring :class:`decoupsim.harness.SimConfig`
 (see README for the schema).  ``--override`` accepts dotted paths whose
 values are parsed as JSON when possible (``system.k=8``,
-``snr_db=[0,8,16]``).  Exit codes: 0 success, 2 invalid configuration,
+``snr_db=[0,8,16]``).  A config's ``cost_model`` prices that run's FLOP
+tables and is recorded in its manifest; nothing is installed
+process-wide.  Exit codes: 0 success, 2 invalid configuration,
 3 infeasible system, 4 numerical failure.
 """
 
@@ -19,10 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from . import flops
 from .errors import InfeasibleSystemError, InvalidConfigError, SingularMatrixError
 from .harness import (
     AUDIT_COLUMNS,
@@ -33,7 +35,6 @@ from .harness import (
     audit_rows,
     ber_rows,
     emit_outputs,
-    flop_rows,
     run_equivalence_audit,
     run_flop_bench,
     run_paired_ber,
@@ -75,8 +76,6 @@ def _load_config(args, *, required: bool) -> SimConfig | None:
             overrides["threads"] = args.threads
         if overrides:
             cfg = cfg.with_overrides(overrides)
-        if cfg.cost_model is not None:
-            flops.configure(cfg.cost_model)
     return cfg
 
 
@@ -86,6 +85,8 @@ def _manifest(command: str, args, cfg: SimConfig | None) -> dict:
         manifest["config"] = cfg.to_dict()
         manifest["seed"] = cfg.seed
         manifest["threads"] = cfg.threads
+        if cfg.cost_model is not None:
+            manifest["cost_model"] = asdict(cfg.cost_model)
     return manifest
 
 
@@ -112,35 +113,24 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_flops(args) -> int:
+    """``flops`` writes one table per swept mode, ``include`` the inclusion table."""
     cfg = _load_config(args, required=False)
     seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
-    tables = {}
-    modes = ("users", "streams") if args.sweep == "both" else (args.sweep,)
-    for mode in modes:
-        sweep = FlopSweep(mode=mode, seed=seed, instrumented=not args.no_instrumented)
-        rows = run_flop_bench(sweep)
-        tables[f"flops_{mode}"] = (FLOP_COLUMNS, flop_rows(rows))
-    emit_outputs(tables, args.out, _manifest("flops", args, cfg))
-    print(f"wrote {', '.join(f'{args.out}/flops_{m}.csv' for m in modes)}")
-    return EXIT_OK
-
-
-def _cmd_include(args) -> int:
-    cfg = _load_config(args, required=False)
-    seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
-    sweep = FlopSweep(
-        mode="inclusion",
-        base_k=args.base_k,
-        base_n_r=args.base_n_r,
-        m_i=args.m_i,
-        p_max=args.p_max,
-        seed=seed,
-        instrumented=not args.no_instrumented,
-    )
-    rows = run_flop_bench(sweep)
-    emit_outputs({"include": (FLOP_COLUMNS, flop_rows(rows))}, args.out,
-                 _manifest("include", args, cfg))
-    print(f"wrote {args.out}/include.csv")
+    instrumented = not args.no_instrumented
+    if args.command == "include":
+        sweeps = {"include": FlopSweep(mode="inclusion", base_k=args.base_k,
+                                       base_n_r=args.base_n_r, m_i=args.m_i,
+                                       p_max=args.p_max, seed=seed,
+                                       instrumented=instrumented)}
+    else:
+        modes = ("users", "streams") if args.sweep == "both" else (args.sweep,)
+        sweeps = {f"flops_{mode}": FlopSweep(mode=mode, seed=seed, instrumented=instrumented)
+                  for mode in modes}
+    model = cfg.cost_model if cfg else None
+    tables = {name: (FLOP_COLUMNS, run_flop_bench(sweep, model))
+              for name, sweep in sweeps.items()}
+    emit_outputs(tables, args.out, _manifest(args.command, args, cfg))
+    print(f"wrote {', '.join(f'{args.out}/{name}.csv' for name in tables)}")
     return EXIT_OK
 
 
@@ -186,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inc.add_argument("--m-i", type=int, default=2)
     p_inc.add_argument("--p-max", type=int, default=5)
     p_inc.add_argument("--no-instrumented", action="store_true")
-    p_inc.set_defaults(func=_cmd_include)
+    p_inc.set_defaults(func=_cmd_flops)
 
     return parser
 
@@ -194,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # a config's cost model applies to its own subcommand only
-    previous_model = flops.active_model()
     try:
         return args.func(args)
     except InvalidConfigError as exc:
@@ -207,8 +195,6 @@ def main(argv=None) -> int:
     except (SingularMatrixError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    finally:
-        flops.configure(previous_model)
 
 
 if __name__ == "__main__":

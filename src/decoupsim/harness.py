@@ -502,10 +502,11 @@ class FlopSweep:
     """One complexity sweep: vary users, streams per user, or inclusions.
 
     ``mode`` is "users" (sweep k at fixed m_i), "streams" (sweep m_i at
-    fixed k) or "inclusion" (add 1..p_max users to a base system).  When
-    ``n_r`` is omitted it defaults to total streams + 10.  Instrumented
-    runs execute the algorithms on seeded random channels; set
-    ``instrumented=False`` to tabulate closed-form estimates only.
+    fixed k) or "inclusion" (add 1..p_max users to the base system of
+    ``base_k`` users at ``base_n_r`` antennas).  When ``n_r`` is omitted it
+    defaults to total streams + 10.  Instrumented runs execute the
+    algorithms on seeded random channels; set ``instrumented=False`` to
+    tabulate closed-form estimates only.
     """
 
     mode: str = "users"
@@ -519,6 +520,26 @@ class FlopSweep:
     base_n_r: int = 130
     seed: int = 0
     instrumented: bool = True
+
+
+def _flop_points(sweep: FlopSweep) -> list[tuple[str, int, int, int, int, int]]:
+    """``(label, param, n_r, k, m_i, added)`` for every point of a sweep.
+
+    An inclusion point is the augmented system of ``base_k + p`` users
+    whose last ``added = p`` users join the base system; the base system
+    is checked for feasibility here, before anything runs.
+    """
+    if sweep.mode == "users":
+        return [("k", k, sweep.n_r or k * sweep.m_i + 10, k, sweep.m_i, 0)
+                for k in sweep.k_values]
+    if sweep.mode == "streams":
+        return [("m_i", m, sweep.n_r or sweep.k * m + 10, sweep.k, m, 0)
+                for m in sweep.m_values]
+    if sweep.mode == "inclusion":
+        flops._check_feasible(sweep.base_n_r, (sweep.m_i,) * sweep.base_k)
+        return [("p", p, sweep.base_n_r, sweep.base_k + p, sweep.m_i, p)
+                for p in range(1, sweep.p_max + 1)]
+    raise InvalidConfigError(f"unknown sweep mode {sweep.mode!r}")
 
 
 def _bench_system(n_r: int, k: int, m_i: int, seed: int) -> SystemChannel:
@@ -536,97 +557,52 @@ def _instrumented_total(fn, model) -> int:
 def run_flop_bench(sweep: FlopSweep, model: flops.CostModel | None = None) -> list[dict]:
     """Tabulate estimated (and optionally instrumented) FLOPs for one sweep.
 
-    Returns one row per (sweep point, algorithm) with ratios of each
-    algorithm's estimate to the SVD and pseudo-inverse baselines.
-    Infeasible sweep entries are skipped with a warning.
+    Returns ``FLOP_COLUMNS`` rows, one per (sweep point, algorithm), with
+    ratios of each algorithm's estimate to the SVD and pseudo-inverse
+    baselines; an inclusion point's ``SD_UI`` row (updating the base
+    decoupler set) comes first.  Everything is priced by ``model``
+    (default: the active model).  Infeasible sweep entries are skipped
+    with a warning.
     """
     model = model or flops.active_model()
+    points = _flop_points(sweep)
+    if sweep.instrumented and sweep.mode == "inclusion":
+        # every inclusion point updates this one base decoupler set
+        base_sys = _bench_system(sweep.base_n_r, sweep.base_k, sweep.m_i, sweep.seed)
+        base_sd = sequential_decoupler(base_sys)
+        new_chans = [gen_iid_channel(RngSeed(sweep.seed, 10_000 + i), sweep.base_n_r, sweep.m_i)
+                     for i in range(sweep.p_max)]
     rows: list[dict] = []
-    if sweep.mode == "users":
-        points = [(k_val, sweep.m_i, sweep.n_r or (k_val * sweep.m_i + 10))
-                  for k_val in sweep.k_values]
-        label = "k"
-    elif sweep.mode == "streams":
-        points = [(sweep.k, m_val, sweep.n_r or (sweep.k * m_val + 10))
-                  for m_val in sweep.m_values]
-        label = "m_i"
-    elif sweep.mode == "inclusion":
-        return _run_inclusion_bench(sweep, model)
-    else:
-        raise InvalidConfigError(f"unknown sweep mode {sweep.mode!r}")
-
-    for k_val, m_val, n_r in points:
-        param = k_val if label == "k" else m_val
+    for label, param, n_r, k, m_i, added in points:
+        estimates = {}
         try:
-            estimates = {
-                alg: flops.estimate_flops(alg, n_r, m_val, k=k_val, model=model).total
-                for alg in ("SD", "SVD", "PINV")
-            }
+            if added:
+                estimates["SD_UI"] = flops.estimate_flops(
+                    "SD_UI", n_r, m_i, k=k - added, added=[m_i] * added, model=model).total
+            for alg in ("SD", "SVD", "PINV"):
+                estimates[alg] = flops.estimate_flops(alg, n_r, m_i, k=k, model=model).total
         except InfeasibleSystemError as exc:
             warnings.warn(f"skipping {label}={param}: {exc}")
             continue
-        instrumented = {alg: "" for alg in estimates}
+        instrumented = dict.fromkeys(estimates, "")
         if sweep.instrumented:
-            sys = _bench_system(n_r, k_val, m_val, sweep.seed)
-            instrumented["SD"] = _instrumented_total(lambda: sequential_decoupler(sys), model)
-            instrumented["SVD"] = _instrumented_total(lambda: svd_decoupler(sys), model)
-            instrumented["PINV"] = _instrumented_total(lambda: pinv_decoupler(sys), model)
-        for alg, est in estimates.items():
-            rows.append({
-                "sweep": sweep.mode,
-                label: param,
-                "n_r": n_r,
-                "algorithm": alg,
-                "flops_estimate": est,
-                "flops_instrumented": instrumented[alg],
-                "ratio_to_svd": est / estimates["SVD"],
-                "ratio_to_pinv": est / estimates["PINV"],
-            })
-    return rows
-
-
-def _run_inclusion_bench(sweep: FlopSweep, model) -> list[dict]:
-    n_r, k0, m_i = sweep.base_n_r, sweep.base_k, sweep.m_i
-    base_sys = _bench_system(n_r, k0, m_i, sweep.seed)
-    base_sd = sequential_decoupler(base_sys)
-    new_chans = [
-        gen_iid_channel(RngSeed(sweep.seed, 10_000 + i), n_r, m_i)
-        for i in range(sweep.p_max)
-    ]
-    rows: list[dict] = []
-    for p in range(1, sweep.p_max + 1):
-        k_aug = k0 + p
-        try:
-            estimates = {
-                "SD_UI": flops.estimate_flops("SD_UI", n_r, m_i, k=k0,
-                                              added=[m_i] * p, model=model).total,
-                "SD": flops.estimate_flops("SD", n_r, m_i, k=k_aug, model=model).total,
-                "SVD": flops.estimate_flops("SVD", n_r, m_i, k=k_aug, model=model).total,
-                "PINV": flops.estimate_flops("PINV", n_r, m_i, k=k_aug, model=model).total,
-            }
-        except InfeasibleSystemError as exc:
-            warnings.warn(f"skipping p={p}: {exc}")
-            continue
-        instrumented = {alg: "" for alg in estimates}
-        if sweep.instrumented:
-            aug_sys = _bench_system(n_r, k_aug, m_i, sweep.seed)
-            instrumented["SD_UI"] = _instrumented_total(
-                lambda: include_users(base_sys, base_sd, new_chans[:p]), model)
-            instrumented["SD"] = _instrumented_total(
-                lambda: sequential_decoupler(aug_sys), model)
-            instrumented["SVD"] = _instrumented_total(lambda: svd_decoupler(aug_sys), model)
-            instrumented["PINV"] = _instrumented_total(lambda: pinv_decoupler(aug_sys), model)
-        for alg, est in estimates.items():
-            rows.append({
-                "sweep": "inclusion",
-                "p": p,
-                "n_r": n_r,
-                "algorithm": alg,
-                "flops_estimate": est,
-                "flops_instrumented": instrumented[alg],
-                "ratio_to_svd": est / estimates["SVD"],
-                "ratio_to_pinv": est / estimates["PINV"],
-            })
+            sys = _bench_system(n_r, k, m_i, sweep.seed)
+            runs = {"SD_UI": lambda: include_users(base_sys, base_sd, new_chans[:added]),
+                    "SD": lambda: sequential_decoupler(sys),
+                    "SVD": lambda: svd_decoupler(sys),
+                    "PINV": lambda: pinv_decoupler(sys)}
+            for alg in estimates:
+                instrumented[alg] = _instrumented_total(runs[alg], model)
+        rows.extend({
+            "sweep": sweep.mode,
+            "param": param,
+            "n_r": n_r,
+            "algorithm": alg,
+            "flops_estimate": est,
+            "flops_instrumented": instrumented[alg],
+            "ratio_to_svd": est / estimates["SVD"],
+            "ratio_to_pinv": est / estimates["PINV"],
+        } for alg, est in estimates.items())
     return rows
 
 
@@ -672,24 +648,6 @@ def audit_rows(report: AuditReport) -> list[dict]:
                 report.max_subspace_distance_vs_svd if method == "SD" else "",
         })
     return rows
-
-
-def flop_rows(rows: list[dict]) -> list[dict]:
-    """Project bench rows onto the frozen column schema."""
-    out = []
-    for r in rows:
-        param = r.get("k", r.get("m_i", r.get("p", "")))
-        out.append({
-            "sweep": r["sweep"],
-            "param": param,
-            "n_r": r["n_r"],
-            "algorithm": r["algorithm"],
-            "flops_estimate": r["flops_estimate"],
-            "flops_instrumented": r["flops_instrumented"],
-            "ratio_to_svd": r["ratio_to_svd"],
-            "ratio_to_pinv": r["ratio_to_pinv"],
-        })
-    return out
 
 
 def _format_cell(value) -> str:

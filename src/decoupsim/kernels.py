@@ -52,13 +52,11 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
 class SubspaceBasis:
     """Row-orthonormal basis of a subspace of C^ambient_dim.
 
-    ``basis`` is t x n with the t basis vectors as rows; ``tol`` records
-    the relative rank tolerance used when the basis was extracted.
+    ``basis`` is t x n with the t basis vectors as rows.
     """
 
     basis: np.ndarray
     ambient_dim: int
-    tol: float = 0.0
 
     def __post_init__(self) -> None:
         b = self.basis
@@ -69,8 +67,6 @@ class SubspaceBasis:
         t = b.shape[0]
         if t > self.ambient_dim:
             raise InvalidInputError("more basis rows than ambient dimensions")
-        if self.tol < 0:
-            raise InvalidInputError("tol must be >= 0")
         if t:
             gram = b @ b.conj().T
             err = np.linalg.norm(gram - np.eye(t))
@@ -114,11 +110,11 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def _rank_cutoff(s: np.ndarray, shape: tuple[int, int], tol: float) -> tuple[float, float]:
-    """Return (effective relative tol, absolute cutoff) for singular values."""
+def _rank_cutoff(s: np.ndarray, shape: tuple[int, int], tol: float) -> float:
+    """Absolute cutoff for singular values ``s`` (descending) of a ``shape`` matrix."""
     rel = tol if tol > 0 else max(shape) * _EPS
     sigma_max = float(s[0]) if s.size else 0.0
-    return rel, rel * sigma_max
+    return rel * sigma_max
 
 
 def numerical_rank(a, tol: float = 0.0) -> int:
@@ -130,8 +126,7 @@ def numerical_rank(a, tol: float = 0.0) -> int:
     if min(m.shape) == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    _, cutoff = _rank_cutoff(s, m.shape, tol)
-    return int(np.sum(s > cutoff))
+    return int(np.sum(s > _rank_cutoff(s, m.shape, tol)))
 
 
 def _nullspace_rows(t_mat: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -142,8 +137,7 @@ def _nullspace_rows(t_mat: np.ndarray, tol: float = 0.0) -> np.ndarray:
     if m == 0:
         return np.eye(t, dtype=np.complex128)
     u, s, _ = np.linalg.svd(t_mat, full_matrices=True)
-    _, cutoff = _rank_cutoff(s, t_mat.shape, tol)
-    rank = int(np.sum(s > cutoff))
+    rank = int(np.sum(s > _rank_cutoff(s, t_mat.shape, tol)))
     if rank == 0:
         return np.eye(t, dtype=np.complex128)
     return np.ascontiguousarray(u[:, rank:].conj().T)
@@ -163,9 +157,7 @@ def left_nullspace_basis(t_mat, tol: float = 0.0) -> SubspaceBasis:
     t, m = t_mat.shape
     if flops.is_instrumenting():
         flops.charge(flops.active_model().svd_full(t, m))
-    # an empty ambient space records the requested tol as given
-    rel = tol if tol > 0 or t == 0 else max(t, m) * _EPS
-    return SubspaceBasis(_nullspace_rows(t_mat, tol), t, rel)
+    return SubspaceBasis(_nullspace_rows(t_mat, tol), t)
 
 
 def pseudo_inverse(a) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output determinism."""
 
+import csv
 import json
 
 import pytest
@@ -89,6 +90,11 @@ class TestAuditCommand:
         assert len(lines) == 4  # header + SD, SVD, PINV
 
 
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestFlopsCommand:
     def test_estimates_only_sweep(self, tmp_path):
         out = tmp_path / "f"
@@ -96,6 +102,33 @@ class TestFlopsCommand:
                      "--no-instrumented"]) == 0
         lines = (out / "flops_users.csv").read_text().splitlines()
         assert len(lines) == 1 + 6 * 3  # six K points x three algorithms
+
+    def test_config_cost_model_prices_the_tables(self, ber_config, tmp_path):
+        prices = {"add": 1, "mul": 3, "div": 5, "qr_scale": 10}
+        model = flops.CostModel(**prices)
+        cfg = json.loads(ber_config.read_text())
+        cfg["cost_model"] = prices
+        ber_config.write_text(json.dumps(cfg))
+        before = flops.active_model()
+
+        out = tmp_path / "f"
+        assert main(["flops", "--config", str(ber_config), "--out", str(out),
+                     "--sweep", "users", "--no-instrumented"]) == 0
+        sd80 = next(r for r in _csv_rows(out / "flops_users.csv")
+                    if r["algorithm"] == "SD" and r["param"] == "80")
+        assert int(sd80["flops_estimate"]) == flops.estimate_flops(
+            "SD", 170, 2, k=80, model=model).total
+        assert json.loads((out / "manifest.json").read_text())["cost_model"]["mul"] == 3
+
+        out = tmp_path / "i"
+        assert main(["include", "--config", str(ber_config), "--out", str(out),
+                     "--base-k", "12", "--base-n-r", "34", "--p-max", "2"]) == 0
+        ui2 = next(r for r in _csv_rows(out / "include.csv")
+                   if r["algorithm"] == "SD_UI" and r["param"] == "2")
+        expected = flops.estimate_flops("SD_UI", 34, 2, k=12, added=[2, 2], model=model).total
+        assert int(ui2["flops_estimate"]) == expected
+        assert int(ui2["flops_instrumented"]) == expected
+        assert flops.active_model() == before
 
 
 class TestIncludeCommand:
@@ -105,3 +138,9 @@ class TestIncludeCommand:
                      "--base-n-r", "34", "--p-max", "2", "--no-instrumented"]) == 0
         lines = (out / "include.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 4  # two P points x four algorithms
+
+    def test_infeasible_base_exit_code(self, tmp_path, capsys):
+        # 70 users of 2 streams leave 138 > 130 for each; caught before any row runs
+        assert main(["include", "--out", str(tmp_path), "--base-k", "70",
+                     "--base-n-r", "130", "--no-instrumented"]) == 3
+        assert "user 0 cannot be decoupled" in capsys.readouterr().err

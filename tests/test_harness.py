@@ -18,7 +18,6 @@ from decoupsim.harness import (
     ber_rows,
     config_from_manifest,
     emit_outputs,
-    flop_rows,
     render_csv,
     run_ber_sweep,
     run_equivalence_audit,
@@ -205,7 +204,7 @@ class TestFlopBench:
     def test_users_sweep_rows(self):
         rows = run_flop_bench(FlopSweep(mode="users", k_values=(30, 40), instrumented=False))
         assert len(rows) == 6
-        sd30 = next(r for r in rows if r["algorithm"] == "SD" and r["k"] == 30)
+        sd30 = next(r for r in rows if r["algorithm"] == "SD" and r["param"] == 30)
         assert sd30["ratio_to_svd"] <= 0.01
         assert sd30["flops_instrumented"] == ""
 
@@ -224,7 +223,7 @@ class TestFlopBench:
         rows = run_flop_bench(FlopSweep(mode="inclusion", base_k=12, base_n_r=34,
                                         m_i=2, p_max=2, instrumented=True))
         for p in (1, 2):
-            by_alg = {r["algorithm"]: r for r in rows if r["p"] == p}
+            by_alg = {r["algorithm"]: r for r in rows if r["param"] == p}
             assert by_alg["SD_UI"]["flops_estimate"] < by_alg["SD"]["flops_estimate"]
             assert by_alg["SD"]["flops_estimate"] < by_alg["PINV"]["flops_estimate"]
             assert by_alg["SD_UI"]["flops_instrumented"] == by_alg["SD_UI"]["flops_estimate"]
@@ -276,8 +275,7 @@ class TestOutputs:
         assert len(rows) == 3
 
     def test_flop_rows_schema(self):
-        rows = flop_rows(run_flop_bench(FlopSweep(mode="users", k_values=(30,),
-                                                  instrumented=False)))
+        rows = run_flop_bench(FlopSweep(mode="users", k_values=(30,), instrumented=False))
         assert all(set(r) == set(FLOP_COLUMNS) for r in rows)
 
     def test_golden_column_headers(self):
