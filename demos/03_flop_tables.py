@@ -1,7 +1,7 @@
 """Complexity tables: sequential decoupler vs the two baselines.
 
 Tabulates closed-form FLOP estimates (cross-checked against the
-instrumented counter) while sweeping the user count, the streams per
+instrumented tally) while sweeping the user count, the streams per
 user, and the number of users added to a large running system.  The
 receiver keeps 10 more antennas than the total stream count unless
 stated otherwise.

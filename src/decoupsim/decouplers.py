@@ -151,18 +151,18 @@ def _annihilate(z: np.ndarray, blocks, tol: float) -> np.ndarray:
     """Fold each block's left nullspace into ``z``, one block at a time.
 
     For every block A the loop forms T = Z @ A, extracts rows W spanning
-    the left nullspace of T, and replaces Z by W @ Z.  The FLOP counter
+    the left nullspace of T, and replaces Z by W @ Z.  The FLOP tally
     is charged for the projection product and the factorization of T;
     the final W @ Z product only re-expresses an orthonormal basis and
     is excluded from the declared accounting convention.
     """
-    model = flops.active_model()
+    tally = flops._tally.get()
     for block in blocks:
         t_rows, span = z.shape
         tmat = z @ block
-        if flops.is_instrumenting():
-            flops.charge(model.matmul(t_rows, span, block.shape[1]))
-            flops.charge(model.svd_values(t_rows, block.shape[1]))
+        if tally is not None:
+            tally.add(tally.model.matmul(t_rows, span, block.shape[1]))
+            tally.add(tally.model.svd_values(t_rows, block.shape[1]))
         w = _nullspace_rows(tmat, tol)
         z = w @ z
     return z
@@ -216,8 +216,8 @@ def _fold_half(a: np.ndarray, widths, tol: float) -> np.ndarray:
     q, r = np.linalg.qr(a, mode="complete")
     s = np.linalg.svd(r[:width], compute_uv=False)  # a's singular values
     if s[-1] > _rank_cutoff(s, a.shape, tol):
-        if flops.is_instrumenting():
-            flops.charge(flops._node_charge(t, widths, flops.active_model()))
+        if (tally := flops._tally.get()) is not None:
+            tally.add(flops._node_charge(t, widths, tally.model))
         return np.ascontiguousarray(q[:, width:].conj().T)
     blocks = np.split(a, np.cumsum(widths)[:-1], axis=1)
     return _annihilate(np.eye(t, dtype=np.complex128), blocks, tol)

@@ -1,4 +1,4 @@
-"""Real-FLOP cost model and instrumentation.
+"""Real-FLOP cost model, per-block instrumentation and closed-form estimates.
 
 Complex arithmetic is counted as fixed bundles of real floating-point
 operations (one complex multiply = 6 real FLOPs, one complex add = 2,
@@ -9,30 +9,31 @@ variant.
 
 Accounting convention
 ---------------------
-The counter charges every matrix-kernel primitive (matrix product, QR,
-SVD-based nullspace extraction, pseudo-inverse) with its model cost at
-the dimensions actually used.  For the sequential decoupler family the
-charged work is the recursion's own arithmetic: the projection products
-``T = Z @ A`` and the nullspace factorizations of the small projected
-blocks, at the subspace dimensions where they execute.  Re-expressing
-already-orthonormal bases (products of orthonormal factors, and carrying
-pending channel blocks into a child node's coordinates) is bookkeeping
-on known-orthonormal data and is excluded from the tally.  The
-sequential decoupler executes each tree node's annihilated half as one
-complete QR, yet is charged as the paper's per-block recursion
-(:func:`_node_charge`, shared with the closed-form estimate), and so is
-``recursive_common_nullspace``.  Execution, ``partition_tree`` and the
-estimate read one shape-only plan of the tree (:func:`_sd_plan`).  The same
-convention is applied to every algorithm being compared, so reported
-ratios are internally consistent; the convention is recorded in every
-output manifest.
+Inside a :func:`counting` block, every matrix-kernel primitive (matrix
+product, QR, SVD-based nullspace extraction, pseudo-inverse) is charged
+to the block's own tally with its model cost at the dimensions actually
+used; outside every block nothing is counted.  For the sequential
+decoupler family the charged work is the recursion's own arithmetic: the
+projection products ``T = Z @ A`` and the nullspace factorizations of
+the small projected blocks, at the subspace dimensions where they
+execute.  Re-expressing already-orthonormal bases (products of
+orthonormal factors, and carrying pending channel blocks into a child
+node's coordinates) is bookkeeping on known-orthonormal data and is
+excluded from the tally.  The sequential decoupler executes each tree
+node's annihilated half as one complete QR, yet is charged as the
+paper's per-block recursion (:func:`_node_charge`, shared with the
+closed-form estimate), and so is ``recursive_common_nullspace``.
+Execution, ``partition_tree`` and the estimate read one shape-only plan
+of the tree (:func:`_sd_plan`).  The same convention is applied to every
+algorithm being compared, so reported ratios are internally consistent;
+the convention is recorded in every output manifest.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import namedtuple
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -43,14 +44,7 @@ __all__ = [
     "FlopReport",
     "count_matmul",
     "estimate_flops",
-    "instrument",
-    "is_instrumenting",
-    "read_counter",
-    "reset_counter",
     "counting",
-    "configure",
-    "active_model",
-    "charge",
 ]
 
 
@@ -128,81 +122,46 @@ class FlopReport:
 
 
 # ---------------------------------------------------------------------------
-# Instrumentation counter (process-global, lock-guarded).
+# Instrumentation: one tally per ``counting()`` block, held in a context
+# variable.  Charge sites read it once and price with the tally's model.
 
-_lock = threading.Lock()
-_enabled = False
-_counter = 0.0
-_model = CostModel()
+@dataclass(slots=True)
+class _Tally:
+    """Running FLOP sum of one ``counting()`` block, priced by ``model``."""
 
+    model: CostModel
+    flops: float = 0.0
+    total: int = 0
 
-def configure(model: CostModel) -> None:
-    """Install ``model`` as the cost model used by instrumented primitives."""
-    global _model
-    with _lock:
-        _model = model
-
-
-def active_model() -> CostModel:
-    return _model
+    def add(self, flops: float) -> None:
+        self.flops += flops
 
 
-def instrument(enabled: bool = True) -> None:
-    """Turn the FLOP counter on or off.  The tally is kept across toggles."""
-    global _enabled
-    with _lock:
-        _enabled = enabled
-
-
-def is_instrumenting() -> bool:
-    return _enabled
-
-
-def reset_counter() -> None:
-    global _counter
-    with _lock:
-        _counter = 0.0
-
-
-def read_counter() -> int:
-    """Current tally in FLOPs.  Monotone between resets."""
-    with _lock:
-        return int(round(_counter))
-
-
-def charge(flops: float) -> None:
-    """Add ``flops`` to the tally if instrumentation is on.  Thread-safe."""
-    global _counter
-    if _enabled and flops:
-        with _lock:
-            _counter += flops
+_tally: ContextVar[_Tally | None] = ContextVar("decoupsim_flop_tally", default=None)
 
 
 @contextmanager
 def counting(model: CostModel | None = None):
-    """Context manager that instruments a block and yields a tally handle.
+    """Count the FLOPs of the kernels run inside the block, priced by ``model``.
+
+    Yields a tally whose ``total`` (an int) is set when the block exits.
 
     >>> with counting() as tally:
     ...     some_instrumented_work()
     >>> tally.total
+
+    A tally counts work done in the thread (context) that opened it; a
+    worker thread starts with no tally, so the BER sweep's thread pool is
+    never counted.  A nested block counts only its own work and leaves the
+    enclosing tally as it was.  Outside every block nothing is counted.
     """
-    previous_enabled = _enabled
-    previous_model = _model
-    if model is not None:
-        configure(model)
-    reset_counter()
-    instrument(True)
-    handle = _Tally()
+    tally = _Tally(model or CostModel())
+    token = _tally.set(tally)
     try:
-        yield handle
+        yield tally
     finally:
-        handle.total = read_counter()
-        instrument(previous_enabled)
-        configure(previous_model)
-
-
-class _Tally:
-    total: int = 0
+        _tally.reset(token)
+        tally.total = int(round(tally.flops))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +169,7 @@ class _Tally:
 
 def count_matmul(m: int, n: int, p: int, model: CostModel | None = None) -> int:
     """Closed-form cost of an (m x n) @ (n x p) complex product."""
-    model = model or _model
+    model = model or CostModel()
     return int(round(model.matmul(m, n, p)))
 
 
@@ -321,7 +280,7 @@ def estimate_flops(algorithm: str, n_r: int, m_per_user, k: int | None = None,
     only); the report then covers the incremental update, starting from a
     decoupler set for the base system.
     """
-    model = model or _model
+    model = model or CostModel()
     m_list = _normalize_users(k, m_per_user)
     algorithm = algorithm.upper()
 

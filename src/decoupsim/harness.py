@@ -536,6 +536,9 @@ def _flop_points(sweep: FlopSweep) -> list[tuple[str, int, int, int, int, int]]:
         return [("m_i", m, sweep.n_r or sweep.k * m + 10, sweep.k, m, 0)
                 for m in sweep.m_values]
     if sweep.mode == "inclusion":
+        for name in ("base_k", "m_i", "p_max", "base_n_r"):
+            if getattr(sweep, name) < 1:
+                raise InvalidConfigError(f"{name} must be >= 1, got {getattr(sweep, name)}")
         flops._check_feasible(sweep.base_n_r, (sweep.m_i,) * sweep.base_k)
         return [("p", p, sweep.base_n_r, sweep.base_k + p, sweep.m_i, p)
                 for p in range(1, sweep.p_max + 1)]
@@ -561,10 +564,10 @@ def run_flop_bench(sweep: FlopSweep, model: flops.CostModel | None = None) -> li
     ratios of each algorithm's estimate to the SVD and pseudo-inverse
     baselines; an inclusion point's ``SD_UI`` row (updating the base
     decoupler set) comes first.  Everything is priced by ``model``
-    (default: the active model).  Infeasible sweep entries are skipped
+    (default: ``CostModel()``).  Infeasible sweep entries are skipped
     with a warning.
     """
-    model = model or flops.active_model()
+    model = model or flops.CostModel()
     points = _flop_points(sweep)
     if sweep.instrumented and sweep.mode == "inclusion":
         # every inclusion point updates this one base decoupler set
@@ -687,7 +690,7 @@ def emit_outputs(tables: dict[str, tuple[list[str], list[dict]]], out_dir,
     manifest.setdefault("package_version", _pkg_version)
     manifest.setdefault("snr_definition", SNR_DEFINITION)
     manifest.setdefault("flop_convention", FLOP_CONVENTION)
-    manifest.setdefault("cost_model", asdict(flops.active_model()))
+    manifest.setdefault("cost_model", asdict(flops.CostModel()))
     manifest.setdefault("created_utc",
                         datetime.datetime.now(datetime.timezone.utc).isoformat())
     mpath = out / "manifest.json"

@@ -2,9 +2,9 @@
 
 Everything downstream (decouplers, detectors, the benchmark harness) is
 built on these operations.  All functions are pure: they validate their
-inputs, never mutate them, and are safe to call concurrently.  When the
-FLOP counter is on (see :mod:`decoupsim.flops`) each primitive adds its
-model cost to the tally.
+inputs, never mutate them, and are safe to call concurrently.  Inside a
+:func:`decoupsim.flops.counting` block each primitive adds its model
+cost to that block's tally.
 
 Subspaces are represented by row-orthonormal basis matrices throughout,
 so the pseudo-inverse of a basis is simply its adjoint and projecting a
@@ -103,10 +103,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Instrumented complex matrix product."""
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    if flops.is_instrumenting():
+    if (tally := flops._tally.get()) is not None:
         m = a.shape[0] if a.ndim == 2 else 1
         p = b.shape[1] if b.ndim == 2 else 1
-        flops.charge(flops.active_model().matmul(m, a.shape[-1], p))
+        tally.add(tally.model.matmul(m, a.shape[-1], p))
     return a @ b
 
 
@@ -155,8 +155,8 @@ def left_nullspace_basis(t_mat, tol: float = 0.0) -> SubspaceBasis:
     """
     t_mat = as_complex_matrix(t_mat, "t_mat")
     t, m = t_mat.shape
-    if flops.is_instrumenting():
-        flops.charge(flops.active_model().svd_full(t, m))
+    if (tally := flops._tally.get()) is not None:
+        tally.add(tally.model.svd_full(t, m))
     return SubspaceBasis(_nullspace_rows(t_mat, tol), t)
 
 
@@ -167,8 +167,8 @@ def pseudo_inverse(a) -> np.ndarray:
     ``max(n, m) * eps * sigma_max`` are dropped.
     """
     a = as_complex_matrix(a, "a")
-    if flops.is_instrumenting():
-        flops.charge(flops.active_model().pinv(*a.shape))
+    if (tally := flops._tally.get()) is not None:
+        tally.add(tally.model.pinv(*a.shape))
     if min(a.shape) == 0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
     return np.linalg.pinv(a, rcond=max(a.shape) * _EPS)
@@ -181,7 +181,7 @@ def qr_decompose(a) -> QrFactors:
     matrix by matrix; requires n >= m.  The diagonal of each R is forced
     to be real and non-negative (column phases are absorbed into Q),
     which makes the factorization deterministic across runs and
-    backends.  The FLOP counter is charged once per matrix.
+    backends.  The FLOP tally is charged once per matrix.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 3:
@@ -191,8 +191,8 @@ def qr_decompose(a) -> QrFactors:
     n, m = a.shape[-2:]
     if n < m:
         raise ShapeError(f"qr_decompose needs n >= m, got {n} x {m}")
-    if flops.is_instrumenting():
-        flops.charge(flops.active_model().qr(n, m) * int(np.prod(a.shape[:-2])))
+    if (tally := flops._tally.get()) is not None:
+        tally.add(tally.model.qr(n, m) * int(np.prod(a.shape[:-2])))
     q, r = np.linalg.qr(a, mode="reduced")
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     mag = np.abs(diag)

@@ -69,12 +69,12 @@ class TestBerCommand:
         assert main(["ber", "--config", str(ber_config), "--out", str(tmp_path)]) == 2
 
     def test_cost_model_is_scoped_to_the_subcommand(self, ber_config, tmp_path):
-        before = flops.active_model()
         assert main(["ber", "--config", str(ber_config), "--out", str(tmp_path),
                      "--override", 'cost_model={"add": 1, "mul": 1, "div": 1}']) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["cost_model"]["mul"] == 1
-        assert flops.active_model() == before
+        assert flops._tally.get() is None
+        assert flops.count_matmul(1, 1, 1) == 6
 
     def test_infeasible_system_exit_code(self, ber_config, tmp_path):
         assert main(["ber", "--config", str(ber_config), "--out", str(tmp_path),
@@ -109,7 +109,6 @@ class TestFlopsCommand:
         cfg = json.loads(ber_config.read_text())
         cfg["cost_model"] = prices
         ber_config.write_text(json.dumps(cfg))
-        before = flops.active_model()
 
         out = tmp_path / "f"
         assert main(["flops", "--config", str(ber_config), "--out", str(out),
@@ -128,7 +127,8 @@ class TestFlopsCommand:
         expected = flops.estimate_flops("SD_UI", 34, 2, k=12, added=[2, 2], model=model).total
         assert int(ui2["flops_estimate"]) == expected
         assert int(ui2["flops_instrumented"]) == expected
-        assert flops.active_model() == before
+        assert flops._tally.get() is None
+        assert flops.count_matmul(1, 1, 1) == 6
 
 
 class TestIncludeCommand:
@@ -144,3 +144,12 @@ class TestIncludeCommand:
         assert main(["include", "--out", str(tmp_path), "--base-k", "70",
                      "--base-n-r", "130", "--no-instrumented"]) == 3
         assert "user 0 cannot be decoupled" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--base-k", "0"), ("--m-i", "0"), ("--p-max", "0"), ("--p-max", "-1"),
+        ("--base-n-r", "0"),
+    ])
+    def test_nonpositive_size_is_config_error(self, tmp_path, flag, value):
+        out = tmp_path / "i"
+        assert main(["include", "--out", str(out), "--no-instrumented", flag, value]) == 2
+        assert not (out / "include.csv").exists()

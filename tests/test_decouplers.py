@@ -92,7 +92,7 @@ class TestRecursiveCommonNullspace:
             blocks = [crandn(rng, n, m_a), crandn(rng, n, m_b)]
             with flops.counting() as tally:
                 recursive_common_nullspace(blocks, identity_basis(n))
-            expected = flops._node_charge(n, [m_a, m_b], flops.active_model())
+            expected = flops._node_charge(n, [m_a, m_b], flops.CostModel())
             assert tally.total == round(expected)
 
     def test_restricts_to_initial_subspace(self):
@@ -202,7 +202,7 @@ class TestNodeUpdate:
         self.assert_matches_svd(sd, svd_decoupler(sys), 12)
         # per-block charge at the row counts the fold reaches: user 0's
         # rank-1 block removes one row, so user 1 is factored at t = 11
-        model = flops.active_model()
+        model = flops.CostModel()
 
         def block(t, entry_dim):
             return model.matmul(t, entry_dim, 2) + model.svd_values(t, 2)

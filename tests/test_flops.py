@@ -1,5 +1,6 @@
-"""Cost model, instrumentation counter, and closed-form complexity estimates."""
+"""Cost model, per-block FLOP tallies, and closed-form complexity estimates."""
 
+import sys
 import threading
 
 import numpy as np
@@ -50,12 +51,14 @@ class TestCostModel:
 
 
 class TestInstrumentation:
-    def test_counter_off_by_default(self):
-        flops.reset_counter()
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((3, 3)) + 0j
+    def test_nothing_counted_outside_a_block(self):
+        a = np.eye(2, dtype=complex)
+        assert flops._tally.get() is None
+        with flops.counting() as tally:
+            matmul(a, a)
         matmul(a, a)
-        assert flops.read_counter() == 0
+        assert flops._tally.get() is None
+        assert tally.total == 56 and tally.flops == 56
 
     def test_instrumented_matmul_matches_formula(self):
         rng = np.random.default_rng(1)
@@ -71,38 +74,44 @@ class TestInstrumentation:
             matmul(a, a)
         assert tally.total == 56
 
-    def test_counter_accumulates_and_resets(self):
+    def test_concurrent_blocks_keep_their_own_tallies(self):
         a = np.eye(2, dtype=complex)
-        flops.reset_counter()
-        flops.instrument(True)
+        barrier = threading.Barrier(4)
+        totals = [None] * 4
+
+        def worker(i):
+            with flops.counting() as tally:
+                barrier.wait(timeout=10)  # every block is open before any counts
+                for _ in range(200):
+                    matmul(a, a)
+                barrier.wait(timeout=10)  # and stays open until all have counted
+            totals[i] = tally.total
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            matmul(a, a)
-            first = flops.read_counter()
-            matmul(a, a)
-            assert flops.read_counter() == 2 * first
-        finally:
-            flops.instrument(False)
-        flops.reset_counter()
-        assert flops.read_counter() == 0
-
-    def test_thread_safe_accumulation(self):
-        a = np.eye(2, dtype=complex)
-
-        def worker():
-            for _ in range(200):
-                matmul(a, a)
-
-        flops.reset_counter()
-        flops.instrument(True)
-        try:
-            threads = [threading.Thread(target=worker) for _ in range(4)]
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=30)
         finally:
-            flops.instrument(False)
-        assert flops.read_counter() == 4 * 200 * 56
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert totals == [200 * 56] * 4
+
+    def test_nested_block_counts_only_its_own_work(self):
+        a = np.eye(2, dtype=complex)
+        inner_model = CostModel(add=1.0, mul=3.0)
+        with flops.counting() as outer:
+            matmul(a, a)
+            with flops.counting(inner_model) as inner:
+                for _ in range(3):
+                    matmul(a, a)
+            matmul(a, a)
+        assert inner.total == 3 * count_matmul(2, 2, 2, model=inner_model)
+        assert outer.total == 2 * 56
+        assert flops._tally.get() is None
 
 
 class TestFlopReport:
