@@ -7,6 +7,9 @@ Subcommands::
     decoupsim flops   [--config cfg.json] [--sweep users|streams|both] [--no-instrumented] ...
     decoupsim include [--config cfg.json] [--p-max N] [--base-k N] [--base-n-r N] ...
 
+``...`` stands for ``--seed``, ``--out`` and ``--override``; only ``ber``
+runs a thread pool, so only ``ber`` accepts ``--threads``.
+
 The config file is JSON mirroring :class:`decoupsim.harness.SimConfig`
 (see README for the schema).  ``--override`` accepts dotted paths whose
 values are parsed as JSON when possible (``system.k=8``,
@@ -72,7 +75,7 @@ def _load_config(args, *, required: bool) -> SimConfig | None:
         overrides = dict(_parse_override(o) for o in args.override or [])
         if args.seed is not None:
             overrides["seed"] = args.seed
-        if args.threads is not None:
+        if getattr(args, "threads", None) is not None:
             overrides["threads"] = args.threads
         if overrides:
             cfg = cfg.with_overrides(overrides)
@@ -139,8 +142,6 @@ def _add_common(parser: argparse.ArgumentParser, *, config_required: bool) -> No
                         help="JSON config file mirroring SimConfig")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (results are independent of this)")
     parser.add_argument("--override", action="append", metavar="KEY=VALUE",
                         help="dotted-path config override, value parsed as JSON")
 
@@ -155,6 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ber = sub.add_parser("ber", help="run a Monte-Carlo BER sweep")
     _add_common(p_ber, config_required=True)
+    p_ber.add_argument("--threads", type=int, default=None,
+                       help="worker threads (results are independent of this)")
     p_ber.set_defaults(func=_cmd_ber)
 
     p_audit = sub.add_parser("audit", help="decoupling-exactness and equivalence audit")

@@ -147,28 +147,26 @@ class PartitionNode:
 # ---------------------------------------------------------------------------
 # Algorithm core.
 
-def _annihilate(z: np.ndarray, blocks, tol: float) -> np.ndarray:
+def _annihilate(z: np.ndarray, blocks) -> np.ndarray:
     """Fold each block's left nullspace into ``z``, one block at a time.
 
     For every block A the loop forms T = Z @ A, extracts rows W spanning
     the left nullspace of T, and replaces Z by W @ Z.  The FLOP tally
-    is charged for the projection product and the factorization of T;
-    the final W @ Z product only re-expresses an orthonormal basis and
-    is excluded from the declared accounting convention.
+    is charged for the projection product and the factorization of T
+    (:func:`flops._node_charge` of the one block); the final W @ Z
+    product only re-expresses an orthonormal basis and is excluded from
+    the declared accounting convention.
     """
     tally = flops._tally.get()
     for block in blocks:
-        t_rows, span = z.shape
-        tmat = z @ block
         if tally is not None:
-            tally.add(tally.model.matmul(t_rows, span, block.shape[1]))
-            tally.add(tally.model.svd_values(t_rows, block.shape[1]))
-        w = _nullspace_rows(tmat, tol)
-        z = w @ z
+            tally.add(flops._node_charge(z.shape[0], [block.shape[1]], tally.model,
+                                         span=z.shape[1]))
+        z = _nullspace_rows(z @ block) @ z
     return z
 
 
-def recursive_common_nullspace(blocks, z0: SubspaceBasis, tol: float = 0.0) -> SubspaceBasis:
+def recursive_common_nullspace(blocks, z0: SubspaceBasis) -> SubspaceBasis:
     """Common left nullspace of several blocks, restricted to a starting subspace.
 
     Processes the blocks sequentially: the returned basis Z satisfies
@@ -188,7 +186,7 @@ def recursive_common_nullspace(blocks, z0: SubspaceBasis, tol: float = 0.0) -> S
             )
     if not mats:
         return z0
-    return SubspaceBasis(_annihilate(z0.basis, mats, tol), n)
+    return SubspaceBasis(_annihilate(z0.basis, mats), n)
 
 
 # ---------------------------------------------------------------------------
@@ -201,26 +199,27 @@ class _Node(NamedTuple):
     local: np.ndarray         # (t x pending streams) pending blocks side by side, in this basis
 
 
-def _fold_half(a: np.ndarray, widths, tol: float) -> np.ndarray:
+def _fold_half(a: np.ndarray, widths) -> np.ndarray:
     """Rows spanning the common left nullspace of a node's annihilated half.
 
     ``a`` (t x M) holds the half's blocks side by side, ``widths`` their
     stream counts.  Feasibility keeps M < t: the node's processed users
     and the half leave out a kept user, so their streams sum below n_r,
     and a fold removes at most its blocks' streams from t.  If ``a`` has
-    full column rank under the fold's cutoff rule, which then holds for
-    every block too, the trailing columns of one complete QR span the
-    nullspace; otherwise the blocks are folded one at a time.
+    full column rank under the fold's cutoff rule (the one rank rule of
+    ``kernels._rank_cutoff``), which then holds for every block too, the
+    trailing columns of one complete QR span the nullspace; otherwise
+    the blocks are folded one at a time.
     """
     t, width = a.shape
     q, r = np.linalg.qr(a, mode="complete")
     s = np.linalg.svd(r[:width], compute_uv=False)  # a's singular values
-    if s[-1] > _rank_cutoff(s, a.shape, tol):
+    if s[-1] > _rank_cutoff(s, a.shape):
         if (tally := flops._tally.get()) is not None:
             tally.add(flops._node_charge(t, widths, tally.model))
         return np.ascontiguousarray(q[:, width:].conj().T)
     blocks = np.split(a, np.cumsum(widths)[:-1], axis=1)
-    return _annihilate(np.eye(t, dtype=np.complex128), blocks, tol)
+    return _annihilate(np.eye(t, dtype=np.complex128), blocks)
 
 
 def _columns(local: np.ndarray, offsets, pending, users) -> np.ndarray:
@@ -229,7 +228,7 @@ def _columns(local: np.ndarray, offsets, pending, users) -> np.ndarray:
     return local[:, offsets[users[0]] - base:offsets[users[-1] + 1] - base]
 
 
-def _sd_levels(sys: SystemChannel, tol: float) -> list[list[_Node]]:
+def _sd_levels(sys: SystemChannel) -> list[list[_Node]]:
     """Execute the partition-tree plan, returning every level including the root."""
     widths = sys.m_per_user
     offsets = (0, *itertools.accumulate(widths))
@@ -248,7 +247,7 @@ def _sd_levels(sys: SystemChannel, tol: float) -> list[list[_Node]]:
                 nxt.append(_Node(parent.z, kept))
                 continue
             a = _columns(parent.local, offsets, parent_spec.pending, spec.annihilate)
-            v = _fold_half(a, [widths[p] for p in spec.annihilate], tol)
+            v = _fold_half(a, [widths[p] for p in spec.annihilate])
             # basis assembly and block transport: orthonormal bookkeeping;
             # the root's basis is the identity
             z_child = v @ parent.z if parent_spec.processed else v
@@ -257,7 +256,7 @@ def _sd_levels(sys: SystemChannel, tol: float) -> list[list[_Node]]:
     return levels
 
 
-def sequential_decoupler(sys: SystemChannel, tol: float = 0.0) -> DecouplerSet:
+def sequential_decoupler(sys: SystemChannel) -> DecouplerSet:
     """Build all users' decouplers jointly over a binary partition tree.
 
     At each level every node's pending users are split in half; each
@@ -271,12 +270,12 @@ def sequential_decoupler(sys: SystemChannel, tol: float = 0.0) -> DecouplerSet:
     baseline, and every matrix has orthonormal rows.
     """
     # the halving keeps user order, so the live leaves come in user order
-    leaves = zip(flops._sd_plan(sys.k)[-1], _sd_levels(sys, tol)[-1])
+    leaves = zip(flops._sd_plan(sys.k)[-1], _sd_levels(sys)[-1])
     w = tuple(leaf.z for spec, leaf in leaves if spec.pending)
     return DecouplerSet(w, method="SD", row_orthonormal=True)
 
 
-def partition_tree(sys: SystemChannel, tol: float = 0.0) -> list[list[PartitionNode]]:
+def partition_tree(sys: SystemChannel) -> list[list[PartitionNode]]:
     """The sequential decoupler's tree as inspectable nodes, level by level.
 
     Level 0 is the root (nothing processed, everyone pending, full-space
@@ -293,15 +292,12 @@ def partition_tree(sys: SystemChannel, tol: float = 0.0) -> list[list[PartitionN
             )
             for spec, node in zip(specs, nodes)
         ]
-        for level, (specs, nodes) in enumerate(zip(flops._sd_plan(sys.k), _sd_levels(sys, tol)))
+        for level, (specs, nodes) in enumerate(zip(flops._sd_plan(sys.k), _sd_levels(sys)))
     ]
 
 
 def include_users(
-    sys: SystemChannel,
-    existing: DecouplerSet,
-    new_channels,
-    tol: float = 0.0,
+    sys: SystemChannel, existing: DecouplerSet, new_channels
 ) -> tuple[SystemChannel, DecouplerSet]:
     """Extend a decoupler set when new users join, without a full rebuild.
 
@@ -326,11 +322,11 @@ def include_users(
 
     w_all = list(existing.w)
     for h_new in new_mats:
-        w_new = _annihilate(w_all[0], [augmented.users[0]], tol)
+        w_new = _annihilate(w_all[0], [augmented.users[0]])
         # in place: each old basis is freed as soon as it is replaced (a new
         # list keeps them all alive and measured about 17% slower at K=80)
         for j, w in enumerate(w_all):
-            w_all[j] = _annihilate(w, [h_new], tol)
+            w_all[j] = _annihilate(w, [h_new])
         w_all.append(w_new)
     return augmented, DecouplerSet(tuple(w_all), method="SD",
                                    row_orthonormal=existing.row_orthonormal)
@@ -339,7 +335,7 @@ def include_users(
 # ---------------------------------------------------------------------------
 # Baselines.
 
-def svd_decoupler(sys: SystemChannel, tol: float = 0.0) -> DecouplerSet:
+def svd_decoupler(sys: SystemChannel) -> DecouplerSet:
     """Per-user decouplers from one factorization of each complementary channel.
 
     This is the correctness oracle for the tree-based construction and
@@ -356,7 +352,7 @@ def svd_decoupler(sys: SystemChannel, tol: float = 0.0) -> DecouplerSet:
     w = []
     for i in range(sys.k):
         complement = np.concatenate((h[:, :offsets[i]], h[:, offsets[i + 1]:]), axis=1)
-        w.append(left_nullspace_basis(complement, tol).basis)
+        w.append(left_nullspace_basis(complement).basis)
     return DecouplerSet(tuple(w), method="SVD", row_orthonormal=True)
 
 

@@ -189,17 +189,6 @@ def _whiten(shape: np.ndarray, h: np.ndarray, *vectors: np.ndarray):
     return (out[..., :m],) + tuple(out[..., m + i] for i in range(len(vectors)))
 
 
-def _whitened(link: EffectiveLink) -> tuple[np.ndarray, np.ndarray]:
-    """Return (H, y) transformed so the noise covariance becomes sigma_n2 * I."""
-    t = link.noise_cov.shape[0]
-    if link.sigma_n2 == 0:
-        return link.h_tilde, link.y_tilde
-    shape_matrix = link.noise_cov / link.sigma_n2
-    if np.linalg.norm(shape_matrix - np.eye(t)) <= 1e-9 * max(1.0, np.sqrt(t)):
-        return link.h_tilde, link.y_tilde
-    return _whiten(shape_matrix, link.h_tilde, link.y_tilde)
-
-
 def lmmse_stack(h, a, b, sigmas) -> np.ndarray:
     """Unsliced MMSE filter outputs of G links over a grid of S noise levels.
 
@@ -224,23 +213,22 @@ def lmmse_stack(h, a, b, sigmas) -> np.ndarray:
                                   "sigma_n2 = 0)") from exc
 
 
-def lmmse_filter(link: EffectiveLink, whiten: bool = False) -> np.ndarray:
+def lmmse_filter(link: EffectiveLink) -> np.ndarray:
     """Unsliced MMSE filter output ``(H^H H + sigma_n2 I)^-1 H^H y_tilde``.
 
     The formula treats the post-decoupling noise as white, which is exact
-    for row-orthonormal decouplers.  ``whiten=True`` first applies a
-    noise-whitening transform so the formula is also correct for
-    decouplers with colored output noise (such as the pseudo-inverse
-    construction).
+    for row-orthonormal decouplers; like :func:`sic_detect`, it never
+    whitens.  For a decoupler with colored output noise (such as the
+    pseudo-inverse construction), whiten with ``link.noise_cov`` first.
     """
-    h, y = _whitened(link) if whiten else (link.h_tilde, link.y_tilde)
-    return lmmse_stack(h[None], y[None], np.zeros_like(y)[None],
+    y = link.y_tilde
+    return lmmse_stack(link.h_tilde[None], y[None], np.zeros_like(y)[None],
                        [np.sqrt(link.sigma_n2)])[0, 0]
 
 
-def lmmse_detect(link: EffectiveLink, cons: Constellation, whiten: bool = False) -> np.ndarray:
+def lmmse_detect(link: EffectiveLink, cons: Constellation) -> np.ndarray:
     """Linear MMSE detection: filter, then slice per coordinate."""
-    return slice_symbols(lmmse_filter(link, whiten=whiten), cons)
+    return slice_symbols(lmmse_filter(link), cons)
 
 
 def sic_stack(h, a, b, sigmas, cons: Constellation) -> np.ndarray:

@@ -227,13 +227,16 @@ def _sd_plan(k: int) -> tuple[tuple[_PlanNode, ...], ...]:
     return tuple(levels)
 
 
-def _node_charge(entry_dim: int, m_annihilated, model: CostModel) -> float:
-    """Per-block charge of one node update: block j is projected and factored
-    at ``t_j = entry_dim - sum(m_<j)`` rows."""
+def _node_charge(entry_dim: int, m_annihilated, model: CostModel,
+                 span: int | None = None) -> float:
+    """Per-block charge of one node update: block j is projected through a
+    ``t_j x span`` basis and factored at ``t_j = entry_dim - sum(m_<j)``
+    rows.  ``span`` is the basis's column count (default ``entry_dim``)."""
+    span = entry_dim if span is None else span
     cost = 0.0
     t = entry_dim
     for m in m_annihilated:
-        cost += model.matmul(t, entry_dim, m) + model.svd_values(t, m)
+        cost += model.matmul(t, span, m) + model.svd_values(t, m)
         t -= m
     return cost
 
@@ -255,16 +258,11 @@ def _sd_ui_breakdown(n_r: int, m_list: tuple[int, ...], added: tuple[int, ...],
     current = list(m_list)
     for m_new in added:
         total_m = sum(current)
-        cost = 0.0
-        # derive the newcomer's decoupler from user 0's
-        t_donor = n_r - (total_m - current[0])
-        cost += model.matmul(t_donor, n_r, current[0])
-        cost += model.svd_values(t_donor, current[0])
-        # fold the new channel into every existing decoupler
+        # derive the newcomer's decoupler from user 0's, then fold the new
+        # channel into every existing decoupler
+        cost = _node_charge(n_r - (total_m - current[0]), [current[0]], model, span=n_r)
         for m_j in current:
-            t_j = n_r - (total_m - m_j)
-            cost += model.matmul(t_j, n_r, m_new)
-            cost += model.svd_values(t_j, m_new)
+            cost += _node_charge(n_r - (total_m - m_j), [m_new], model, span=n_r)
         per_inclusion.append(cost)
         current.append(m_new)
     return per_inclusion

@@ -110,26 +110,24 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def _rank_cutoff(s: np.ndarray, shape: tuple[int, int], tol: float) -> float:
-    """Absolute cutoff for singular values ``s`` (descending) of a ``shape`` matrix."""
-    rel = tol if tol > 0 else max(shape) * _EPS
+def _rank_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:
+    """The one rank rule: the cutoff ``max(shape) * eps * sigma_max`` for
+    singular values ``s`` (descending) of a ``shape`` matrix."""
     sigma_max = float(s[0]) if s.size else 0.0
-    return rel * sigma_max
+    return (max(shape) * _EPS) * sigma_max
 
 
-def numerical_rank(a, tol: float = 0.0) -> int:
-    """Rank of ``a`` by counting singular values above ``tol * sigma_max``.
-
-    ``tol = 0`` uses the default ``max(rows, cols) * eps``.
-    """
+def numerical_rank(a) -> int:
+    """Rank of ``a``: the count of singular values above
+    ``max(rows, cols) * eps * sigma_max``."""
     m = as_complex_matrix(a)
     if min(m.shape) == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > _rank_cutoff(s, m.shape, tol)))
+    return int(np.sum(s > _rank_cutoff(s, m.shape)))
 
 
-def _nullspace_rows(t_mat: np.ndarray, tol: float = 0.0) -> np.ndarray:
+def _nullspace_rows(t_mat: np.ndarray) -> np.ndarray:
     """SVD kernel of :func:`left_nullspace_basis`: nullspace rows, no checks, no charge."""
     t, m = t_mat.shape
     if t == 0:
@@ -137,27 +135,26 @@ def _nullspace_rows(t_mat: np.ndarray, tol: float = 0.0) -> np.ndarray:
     if m == 0:
         return np.eye(t, dtype=np.complex128)
     u, s, _ = np.linalg.svd(t_mat, full_matrices=True)
-    rank = int(np.sum(s > _rank_cutoff(s, t_mat.shape, tol)))
+    rank = int(np.sum(s > _rank_cutoff(s, t_mat.shape)))
     if rank == 0:
         return np.eye(t, dtype=np.complex128)
     return np.ascontiguousarray(u[:, rank:].conj().T)
 
 
-def left_nullspace_basis(t_mat, tol: float = 0.0) -> SubspaceBasis:
+def left_nullspace_basis(t_mat) -> SubspaceBasis:
     """Row-orthonormal basis of the left nullspace of ``t_mat`` (t x m).
 
-    Rows w of the result satisfy ``w @ t_mat = 0`` up to the rank
-    tolerance: they are the adjoints of the left singular vectors whose
-    singular values fall at or below ``tol * sigma_max`` (``tol = 0``
-    selects the default ``max(t, m) * eps``).  The row count is
-    ``t - numerical_rank(t_mat)``.  A zero or empty matrix yields the
-    canonical identity basis.
+    Rows w of the result satisfy ``w @ t_mat = 0`` up to the rank rule:
+    they are the adjoints of the left singular vectors whose singular
+    values fall at or below ``max(t, m) * eps * sigma_max``.  The row
+    count is ``t - numerical_rank(t_mat)``.  A zero or empty matrix
+    yields the canonical identity basis.
     """
     t_mat = as_complex_matrix(t_mat, "t_mat")
     t, m = t_mat.shape
     if (tally := flops._tally.get()) is not None:
         tally.add(tally.model.svd_full(t, m))
-    return SubspaceBasis(_nullspace_rows(t_mat, tol), t)
+    return SubspaceBasis(_nullspace_rows(t_mat), t)
 
 
 def pseudo_inverse(a) -> np.ndarray:

@@ -153,3 +153,13 @@ class TestIncludeCommand:
         out = tmp_path / "i"
         assert main(["include", "--out", str(out), "--no-instrumented", flag, value]) == 2
         assert not (out / "include.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["audit", "flops", "include"])
+def test_threads_is_rejected_where_no_pool_runs(command, ber_config, tmp_path):
+    # only ``ber`` runs a thread pool; elsewhere --threads is an invalid configuration
+    out = tmp_path / "t"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(ber_config), "--out", str(out), "--threads", "8"])
+    assert exc.value.code == 2
+    assert not out.exists()

@@ -178,9 +178,9 @@ class TestNodeUpdate:
         calls = []
         fold = decouplers._annihilate
 
-        def spy(z, blocks, tol):
+        def spy(z, blocks):
             calls.append(len(blocks))
-            return fold(z, blocks, tol)
+            return fold(z, blocks)
 
         monkeypatch.setattr(decouplers, "_annihilate", spy)
         return calls

@@ -113,19 +113,21 @@ class TestRunBerSweep:
             run_ber_sweep(SimConfig(n_r=4, k=3, m_i=2, snr_db=(0.0,),
                                     bits_per_point=120, seed=0))
 
-    def test_sweep_decisions_match_public_detectors(self):
-        # replay one sweep trial by hand through the public per-link API
+    @pytest.mark.parametrize("arm", ["SD", "SVD", "PINV"])
+    def test_sweep_decisions_match_public_detectors(self, arm):
+        # replay one sweep trial by hand through the public per-link API;
+        # with whiten off neither side whitens, even for PINV's colored noise
         import numpy as np
         from decoupsim.channels import RngSeed
-        from decoupsim.decouplers import sequential_decoupler, SystemChannel
+        from decoupsim.decouplers import SystemChannel
         from decoupsim.detectors import (
             Constellation, build_link, demodulate_symbols, lmmse_detect,
             modulate_bits, sic_detect,
         )
-        from decoupsim.harness import _STRIDE, _build_true_channels
+        from decoupsim.harness import _DECOUPLE_FN, _STRIDE, _build_true_channels
 
         cfg = small_cfg(snr_db=(2.0, 9.0), bits_per_point=600, seed=31)
-        res = run_paired_ber(cfg, ("SD",), ("LMMSE", "SIC"))
+        res = run_paired_ber(cfg, (arm,), ("LMMSE", "SIC"))
         cons = Constellation.qpsk()
         errors = np.zeros((2, len(cfg.snr_db)), dtype=int)
         for trial in range(cfg.trials):
@@ -136,7 +138,7 @@ class TestRunBerSweep:
                                    + 1j * rng_n.standard_normal((1, 12)))
             chans = _build_true_channels(cfg, trial, 0, None)
             sys = SystemChannel(12, chans)
-            dec = sequential_decoupler(sys)
+            dec = _DECOUPLE_FN[arm](sys)
             x = modulate_bits(bits[0], cons)
             y_clean = np.concatenate(chans, axis=1) @ x
             for si, snr in enumerate(cfg.snr_db):
@@ -149,8 +151,8 @@ class TestRunBerSweep:
                         demodulate_symbols(lmmse_detect(link, cons), cons) != tx))
                     errors[1, si] += int(np.sum(
                         demodulate_symbols(sic_detect(link, cons), cons) != tx))
-        assert tuple(errors[0]) == res[("SD", "LMMSE")].aggregate.bit_errors
-        assert tuple(errors[1]) == res[("SD", "SIC")].aggregate.bit_errors
+        assert tuple(errors[0]) == res[(arm, "LMMSE")].aggregate.bit_errors
+        assert tuple(errors[1]) == res[(arm, "SIC")].aggregate.bit_errors
 
     def test_golden_per_user_bit_errors(self):
         # counts frozen from the per-user, per-SNR-point detection loop that
