@@ -63,7 +63,6 @@ from .kernels import (
     identity_basis,
     left_nullspace_basis,
     numerical_rank,
-    pseudo_inverse,
     qr_decompose,
     subspace_distance,
 )

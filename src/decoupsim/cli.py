@@ -8,7 +8,8 @@ Subcommands::
     decoupsim include [--config cfg.json] [--p-max N] [--base-k N] [--base-n-r N] ...
 
 ``...`` stands for ``--seed``, ``--out`` and ``--override``; only ``ber``
-runs a thread pool, so only ``ber`` accepts ``--threads``.
+runs a thread pool, so only ``ber`` accepts ``--threads`` or a config
+``threads`` other than 1.
 
 The config file is JSON mirroring :class:`decoupsim.harness.SimConfig`
 (see README for the schema).  ``--override`` accepts dotted paths whose
@@ -60,29 +61,33 @@ def _parse_override(text: str) -> tuple[str, object]:
     return key.strip(), value
 
 
-def _load_config(args, *, required: bool) -> SimConfig | None:
-    data = None
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidConfigError(f"cannot read config {args.config}: {exc}") from exc
-    elif required:
-        raise InvalidConfigError("--config is required for this subcommand")
-    cfg = SimConfig.from_dict(data) if data is not None else None
-    if cfg is not None:
-        overrides = dict(_parse_override(o) for o in args.override or [])
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if getattr(args, "threads", None) is not None:
-            overrides["threads"] = args.threads
-        if overrides:
-            cfg = cfg.with_overrides(overrides)
+def _load_config(args) -> SimConfig | None:
+    """The ``--config`` file with its overrides applied, or None without one;
+    a setting that would be ignored (an override without a config, or
+    ``threads`` other than 1 outside ``ber``) is an invalid configuration."""
+    if not args.config:
+        if args.override:
+            raise InvalidConfigError("--override needs a --config to apply to")
+        return None
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InvalidConfigError(f"cannot read config {args.config}: {exc}") from exc
+    cfg = SimConfig.from_dict(data)
+    overrides = dict(_parse_override(o) for o in args.override or [])
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if getattr(args, "threads", None) is not None:
+        overrides["threads"] = args.threads
+    if overrides:
+        cfg = cfg.with_overrides(overrides)
+    if args.command != "ber" and cfg.threads != 1:
+        raise InvalidConfigError(f"threads={cfg.threads}: only ber runs worker threads")
     return cfg
 
 
-def _manifest(command: str, args, cfg: SimConfig | None) -> dict:
+def _manifest(command: str, cfg: SimConfig | None) -> dict:
     manifest = {"command": command}
     if cfg is not None:
         manifest["config"] = cfg.to_dict()
@@ -94,21 +99,21 @@ def _manifest(command: str, args, cfg: SimConfig | None) -> dict:
 
 
 def _cmd_ber(args) -> int:
-    cfg = _load_config(args, required=True)
+    cfg = _load_config(args)
     results = run_paired_ber(cfg, (cfg.decoupler,), (cfg.detector,))
     emit_outputs({"ber": (BER_COLUMNS, ber_rows(results))}, args.out,
-                 _manifest("ber", args, cfg))
+                 _manifest("ber", cfg))
     print(f"wrote {args.out}/ber.csv ({cfg.trials} trials per SNR point)")
     return EXIT_OK
 
 
 def _cmd_audit(args) -> int:
-    cfg = _load_config(args, required=True)
+    cfg = _load_config(args)
     if args.trials is not None:
         cfg = cfg.with_overrides({"audit_trials": args.trials})
     report = run_equivalence_audit(cfg)
     emit_outputs({"audit": (AUDIT_COLUMNS, audit_rows(report))}, args.out,
-                 _manifest("audit", args, cfg))
+                 _manifest("audit", cfg))
     worst = max(report.max_cross_residual.values())
     print(f"wrote {args.out}/audit.csv  worst residual {worst:.3e}, "
           f"worst SD-vs-SVD subspace distance {report.max_subspace_distance_vs_svd:.3e}")
@@ -117,7 +122,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_flops(args) -> int:
     """``flops`` writes one table per swept mode, ``include`` the inclusion table."""
-    cfg = _load_config(args, required=False)
+    cfg = _load_config(args)
     seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
     instrumented = not args.no_instrumented
     if args.command == "include":
@@ -132,7 +137,7 @@ def _cmd_flops(args) -> int:
     model = cfg.cost_model if cfg else None
     tables = {name: (FLOP_COLUMNS, run_flop_bench(sweep, model))
               for name, sweep in sweeps.items()}
-    emit_outputs(tables, args.out, _manifest(args.command, args, cfg))
+    emit_outputs(tables, args.out, _manifest(args.command, cfg))
     print(f"wrote {', '.join(f'{args.out}/{name}.csv' for name in tables)}")
     return EXIT_OK
 
@@ -174,10 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inc = sub.add_parser("include", help="user-inclusion complexity benchmark")
     _add_common(p_inc, config_required=False)
-    p_inc.add_argument("--base-k", type=int, default=60)
-    p_inc.add_argument("--base-n-r", type=int, default=130)
-    p_inc.add_argument("--m-i", type=int, default=2)
-    p_inc.add_argument("--p-max", type=int, default=5)
+    p_inc.add_argument("--base-k", type=int, default=FlopSweep.base_k)
+    p_inc.add_argument("--base-n-r", type=int, default=FlopSweep.base_n_r)
+    p_inc.add_argument("--m-i", type=int, default=FlopSweep.m_i)
+    p_inc.add_argument("--p-max", type=int, default=FlopSweep.p_max)
     p_inc.add_argument("--no-instrumented", action="store_true")
     p_inc.set_defaults(func=_cmd_flops)
 

@@ -10,7 +10,8 @@ free of inter-user interference.  Three constructions are provided:
   binary partition tree, reusing intermediate common-nullspace
   estimates so that later stages work in ever smaller subspaces;
 * :func:`pinv_decoupler` takes block rows of the channel pseudo-inverse
-  (which also equalizes each user's own channel to the identity).
+  (which also equalizes each user's own channel to the identity), built
+  from one SVD whose singular values also decide the rank.
 
 :func:`include_users` updates a sequential decoupler set in place when
 new users join, and :func:`verify_decoupling` checks the residual
@@ -34,7 +35,6 @@ from .kernels import (
     as_complex_matrix,
     left_nullspace_basis,
     numerical_rank,
-    pseudo_inverse,
 )
 
 __all__ = [
@@ -307,7 +307,11 @@ def include_users(
     subspace-equal to rebuilding from scratch on the augmented system.
     Feasibility of the augmented system is checked before anything is
     touched; with no new channels the inputs are returned unchanged.
+    ``existing`` must have orthonormal rows: a zero-forcing (PINV) set has
+    ``W_0 @ H_0 = I``, so folding ``H_0`` out of ``W_0`` leaves no rows.
     """
+    if not existing.row_orthonormal:
+        raise InvalidInputError(f"cannot extend a {existing.method} set: rows not orthonormal")
     if existing.k != sys.k:
         raise InvalidInputError(
             f"decoupler set has {existing.k} users, system has {sys.k}"
@@ -328,8 +332,7 @@ def include_users(
         for j, w in enumerate(w_all):
             w_all[j] = _annihilate(w, [h_new])
         w_all.append(w_new)
-    return augmented, DecouplerSet(tuple(w_all), method="SD",
-                                   row_orthonormal=existing.row_orthonormal)
+    return augmented, DecouplerSet(tuple(w_all), method="SD", row_orthonormal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -361,21 +364,26 @@ def pinv_decoupler(sys: SystemChannel) -> DecouplerSet:
 
     Requires the stacked channel to have full column rank (total streams
     at most n_r).  User i's block satisfies ``W_i @ H_i = I`` as well as
-    the usual cross-user annihilation; rows are not orthonormal.
+    the usual cross-user annihilation; rows are not orthonormal.  One SVD
+    gives both the rank decision (``kernels._rank_cutoff``) and the
+    inverse, in numpy's ``pinv`` arithmetic.
     """
     h = sys.stacked()
-    if sys.m_total > sys.n_r or numerical_rank(h) < sys.m_total:
+    full_rank = sys.m_total <= sys.n_r
+    if full_rank:
+        u, s, vt = np.linalg.svd(np.conj(h), full_matrices=False)
+        full_rank = s[-1] > _rank_cutoff(s, h.shape)
+    if not full_rank:
         raise SingularMatrixError(
             f"stacked channel is not full column rank "
             f"({sys.m_total} streams, n_r={sys.n_r})"
         )
-    w_full = pseudo_inverse(h)
-    w = []
-    offset = 0
-    for m in sys.m_per_user:
-        w.append(np.ascontiguousarray(w_full[offset:offset + m]))
-        offset += m
-    return DecouplerSet(tuple(w), method="PINV", row_orthonormal=False)
+    if (tally := flops._tally.get()) is not None:
+        tally.add(tally.model.pinv(sys.n_r, sys.m_total))
+    w_full = vt.T @ ((1.0 / s)[:, None] * u.T)
+    offsets = (0, *itertools.accumulate(sys.m_per_user))
+    w = tuple(np.ascontiguousarray(w_full[a:b]) for a, b in zip(offsets, offsets[1:]))
+    return DecouplerSet(w, method="PINV", row_orthonormal=False)
 
 
 # ---------------------------------------------------------------------------

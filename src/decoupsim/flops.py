@@ -151,9 +151,10 @@ def counting(model: CostModel | None = None):
     >>> tally.total
 
     A tally counts work done in the thread (context) that opened it; a
-    worker thread starts with no tally, so the BER sweep's thread pool is
-    never counted.  A nested block counts only its own work and leaves the
-    enclosing tally as it was.  Outside every block nothing is counted.
+    worker thread starts with no tally, and the BER sweep runs every trial
+    on a worker thread, so no sweep is counted at any thread count.  A
+    nested block counts only its own work and leaves the enclosing tally
+    as it was.  Outside every block nothing is counted.
     """
     tally = _Tally(model or CostModel())
     token = _tally.set(tally)

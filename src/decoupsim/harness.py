@@ -415,11 +415,9 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
         return errors
 
     trials = cfg.trials
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            total = sum(pool.map(one_trial, range(trials)))
-    else:
-        total = sum(one_trial(t) for t in range(trials))
+    # every thread count runs on the pool, so no sweep is ever FLOP-counted
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        total = sum(pool.map(one_trial, range(trials)))
 
     results: dict[tuple[str, str], BerResult] = {}
     per_user_bits = [

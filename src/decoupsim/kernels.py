@@ -8,7 +8,8 @@ cost to that block's tally.
 
 Subspaces are represented by row-orthonormal basis matrices throughout,
 so the pseudo-inverse of a basis is simply its adjoint and projecting a
-signal onto a subspace keeps white noise white.
+signal onto a subspace keeps white noise white.  No kernel inverts a
+general matrix (``pinv_decoupler`` builds the PINV baseline's inverse).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "matmul",
     "numerical_rank",
     "left_nullspace_basis",
-    "pseudo_inverse",
     "qr_decompose",
     "subspace_distance",
 ]
@@ -155,20 +155,6 @@ def left_nullspace_basis(t_mat) -> SubspaceBasis:
     if (tally := flops._tally.get()) is not None:
         tally.add(tally.model.svd_full(t, m))
     return SubspaceBasis(_nullspace_rows(t_mat), t)
-
-
-def pseudo_inverse(a) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with relative singular-value truncation.
-
-    Rank-deficient inputs are allowed; singular values below
-    ``max(n, m) * eps * sigma_max`` are dropped.
-    """
-    a = as_complex_matrix(a, "a")
-    if (tally := flops._tally.get()) is not None:
-        tally.add(tally.model.pinv(*a.shape))
-    if min(a.shape) == 0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
-    return np.linalg.pinv(a, rcond=max(a.shape) * _EPS)
 
 
 def qr_decompose(a) -> QrFactors:

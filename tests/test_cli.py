@@ -163,3 +163,20 @@ def test_threads_is_rejected_where_no_pool_runs(command, ber_config, tmp_path):
         main([command, "--config", str(ber_config), "--out", str(out), "--threads", "8"])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["audit", "flops", "include"])
+def test_config_threads_is_rejected_where_no_pool_runs(command, ber_config, tmp_path):
+    # a threads value in the config (here by override) is as ignored as --threads
+    out = tmp_path / "t"
+    assert main([command, "--config", str(ber_config), "--out", str(out),
+                 "--override", "threads=8"]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["flops", "include"])
+def test_override_without_config_is_config_error(command, tmp_path):
+    out = tmp_path / "o"
+    assert main([command, "--no-instrumented", "--out", str(out),
+                 "--override", "seed=3"]) == 2
+    assert not out.exists()

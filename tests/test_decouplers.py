@@ -366,6 +366,25 @@ class TestPinvDecoupler:
         with pytest.raises(SingularMatrixError):
             pinv_decoupler(sys)
 
+    def test_rank_deficient_system_rejected(self):
+        rng = np.random.default_rng(42)
+        h = crandn(rng, 12, 3)
+        # m_total = 6 <= n_r, so only the singular values can reject it
+        with pytest.raises(SingularMatrixError):
+            pinv_decoupler(SystemChannel(12, [h, h]))
+
+    def test_penrose_conditions_vs_normal_equation_oracle(self):
+        rng = np.random.default_rng(21)
+        a = crandn(rng, 8, 4)
+        p = np.vstack(pinv_decoupler(SystemChannel(8, [a[:, :2], a[:, 2:]])).w)
+        # oracle: full-column-rank formula via an independent dense solve
+        oracle = np.linalg.solve(a.conj().T @ a, a.conj().T)
+        assert np.linalg.norm(p - oracle) <= 1e-9 * np.linalg.norm(oracle)
+        for lhs, rhs in [(a @ p @ a, a), (p @ a @ p, p)]:
+            assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
+        for prod in [a @ p, p @ a]:
+            assert np.linalg.norm(prod - prod.conj().T) <= 1e-9
+
 
 class TestIncludeUsers:
     def test_no_new_users_is_identity(self):
@@ -401,6 +420,13 @@ class TestIncludeUsers:
         dec = sequential_decoupler(sys)
         with pytest.raises(InfeasibleSystemError):
             include_users(sys, dec, [crandn(rng, 6, 3), crandn(rng, 6, 3)])
+
+    def test_zero_forcing_set_rejected(self):
+        # W_0 @ H_0 = I for a PINV set, so a newcomer derived from W_0 gets no rows
+        rng = np.random.default_rng(54)
+        sys = random_system(rng, 12, 3, 2)
+        with pytest.raises(InvalidInputError):
+            include_users(sys, pinv_decoupler(sys), [crandn(rng, 12, 2)])
 
 
 class TestVerifyDecoupling:

@@ -86,6 +86,13 @@ class TestRunBerSweep:
         r4 = run_ber_sweep(small_cfg(threads=4))
         assert r1 == r4
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sweep_is_never_flop_counted(self, threads):
+        # every trial runs on a worker thread, which starts with no tally
+        with flops.counting() as tally:
+            run_ber_sweep(small_cfg(threads=threads, bits_per_point=120))
+        assert tally.total == 0
+
     def test_paired_arms_share_randomness(self):
         res = run_paired_ber(small_cfg(), ("SD", "SVD"), ("LMMSE",))
         # equal-subspace decouplers make identical decisions realization by realization

@@ -1,4 +1,4 @@
-"""Matrix-kernel primitives: nullspace bases, QR, pseudo-inverse, subspace distance."""
+"""Matrix-kernel primitives: nullspace bases, QR, subspace distance."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from decoupsim.kernels import (
     identity_basis,
     left_nullspace_basis,
     numerical_rank,
-    pseudo_inverse,
     qr_decompose,
     subspace_distance,
 )
@@ -77,31 +76,6 @@ class TestLeftNullspaceBasis:
     def test_default_rule_keeps_small_directions(self):
         a = np.diag([1.0, 1e-6]).astype(complex)
         assert left_nullspace_basis(a).dim == 0
-
-
-class TestPseudoInverse:
-    def test_identity(self):
-        assert np.allclose(pseudo_inverse(np.eye(3)), np.eye(3))
-
-    def test_diagonal_with_zero(self):
-        assert np.allclose(pseudo_inverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
-
-    def test_penrose_conditions_vs_normal_equation_oracle(self):
-        rng = np.random.default_rng(21)
-        a = crandn(rng, 8, 4)
-        p = pseudo_inverse(a)
-        # oracle: full-column-rank formula via an independent dense solve
-        oracle = np.linalg.solve(a.conj().T @ a, a.conj().T)
-        assert np.linalg.norm(p - oracle) <= 1e-9 * np.linalg.norm(oracle)
-        for lhs, rhs in [(a @ p @ a, a), (p @ a @ p, p)]:
-            assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
-        for prod in [a @ p, p @ a]:
-            assert np.linalg.norm(prod - prod.conj().T) <= 1e-9
-
-    def test_row_orthonormal_pinv_is_adjoint(self):
-        rng = np.random.default_rng(22)
-        basis = left_nullspace_basis(crandn(rng, 6, 2)).basis
-        assert np.linalg.norm(pseudo_inverse(basis) - basis.conj().T) <= 1e-10
 
 
 class TestQrDecompose:
