@@ -56,7 +56,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .flops import CostModel, FlopReport, count_matmul, estimate_flops
+from .flops import CostModel, FlopReport, estimate_flops
 from .kernels import (
     QrFactors,
     SubspaceBasis,

@@ -141,14 +141,16 @@ def matrix_sqrt_psd(s) -> np.ndarray:
     return root
 
 
-def kronecker_correlate(h_iid, s_tx, s_rx) -> np.ndarray:
-    """Impose separable correlation: ``S_rx^(1/2) @ H @ S_tx^(1/2)``."""
+def kronecker_correlate(h_iid, tx_root, rx_root) -> np.ndarray:
+    """Impose separable correlation: ``rx_root @ H @ tx_root``.
+
+    The roots are the PSD square roots ``S^(1/2)`` of the correlation
+    matrices (:func:`matrix_sqrt_psd`), so a sweep factors them once.
+    """
     h = np.asarray(h_iid, dtype=np.complex128)
-    rx_root = matrix_sqrt_psd(s_rx)
-    tx_root = matrix_sqrt_psd(s_tx)
     if rx_root.shape[0] != h.shape[0] or tx_root.shape[0] != h.shape[1]:
         raise InvalidInputError(
-            f"shape mismatch: H {h.shape}, S_rx {rx_root.shape}, S_tx {tx_root.shape}"
+            f"shape mismatch: H {h.shape}, rx_root {rx_root.shape}, tx_root {tx_root.shape}"
         )
     return rx_root @ h @ tx_root
 

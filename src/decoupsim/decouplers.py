@@ -13,8 +13,8 @@ free of inter-user interference.  Three constructions are provided:
   (which also equalizes each user's own channel to the identity), built
   from one SVD whose singular values also decide the rank.
 
-:func:`include_users` updates a sequential decoupler set in place when
-new users join, and :func:`verify_decoupling` checks the residual
+:func:`include_users` updates a row-orthonormal (SD or SVD) decoupler
+set when new users join, and :func:`verify_decoupling` checks the residual
 interference of any decoupler set.
 """
 
@@ -332,7 +332,7 @@ def include_users(
         for j, w in enumerate(w_all):
             w_all[j] = _annihilate(w, [h_new])
         w_all.append(w_new)
-    return augmented, DecouplerSet(tuple(w_all), method="SD", row_orthonormal=True)
+    return augmented, DecouplerSet(tuple(w_all), method=existing.method, row_orthonormal=True)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,16 @@ variant.
 
 Accounting convention
 ---------------------
-Inside a :func:`counting` block, every matrix-kernel primitive (matrix
-product, QR, SVD-based nullspace extraction, pseudo-inverse) is charged
-to the block's own tally with its model cost at the dimensions actually
-used; outside every block nothing is counted.  For the sequential
-decoupler family the charged work is the recursion's own arithmetic: the
-projection products ``T = Z @ A`` and the nullspace factorizations of
-the small projected blocks, at the subspace dimensions where they
-execute.  Re-expressing already-orthonormal bases (products of
+Inside a :func:`counting` block, each charge site adds its model cost at
+the dimensions actually used to the block's own tally: the kernels
+``left_nullspace_basis`` (a full SVD) and ``qr_decompose``, and the
+decouplers' own work (the sequential family's recursion below, and
+``pinv_decoupler``'s pseudo-inverse).  Outside every block nothing is
+counted, and audit helpers such as ``subspace_distance`` are never
+charged.  For the sequential decoupler family the charged work is the
+recursion's own arithmetic: the projection products ``T = Z @ A`` and
+the nullspace factorizations of the small projected blocks, at the
+subspace dimensions where they execute.  Re-expressing already-orthonormal bases (products of
 orthonormal factors, and carrying pending channel blocks into a child
 node's coordinates) is bookkeeping on known-orthonormal data and is
 excluded from the tally.  The sequential decoupler executes each tree
@@ -42,7 +44,6 @@ from .errors import InfeasibleSystemError, InvalidInputError
 __all__ = [
     "CostModel",
     "FlopReport",
-    "count_matmul",
     "estimate_flops",
     "counting",
 ]
@@ -168,12 +169,6 @@ def counting(model: CostModel | None = None):
 # ---------------------------------------------------------------------------
 # Closed-form estimates.
 
-def count_matmul(m: int, n: int, p: int, model: CostModel | None = None) -> int:
-    """Closed-form cost of an (m x n) @ (n x p) complex product."""
-    model = model or CostModel()
-    return int(round(model.matmul(m, n, p)))
-
-
 def _normalize_users(k: int | None, m_per_user) -> tuple[int, ...]:
     if m_per_user is None:
         raise InvalidInputError("m_per_user is required")
@@ -197,6 +192,14 @@ def _check_feasible(n_r: int, m_list) -> None:
                 f"user {i} cannot be decoupled: other users carry "
                 f"{total - m} streams but n_r={n_r}"
             )
+
+
+def _check_pinv_feasible(n_r: int, m_total: int) -> None:
+    """The pseudo-inverse's extra rule: total streams may not exceed n_r."""
+    if m_total > n_r:
+        raise InfeasibleSystemError(
+            f"pseudo-inverse decoupler needs total streams {m_total} <= n_r={n_r}"
+        )
 
 
 _PlanNode = namedtuple("_PlanNode", "parent processed pending annihilate")
@@ -309,10 +312,7 @@ def estimate_flops(algorithm: str, n_r: int, m_per_user, k: int | None = None,
             for i, m in enumerate(m_list)
         )
     elif algorithm == "PINV":
-        if total_m > n_r:
-            raise InfeasibleSystemError(
-                f"pseudo-inverse decoupler needs total streams {total_m} <= n_r={n_r}"
-            )
+        _check_pinv_feasible(n_r, total_m)
         breakdown = (
             ("gram matrix", int(round(model.matmul(total_m, n_r, total_m)))),
             ("inverse", int(round(model.inverse(total_m)))),

@@ -38,7 +38,9 @@ from .channels import (
     RngSeed,
     apply_large_scale,
     correlation_matrix,
+    gen_awgn,
     gen_iid_channel,
+    kronecker_correlate,
     matrix_sqrt_psd,
     perturb_channel,
 )
@@ -295,7 +297,7 @@ def _build_true_channels(cfg: SimConfig, trial: int, subcarrier: int, roots) -> 
         h = gen_iid_channel(RngSeed(cfg.seed, base + 3 * u), cfg.n_r, m_u)
         if cfg.kronecker is not None:
             rx_root, tx_roots = roots
-            h = rx_root @ h @ tx_roots[m_u]
+            h = kronecker_correlate(h, tx_roots[m_u], rx_root)
         if cfg.large_scale is not None:
             h = apply_large_scale(h, cfg.large_scale, RngSeed(cfg.seed, base + 3 * u + 2))
         chans.append(h)
@@ -355,10 +357,8 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
     roots = _kronecker_roots(cfg)
     # fail fast on infeasible dimensions before spending any work
     flops._check_feasible(cfg.n_r, cfg.m_i)
-    if "PINV" in decouplers and cfg.m_total > cfg.n_r:
-        raise InfeasibleSystemError(
-            f"pseudo-inverse decoupler needs total streams {cfg.m_total} <= n_r={cfg.n_r}"
-        )
+    if "PINV" in decouplers:
+        flops._check_pinv_feasible(cfg.n_r, cfg.m_total)
 
     n_snr = len(cfg.snr_db)
     sigmas = np.sqrt([cfg.sigma_n2(s) for s in cfg.snr_db])
@@ -393,10 +393,8 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
         rng_bits = RngSeed(cfg.seed, trial * _STRIDE + _BITS).generator()
         rng_noise = RngSeed(cfg.seed, trial * _STRIDE + _NOISE).generator()
         bits = rng_bits.integers(0, 2, size=(cfg.n_subcarriers, bits_per_vec))
-        unit_noise = np.sqrt(0.5) * (
-            rng_noise.standard_normal((cfg.n_subcarriers, cfg.n_r))
-            + 1j * rng_noise.standard_normal((cfg.n_subcarriers, cfg.n_r))
-        )
+        unit_noise = gen_awgn(rng_noise, 1.0, cfg.n_subcarriers * cfg.n_r).reshape(
+            cfg.n_subcarriers, cfg.n_r)
         for sc in range(cfg.n_subcarriers):
             if channel_factory is None:
                 true_chans = _build_true_channels(cfg, trial, sc, roots)

@@ -3,8 +3,9 @@
 Everything downstream (decouplers, detectors, the benchmark harness) is
 built on these operations.  All functions are pure: they validate their
 inputs, never mutate them, and are safe to call concurrently.  Inside a
-:func:`decoupsim.flops.counting` block each primitive adds its model
-cost to that block's tally.
+:func:`decoupsim.flops.counting` block, :func:`left_nullspace_basis` and
+:func:`qr_decompose` add their model cost to that block's tally; the
+other primitives are never charged.
 
 Subspaces are represented by row-orthonormal basis matrices throughout,
 so the pseudo-inverse of a basis is simply its adjoint and projecting a
@@ -26,7 +27,6 @@ __all__ = [
     "QrFactors",
     "as_complex_matrix",
     "identity_basis",
-    "matmul",
     "numerical_rank",
     "left_nullspace_basis",
     "qr_decompose",
@@ -82,7 +82,7 @@ class SubspaceBasis:
 
     def projector(self) -> np.ndarray:
         """Orthogonal projector B^H B onto the spanned subspace."""
-        return matmul(self.basis.conj().T, self.basis)
+        return self.basis.conj().T @ self.basis
 
 
 @dataclass(frozen=True)
@@ -97,17 +97,6 @@ class QrFactors:
 def identity_basis(n: int) -> SubspaceBasis:
     """Canonical basis of all of C^n."""
     return SubspaceBasis(np.eye(n, dtype=np.complex128), n)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Instrumented complex matrix product."""
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    if (tally := flops._tally.get()) is not None:
-        m = a.shape[0] if a.ndim == 2 else 1
-        p = b.shape[1] if b.ndim == 2 else 1
-        tally.add(tally.model.matmul(m, a.shape[-1], p))
-    return a @ b
 
 
 def _rank_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:

@@ -99,14 +99,15 @@ class TestKronecker:
         params = KroneckerParams(rho_tx=0.25, rho_rx=0.05)
         n_r, m = 8, 2
         s_rx = correlation_matrix(params.rho_rx, n_r)
-        s_tx = correlation_matrix(params.rho_tx, m)
+        tx_root = matrix_sqrt_psd(correlation_matrix(params.rho_tx, m))
+        rx_root = matrix_sqrt_psd(s_rx)
         rng_draws = 50_000
         acc = np.zeros((n_r, n_r), dtype=complex)
         for i in range(rng_draws // 100):
             h = gen_iid_channel(RngSeed(4, i), n_r, 100 * m)
             h = h.reshape(n_r, 100, m)
             for j in range(100):
-                hc = kronecker_correlate(h[:, j, :], s_tx, s_rx)
+                hc = kronecker_correlate(h[:, j, :], tx_root, rx_root)
                 acc += hc @ hc.conj().T
         cov = acc / (rng_draws * m)
         # E[H H^H] = trace(S_tx) / m * S_rx = S_rx for unit-diagonal S_tx
@@ -114,8 +115,14 @@ class TestKronecker:
 
     def test_zero_rhos_reduce_to_iid_bit_for_bit(self):
         h = gen_iid_channel(RngSeed(5), 6, 3)
-        out = kronecker_correlate(h, correlation_matrix(0.0, 3), correlation_matrix(0.0, 6))
+        out = kronecker_correlate(h, matrix_sqrt_psd(correlation_matrix(0.0, 3)),
+                                  matrix_sqrt_psd(correlation_matrix(0.0, 6)))
         assert np.array_equal(out, h)
+
+    def test_root_shapes_must_match_the_channel(self):
+        h = gen_iid_channel(RngSeed(6), 6, 3)
+        with pytest.raises(InvalidInputError, match="shape mismatch"):
+            kronecker_correlate(h, np.eye(6), np.eye(3))
 
 
 class TestLargeScale:

@@ -74,7 +74,7 @@ class TestBerCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["cost_model"]["mul"] == 1
         assert flops._tally.get() is None
-        assert flops.count_matmul(1, 1, 1) == 6
+        assert flops.CostModel().matmul(1, 1, 1) == 6
 
     def test_infeasible_system_exit_code(self, ber_config, tmp_path):
         assert main(["ber", "--config", str(ber_config), "--out", str(tmp_path),
@@ -128,7 +128,7 @@ class TestFlopsCommand:
         assert int(ui2["flops_estimate"]) == expected
         assert int(ui2["flops_instrumented"]) == expected
         assert flops._tally.get() is None
-        assert flops.count_matmul(1, 1, 1) == 6
+        assert flops.CostModel().matmul(1, 1, 1) == 6
 
 
 class TestIncludeCommand:

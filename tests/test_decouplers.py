@@ -421,6 +421,12 @@ class TestIncludeUsers:
         with pytest.raises(InfeasibleSystemError):
             include_users(sys, dec, [crandn(rng, 6, 3), crandn(rng, 6, 3)])
 
+    def test_extended_set_keeps_its_method(self):
+        rng = np.random.default_rng(55)
+        sys = random_system(rng, 12, 3, 2)
+        _, upd = include_users(sys, svd_decoupler(sys), [crandn(rng, 12, 2)])
+        assert upd.method == "SVD"
+
     def test_zero_forcing_set_rejected(self):
         # W_0 @ H_0 = I for a PINV set, so a newcomer derived from W_0 gets no rows
         rng = np.random.default_rng(54)

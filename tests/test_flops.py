@@ -16,8 +16,8 @@ from decoupsim.decouplers import (
     svd_decoupler,
 )
 from decoupsim.errors import InfeasibleSystemError, InvalidInputError
-from decoupsim.flops import CostModel, FlopReport, count_matmul, estimate_flops
-from decoupsim.kernels import matmul
+from decoupsim.flops import CostModel, FlopReport, estimate_flops
+from decoupsim.kernels import SubspaceBasis, qr_decompose, subspace_distance
 
 
 def bench_system(n_r, k, m_i, seed=0):
@@ -26,14 +26,14 @@ def bench_system(n_r, k, m_i, seed=0):
 
 class TestCostModel:
     def test_single_complex_multiply(self):
-        assert count_matmul(1, 1, 1) == 6
+        assert CostModel().matmul(1, 1, 1) == 6
 
     def test_two_by_two_closed_form(self):
-        assert count_matmul(2, 2, 2) == 2 * 2 * (2 * 6 + 1 * 2)  # 56
+        assert CostModel().matmul(2, 2, 2) == 2 * 2 * (2 * 6 + 1 * 2)  # 56
 
     def test_zero_dimension_costs_nothing(self):
-        assert count_matmul(0, 5, 5) == 0
         model = CostModel()
+        assert model.matmul(0, 5, 5) == 0
         assert model.svd_full(0, 3) == 0
         assert model.qr(4, 0) == 0
 
@@ -50,29 +50,40 @@ class TestCostModel:
             CostModel(mul=-1.0)
 
 
+# the probe charge site of the tally tests: one 2x2 thin QR
+QR_2X2 = CostModel().qr(2, 2)
+
+
 class TestInstrumentation:
     def test_nothing_counted_outside_a_block(self):
         a = np.eye(2, dtype=complex)
         assert flops._tally.get() is None
         with flops.counting() as tally:
-            matmul(a, a)
-        matmul(a, a)
+            qr_decompose(a)
+        qr_decompose(a)
         assert flops._tally.get() is None
-        assert tally.total == 56 and tally.flops == 56
+        assert tally.total == round(QR_2X2) and tally.flops == QR_2X2
 
-    def test_instrumented_matmul_matches_formula(self):
+    def test_instrumented_qr_matches_formula(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((7, 5)) + 0j
-        b = rng.standard_normal((5, 3)) + 0j
         with flops.counting() as tally:
-            matmul(a, b)
-        assert tally.total == count_matmul(7, 5, 3)
+            qr_decompose(a)
+        assert tally.total == round(CostModel().qr(7, 5))
 
-    def test_single_2x2_matmul_adds_56(self):
+    def test_single_2x2_qr_adds_its_model_cost(self):
         a = np.eye(2, dtype=complex)
         with flops.counting() as tally:
-            matmul(a, a)
-        assert tally.total == 56
+            qr_decompose(a)
+        assert tally.total == round(QR_2X2)
+
+    def test_subspace_distance_is_never_charged(self):
+        # an audit helper, not decoupler work, so no tally may see it
+        sys = bench_system(12, 4, 2)
+        sd, svd = sequential_decoupler(sys), svd_decoupler(sys)
+        with flops.counting() as tally:
+            subspace_distance(SubspaceBasis(sd.w[0], 12), SubspaceBasis(svd.w[0], 12))
+        assert tally.total == 0
 
     def test_concurrent_blocks_keep_their_own_tallies(self):
         a = np.eye(2, dtype=complex)
@@ -83,7 +94,7 @@ class TestInstrumentation:
             with flops.counting() as tally:
                 barrier.wait(timeout=10)  # every block is open before any counts
                 for _ in range(200):
-                    matmul(a, a)
+                    qr_decompose(a)
                 barrier.wait(timeout=10)  # and stays open until all have counted
             totals[i] = tally.total
 
@@ -98,19 +109,19 @@ class TestInstrumentation:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert totals == [200 * 56] * 4
+        assert totals == [round(200 * QR_2X2)] * 4
 
     def test_nested_block_counts_only_its_own_work(self):
         a = np.eye(2, dtype=complex)
-        inner_model = CostModel(add=1.0, mul=3.0)
+        inner_model = CostModel(qr_scale=8.0)
         with flops.counting() as outer:
-            matmul(a, a)
+            qr_decompose(a)
             with flops.counting(inner_model) as inner:
                 for _ in range(3):
-                    matmul(a, a)
-            matmul(a, a)
-        assert inner.total == 3 * count_matmul(2, 2, 2, model=inner_model)
-        assert outer.total == 2 * 56
+                    qr_decompose(a)
+            qr_decompose(a)
+        assert inner.total == round(3 * inner_model.qr(2, 2))
+        assert outer.total == round(2 * QR_2X2)
         assert flops._tally.get() is None
 
 

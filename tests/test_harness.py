@@ -120,6 +120,15 @@ class TestRunBerSweep:
             run_ber_sweep(SimConfig(n_r=4, k=3, m_i=2, snr_db=(0.0,),
                                     bits_per_point=120, seed=0))
 
+    def test_pinv_overload_rejected_like_its_estimate(self):
+        # decoupling-feasible (m_bar = 4 < 5) but 6 streams > n_r for pinv
+        cfg = SimConfig(n_r=5, k=3, m_i=2, snr_db=(0.0,), bits_per_point=12, seed=0)
+        message = "pseudo-inverse decoupler needs total streams 6 <= n_r=5"
+        with pytest.raises(InfeasibleSystemError, match=message):
+            run_paired_ber(cfg, ("SD", "PINV"))
+        with pytest.raises(InfeasibleSystemError, match=message):
+            flops.estimate_flops("PINV", 5, 2, k=3)
+
     @pytest.mark.parametrize("arm", ["SD", "SVD", "PINV"])
     def test_sweep_decisions_match_public_detectors(self, arm):
         # replay one sweep trial by hand through the public per-link API;
@@ -161,17 +170,27 @@ class TestRunBerSweep:
         assert tuple(errors[0]) == res[(arm, "LMMSE")].aggregate.bit_errors
         assert tuple(errors[1]) == res[(arm, "SIC")].aggregate.bit_errors
 
-    def test_golden_per_user_bit_errors(self):
-        # counts frozen from the per-user, per-SNR-point detection loop that
-        # preceded stacked detection: mixed m_i, QAM16, whitening, 2 subcarriers
-        cfg = SimConfig(n_r=20, k=5, m_i=(1, 2, 3, 2, 4), constellation="QAM16",
-                        snr_db=(0.0, 6.0, 12.0), bits_per_point=1920, seed=5,
-                        whiten=True, n_subcarriers=2)
-        res = run_paired_ber(cfg, ("SD", "SVD", "PINV"), ("LMMSE", "SIC"))
-        golden = {
+    @pytest.mark.parametrize("extra,golden", [
+        # frozen from the per-user, per-SNR-point detection loop that
+        # preceded stacked detection: 2 subcarriers, i.i.d. channels
+        (dict(bits_per_point=1920, n_subcarriers=2), {
             "LMMSE": ((23, 5, 0), (49, 9, 0), (72, 15, 0), (49, 12, 1), (111, 14, 0)),
             "SIC": ((18, 3, 0), (51, 6, 0), (70, 15, 1), (46, 11, 0), (105, 18, 0)),
-        }
+        }),
+        # frozen from the sweep's own Kronecker product and noise draw that
+        # preceded the channels-module draws: 3 subcarriers, every channel section
+        (dict(bits_per_point=1728, n_subcarriers=3,
+              kronecker=KroneckerParams(rho_tx=0.4, rho_rx=0.3),
+              large_scale=LargeScaleParams(), ce_error=CeErrorParams(sigma_e2=0.01)), {
+            "LMMSE": ((16, 4, 2), (44, 16, 11), (43, 7, 3), (25, 11, 6), (99, 50, 13)),
+            "SIC": ((13, 4, 2), (34, 14, 8), (44, 11, 3), (25, 13, 4), (88, 38, 16)),
+        }),
+    ], ids=["iid", "channel_sections"])
+    def test_golden_per_user_bit_errors(self, extra, golden):
+        # mixed m_i, QAM16, whitening: every decoupler gives the same counts
+        cfg = SimConfig(n_r=20, k=5, m_i=(1, 2, 3, 2, 4), constellation="QAM16",
+                        snr_db=(0.0, 6.0, 12.0), seed=5, whiten=True, **extra)
+        res = run_paired_ber(cfg, ("SD", "SVD", "PINV"), ("LMMSE", "SIC"))
         for (dec, det), result in res.items():
             assert tuple(c.bit_errors for c in result.per_user) == golden[det], (dec, det)
 
