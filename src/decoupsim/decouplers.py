@@ -8,7 +8,8 @@ free of inter-user interference.  Three constructions are provided:
   directly (the straightforward baseline, one large SVD per user);
 * :func:`sequential_decoupler` builds all decouplers at once over a
   binary partition tree, reusing intermediate common-nullspace
-  estimates so that later stages work in ever smaller subspaces;
+  estimates so that later stages work in ever smaller subspaces; each
+  tree level runs as stacked factorizations, one per equal-shape group;
 * :func:`pinv_decoupler` takes block rows of the channel pseudo-inverse
   (which also equalizes each user's own channel to the identity), built
   from one SVD whose singular values also decide the rank.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -192,68 +193,81 @@ def recursive_common_nullspace(blocks, z0: SubspaceBasis) -> SubspaceBasis:
 # ---------------------------------------------------------------------------
 # Sequential decoupler over the binary partition tree.
 
-class _Node(NamedTuple):
-    """Executed tree node, aligned with its :func:`flops._sd_plan` entry."""
+class _Group(NamedTuple):
+    """Nodes of one tree level that share a shape, stacked on a leading axis."""
 
-    z: np.ndarray             # (t x n_r) ambient row-orthonormal basis
-    local: np.ndarray         # (t x pending streams) pending blocks side by side, in this basis
+    nodes: tuple[int, ...]    # their indices in the plan level, in stack order
+    z: np.ndarray | None      # (B x t x n_r) ambient row-orthonormal bases; None: the identity
+    local: np.ndarray         # (B x t x pending streams) pending blocks side by side, in z
 
 
-def _fold_half(a: np.ndarray, widths) -> np.ndarray:
-    """Rows spanning the common left nullspace of a node's annihilated half.
+def _apply(v: np.ndarray, parts) -> np.ndarray:
+    """``v @ x`` for ``x`` the stacks ``parts`` end to end, without joining them."""
+    out = np.empty((len(v), v.shape[1], parts[0].shape[2]), dtype=np.complex128)
+    for x, hi in zip(parts, itertools.accumulate(len(x) for x in parts)):
+        np.matmul(v[hi - len(x):hi], x, out=out[hi - len(x):hi])
+    return out
 
-    ``a`` (t x M) holds the half's blocks side by side, ``widths`` their
-    stream counts.  Feasibility keeps M < t: the node's processed users
-    and the half leave out a kept user, so their streams sum below n_r,
-    and a fold removes at most its blocks' streams from t.  If ``a`` has
-    full column rank under the fold's cutoff rule (the one rank rule of
-    ``kernels._rank_cutoff``), which then holds for every block too, the
-    trailing columns of one complete QR span the nullspace; otherwise
-    the blocks are folded one at a time.
+
+def _fold_group(halves, widths) -> list[_Group]:
+    """Fold the halves a (t x M, blocks of ``widths`` streams) of ``(children,
+    z, a, kept)`` stacks by one stacked complete QR and one stacked SVD of R.
+
+    Feasibility keeps M < t.  A half of full column rank under the one rank
+    rule (``kernels._rank_cutoff``), which then holds for each block too,
+    has its nullspace in the trailing Q columns; stacked products carry z
+    and kept into the children.  A node whose half loses rank leaves the
+    stack and takes the block-by-block fold (:func:`_annihilate`) alone.
     """
-    t, width = a.shape
+    nodes, zs, a, kepts = zip(*halves)
+    nodes, a = sum(nodes, ()), np.concatenate(a)
+    t, width = a.shape[1:]
     q, r = np.linalg.qr(a, mode="complete")
-    s = np.linalg.svd(r[:width], compute_uv=False)  # a's singular values
-    if s[-1] > _rank_cutoff(s, a.shape):
-        if (tally := flops._tally.get()) is not None:
-            tally.add(flops._node_charge(t, widths, tally.model))
-        return np.ascontiguousarray(q[:, width:].conj().T)
-    blocks = np.split(a, np.cumsum(widths)[:-1], axis=1)
-    return _annihilate(np.eye(t, dtype=np.complex128), blocks)
+    s = np.linalg.svd(r[:, :width], compute_uv=False)
+    full = s[:, -1] > _rank_cutoff(s, (t, width))
+    if (tally := flops._tally.get()) is not None:
+        tally.add(int(full.sum()) * flops._node_charge(t, widths, tally.model))
+    v = np.conj(q[..., width:].swapaxes(1, 2), order="C")
+    # orthonormal bookkeeping, uncharged; the root's basis is the identity
+    z, kept = v if zs[0] is None else _apply(v, zs), _apply(v, kepts)
+    if full.all():
+        return [_Group(nodes, z, kept)]
+    zs, kepts = None if zs[0] is None else np.concatenate(zs), np.concatenate(kepts)
+    out = [_Group(tuple(n for n, ok in zip(nodes, full) if ok), z[full], kept[full])]
+    for b in np.flatnonzero(~full):
+        vb = _annihilate(np.eye(t, dtype=np.complex128),
+                         np.split(a[b], np.cumsum(widths)[:-1], axis=1))
+        out.append(_Group((nodes[b],), (vb if zs is None else vb @ zs[b])[None],
+                          (vb @ kepts[b])[None]))
+    return out
 
 
-def _columns(local: np.ndarray, offsets, pending, users) -> np.ndarray:
-    """``users``' blocks inside ``local``, which holds ``pending``'s blocks side by side."""
-    base = offsets[pending[0]]
-    return local[:, offsets[users[0]] - base:offsets[users[-1] + 1] - base]
-
-
-def _sd_levels(sys: SystemChannel) -> list[list[_Node]]:
-    """Execute the partition-tree plan, returning every level including the root."""
+def _sd_levels(sys: SystemChannel) -> Iterator[list[np.ndarray]]:
+    """Execute the partition-tree plan, yielding each level's node bases in
+    plan order.  The plan splits all nodes of a group alike (child 2i keeps
+    the first half, child 2i+1 the second), so children's blocks are column
+    slices of its stacks; halves of equal (t, widths) fold as one stack."""
     widths = sys.m_per_user
-    offsets = (0, *itertools.accumulate(widths))
-    plan = flops._sd_plan(sys.k)
-    levels = [[_Node(np.eye(sys.n_r, dtype=np.complex128), sys.stacked())]]
-    for parent_specs, specs in zip(plan, plan[1:]):
-        nxt: list[_Node] = []
-        for spec in specs:
-            parent, parent_spec = levels[-1][spec.parent], parent_specs[spec.parent]
-            if not spec.pending:
-                # dead branch for non-power-of-two K: materialized, no work
-                nxt.append(_Node(parent.z, parent.local[:, :0]))
-                continue
-            kept = _columns(parent.local, offsets, parent_spec.pending, spec.pending)
-            if not spec.annihilate:
-                nxt.append(_Node(parent.z, kept))
-                continue
-            a = _columns(parent.local, offsets, parent_spec.pending, spec.annihilate)
-            v = _fold_half(a, [widths[p] for p in spec.annihilate])
-            # basis assembly and block transport: orthonormal bookkeeping;
-            # the root's basis is the identity
-            z_child = v @ parent.z if parent_spec.processed else v
-            nxt.append(_Node(z_child, v @ kept))
-        levels.append(nxt)
-    return levels
+    yield [np.eye(sys.n_r, dtype=np.complex128)]
+    groups = [_Group((0,), None, sys.stacked()[None])]
+    for specs in flops._sd_plan(sys.k)[1:]:
+        halves, nxt = {}, []  # halves by (t, widths); the next level's groups
+        for nodes, z, local in groups:
+            split = sum(widths[p] for p in specs[2 * nodes[0]].pending)
+            cols = local[..., :split], local[..., split:]
+            for side in (0, 1):
+                spec, children = specs[2 * nodes[0] + side], tuple(2 * i + side for i in nodes)
+                if spec.annihilate:
+                    key = (local.shape[1], *(tuple(widths[p] for p in users)
+                                             for users in (spec.annihilate, spec.pending)))
+                    halves.setdefault(key, []).append((children, z, cols[1 - side], cols[side]))
+                else:  # nothing to fold, or a dead branch (non-power-of-two K): no work
+                    nxt.append(_Group(children, z, cols[side]))
+        for (_, folded, _), parts in halves.items():
+            nxt += _fold_group(parts, folded)
+        groups = [group for group in nxt if group.nodes]
+        bases = {i: z_i for nodes, z, _ in groups for i, z_i in zip(nodes, z)}
+        yield [bases[i] for i in range(len(specs))]
 
 
 def sequential_decoupler(sys: SystemChannel) -> DecouplerSet:
@@ -269,9 +283,10 @@ def sequential_decoupler(sys: SystemChannel) -> DecouplerSet:
     The result spans, per user, the same subspace as the per-user SVD
     baseline, and every matrix has orthonormal rows.
     """
+    for bases in _sd_levels(sys):
+        pass  # earlier levels are freed as the executor moves on
     # the halving keeps user order, so the live leaves come in user order
-    leaves = zip(flops._sd_plan(sys.k)[-1], _sd_levels(sys)[-1])
-    w = tuple(leaf.z for spec, leaf in leaves if spec.pending)
+    w = tuple(z for spec, z in zip(flops._sd_plan(sys.k)[-1], bases) if spec.pending)
     return DecouplerSet(w, method="SD", row_orthonormal=True)
 
 
@@ -288,11 +303,11 @@ def partition_tree(sys: SystemChannel) -> list[list[PartitionNode]]:
                 level=level,
                 processed=spec.processed,
                 pending=spec.pending,
-                z=SubspaceBasis(node.z, sys.n_r),
+                z=SubspaceBasis(z, sys.n_r),
             )
-            for spec, node in zip(specs, nodes)
+            for spec, z in zip(specs, bases)
         ]
-        for level, (specs, nodes) in enumerate(zip(flops._sd_plan(sys.k), _sd_levels(sys)))
+        for level, (specs, bases) in enumerate(zip(flops._sd_plan(sys.k), _sd_levels(sys)))
     ]
 
 

@@ -18,17 +18,18 @@ counted, and audit helpers such as ``subspace_distance`` are never
 charged.  For the sequential decoupler family the charged work is the
 recursion's own arithmetic: the projection products ``T = Z @ A`` and
 the nullspace factorizations of the small projected blocks, at the
-subspace dimensions where they execute.  Re-expressing already-orthonormal bases (products of
-orthonormal factors, and carrying pending channel blocks into a child
-node's coordinates) is bookkeeping on known-orthonormal data and is
-excluded from the tally.  The sequential decoupler executes each tree
-node's annihilated half as one complete QR, yet is charged as the
-paper's per-block recursion (:func:`_node_charge`, shared with the
-closed-form estimate), and so is ``recursive_common_nullspace``.
-Execution, ``partition_tree`` and the estimate read one shape-only plan
-of the tree (:func:`_sd_plan`).  The same convention is applied to every
-algorithm being compared, so reported ratios are internally consistent;
-the convention is recorded in every output manifest.
+subspace dimensions where they execute.  Re-expressing orthonormal
+bases (products of orthonormal factors, and carrying pending channel
+blocks into a child node's coordinates) is bookkeeping on
+known-orthonormal data and is excluded from the tally.  The sequential
+decoupler executes a tree level's annihilated halves as one stacked
+complete QR per group of equal-shape nodes, yet each node is charged as
+the paper's per-block recursion (:func:`_node_charge`, shared with the
+closed-form estimate), as is ``recursive_common_nullspace``.  Execution,
+``partition_tree`` and the estimate read one shape-only plan of the tree
+(:func:`_sd_plan`).  The same convention is applied to every algorithm
+being compared, so reported ratios are internally consistent; the
+convention is recorded in every output manifest.
 """
 
 from __future__ import annotations
@@ -152,10 +153,10 @@ def counting(model: CostModel | None = None):
     >>> tally.total
 
     A tally counts work done in the thread (context) that opened it; a
-    worker thread starts with no tally, and the BER sweep runs every trial
-    on a worker thread, so no sweep is counted at any thread count.  A
-    nested block counts only its own work and leaves the enclosing tally
-    as it was.  Outside every block nothing is counted.
+    worker thread or an empty context starts with none, and the BER sweep
+    runs its trials in one or the other, so no sweep is counted at any
+    thread count.  A nested block counts only its own work and leaves the
+    enclosing tally as it was.  Outside every block nothing is counted.
     """
     tally = _Tally(model or CostModel())
     token = _tally.set(tally)

@@ -19,6 +19,7 @@ over the noise variance.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import datetime
 import io
@@ -413,9 +414,12 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
         return errors
 
     trials = cfg.trials
-    # every thread count runs on the pool, so no sweep is ever FLOP-counted
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        total = sum(pool.map(one_trial, range(trials)))
+    # no sweep is FLOP-counted: an empty context, like a pool thread, has no tally
+    if cfg.threads == 1:
+        total = contextvars.Context().run(sum, map(one_trial, range(trials)))
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            total = sum(pool.map(one_trial, range(trials)))
 
     results: dict[tuple[str, str], BerResult] = {}
     per_user_bits = [

@@ -99,11 +99,11 @@ def identity_basis(n: int) -> SubspaceBasis:
     return SubspaceBasis(np.eye(n, dtype=np.complex128), n)
 
 
-def _rank_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:
-    """The one rank rule: the cutoff ``max(shape) * eps * sigma_max`` for
-    singular values ``s`` (descending) of a ``shape`` matrix."""
-    sigma_max = float(s[0]) if s.size else 0.0
-    return (max(shape) * _EPS) * sigma_max
+def _rank_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float | np.ndarray:
+    """The one rank rule: the cutoff ``max(shape) * eps * sigma_max`` for the
+    nonempty singular values ``s`` (descending) of a ``shape`` matrix, or
+    one cutoff per matrix for the values ``(..., k)`` of a stack of them."""
+    return (max(shape) * _EPS) * s[..., 0]
 
 
 def numerical_rank(a) -> int:

@@ -211,6 +211,23 @@ class TestNodeUpdate:
                     + 2 * block(8, 8) + 2 * block(9, 9))
         assert tally.total == expected == 20068
 
+    def test_rank_loss_inside_a_stacked_group(self, fold_calls):
+        # K=8 folds its halves in equal-shape stacks; user 5's collinear
+        # columns make one node per stack lose rank at each level it is folded
+        rng = np.random.default_rng(74)
+        users = [crandn(rng, 24, 2) for _ in range(8)]
+        users[5][:, 1] = -0.5j * users[5][:, 0]
+        sys = SystemChannel(24, users)
+        with flops.counting() as tally:
+            sd = sequential_decoupler(sys)
+        # only the rank-deficient node of each stack takes the fold
+        assert fold_calls == [4, 2, 1]
+        self.assert_matches_svd(sd, svd_decoupler(sys), 24)
+        for w in sd.w:
+            assert np.linalg.norm(w @ w.conj().T - np.eye(w.shape[0])) <= 1e-10
+        # the node-by-node executor's tally on this system
+        assert tally.total == 148784
+
     def test_faint_user_takes_the_fast_path(self, fold_calls):
         rng = np.random.default_rng(71)
         users = [crandn(rng, 24, 2) for _ in range(8)]
@@ -284,6 +301,31 @@ class TestPartitionTree:
         assert sum(1 for leaf in levels[-1] if not leaf.pending) == 3
         leaf_users = sorted(u for leaf in levels[-1] for u in leaf.pending)
         assert leaf_users == list(range(5))
+
+    @pytest.mark.parametrize("n_r,m_list", [
+        (16, (1, 2, 3, 1, 2, 3, 1)),  # mixed widths split the level groups
+        (4, (2,)),
+        (6, (2, 2)),
+        (14, (2,) * 5),
+        (170, (2,) * 80),
+    ])
+    def test_grouped_execution_follows_the_plan(self, n_r, m_list):
+        rng = np.random.default_rng(24 + len(m_list))
+        sys = random_system(rng, n_r, len(m_list), list(m_list))
+        with flops.counting() as tally:
+            sd = sequential_decoupler(sys)
+        assert tally.total == flops.estimate_flops("SD", n_r, m_list).total
+        for w_sd, w_svd in zip(sd.w, svd_decoupler(sys).w, strict=True):
+            assert w_sd.shape == w_svd.shape
+            assert subspace_distance(basis_of(w_sd, n_r), basis_of(w_svd, n_r)) <= 1e-8
+        for a, b in zip(sd.w, sequential_decoupler(sys).w, strict=True):
+            assert a.tobytes() == b.tobytes()
+        plan = flops._sd_plan(len(m_list))
+        levels = partition_tree(sys)
+        assert [len(nodes) for nodes in levels] == [len(specs) for specs in plan]
+        for nodes in levels:
+            for node in nodes:
+                assert node.z.dim == n_r - sum(m_list[p] for p in node.processed)
 
     def test_level_count(self):
         rng = np.random.default_rng(22)
