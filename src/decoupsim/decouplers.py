@@ -15,12 +15,14 @@ free of inter-user interference.  Three constructions are provided:
   from one SVD whose singular values also decide the rank.
 
 :func:`include_users` updates a row-orthonormal (SD or SVD) decoupler
-set when new users join, and :func:`verify_decoupling` checks the residual
-interference of any decoupler set.
+set when new users join, folding all newcomers into every decoupler with
+the same stacked factorizations, and :func:`verify_decoupling` checks the
+residual interference of any decoupler set.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -218,6 +220,8 @@ def _fold_group(halves, widths) -> list[_Group]:
     has its nullspace in the trailing Q columns; stacked products carry z
     and kept into the children.  A node whose half loses rank leaves the
     stack and takes the block-by-block fold (:func:`_annihilate`) alone.
+    Each node is charged as an SD tree node; :func:`include_users` runs its
+    folds (zero-width kept) where no tally is open and charges for itself.
     """
     nodes, zs, a, kepts = zip(*halves)
     nodes, a = sum(nodes, ()), np.concatenate(a)
@@ -316,10 +320,14 @@ def include_users(
 ) -> tuple[SystemChannel, DecouplerSet]:
     """Extend a decoupler set when new users join, without a full rebuild.
 
-    Each newcomer's decoupler is derived from user 0's (fold user 0's
-    own channel into its decoupler), then every existing decoupler is
-    updated by folding in the newcomer's channel.  The result is
-    subspace-equal to rebuilding from scratch on the augmented system.
+    Every existing decoupler folds all newcomers' channels out at once,
+    and newcomer p's decoupler is user 0's with user 0's own channel and
+    every other newcomer's folded out.  The result is subspace-equal to
+    rebuilding from scratch on the augmented system.  The projections of
+    the existing decouplers share one product, and folds of equal (rows,
+    stream widths) share one stacked complete QR (:func:`_fold_group`).
+    The FLOP tally is the paper's one-newcomer-at-a-time convention
+    (``flops._sd_ui_breakdown``) at the existing decouplers' row counts.
     Feasibility of the augmented system is checked before anything is
     touched; with no new channels the inputs are returned unchanged.
     ``existing`` must have orthonormal rows: a zero-forcing (PINV) set has
@@ -338,16 +346,41 @@ def include_users(
     if not new_mats:
         return sys, existing
     augmented = SystemChannel(sys.n_r, list(sys.users) + new_mats)
-
-    w_all = list(existing.w)
-    for h_new in new_mats:
-        w_new = _annihilate(w_all[0], [augmented.users[0]])
-        # in place: each old basis is freed as soon as it is replaced (a new
-        # list keeps them all alive and measured about 17% slower at K=80)
-        for j, w in enumerate(w_all):
-            w_all[j] = _annihilate(w, [h_new])
-        w_all.append(w_new)
-    return augmented, DecouplerSet(tuple(w_all), method=existing.method, row_orthonormal=True)
+    k, widths, h_0 = sys.k, augmented.m_per_user[sys.k:], sys.users[0]
+    if (tally := flops._tally.get()) is not None:
+        tally.add(sum(flops._sd_ui_breakdown(sys.n_r, [w.shape[0] for w in existing.w],
+                                             h_0.shape[1], widths, tally.model)))
+    h_new = np.concatenate(new_mats, axis=1)
+    halves = {}  # (rows, widths) -> (members, z, a, kept) stacks for _fold_group
+    # existing users, ordered by row count: each run of equal rows is a view
+    order = sorted(range(k), key=lambda j: existing.w[j].shape[0])
+    w_all = np.concatenate([existing.w[j] for j in order])
+    a_all, lo = w_all @ h_new, 0
+    for rows, run in itertools.groupby(order, key=lambda j: existing.w[j].shape[0]):
+        run = tuple(run)
+        hi = lo + rows * len(run)
+        a = a_all[lo:hi].reshape(len(run), rows, -1)
+        halves[rows, widths] = [(run, w_all[lo:hi].reshape(len(run), rows, -1), a, a[..., :0])]
+        lo = hi
+    # newcomer p: W_0 with [H_0, H_new_q for q != p] folded out
+    w_0 = existing.w[0]
+    a_0 = w_0 @ np.concatenate((h_0, h_new), axis=1)
+    ends = tuple(itertools.accumulate(widths, initial=h_0.shape[1]))
+    newcomers = {}  # (rows, widths) -> [(member, a)]
+    for p, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        key = (len(a_0), (h_0.shape[1], *widths[:p], *widths[p + 1:]))
+        newcomers.setdefault(key, []).append((k + p, np.delete(a_0, slice(lo, hi), axis=1)))
+    for key, members in newcomers.items():
+        a = np.stack([a_p for _, a_p in members])
+        z = np.broadcast_to(w_0, (len(members), *w_0.shape))
+        halves.setdefault(key, []).append((tuple(i for i, _ in members), z, a, a[..., :0]))
+    w = [None] * augmented.k
+    for (_, folded), parts in halves.items():
+        # where no tally is open: SD's per-node charge is not inclusion's
+        for members, z, _ in contextvars.Context().run(_fold_group, parts, folded):
+            for i, z_i in zip(members, z):
+                w[i] = z_i
+    return augmented, DecouplerSet(tuple(w), method=existing.method, row_orthonormal=True)
 
 
 # ---------------------------------------------------------------------------

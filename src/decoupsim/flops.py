@@ -27,9 +27,12 @@ complete QR per group of equal-shape nodes, yet each node is charged as
 the paper's per-block recursion (:func:`_node_charge`, shared with the
 closed-form estimate), as is ``recursive_common_nullspace``.  Execution,
 ``partition_tree`` and the estimate read one shape-only plan of the tree
-(:func:`_sd_plan`).  The same convention is applied to every algorithm
-being compared, so reported ratios are internally consistent; the
-convention is recorded in every output manifest.
+(:func:`_sd_plan`).  ``include_users`` folds all newcomers in one batch of
+such stacks, yet is charged one newcomer at a time
+(:func:`_sd_ui_breakdown`, shared with the ``SD_UI`` estimate).  The same
+convention is applied to every algorithm being compared, so reported
+ratios are internally consistent; the convention is recorded in every
+output manifest.
 """
 
 from __future__ import annotations
@@ -256,20 +259,20 @@ def _sd_breakdown(n_r: int, m_list: tuple[int, ...], model: CostModel):
     ]
 
 
-def _sd_ui_breakdown(n_r: int, m_list: tuple[int, ...], added: tuple[int, ...],
-                     model: CostModel):
-    """Per-inclusion cost of updating an existing decoupler set."""
+def _sd_ui_breakdown(n_r: int, rows, m_0: int, added: tuple[int, ...], model: CostModel):
+    """Per-inclusion cost of updating a decoupler set whose bases have
+    ``rows`` rows, user 0 carrying ``m_0`` streams.  Newcomers are priced
+    one at a time: each is derived from user 0's current decoupler (fold
+    user 0's own channel out), then every current decoupler folds the
+    newcomer's channel; a fold removes as many rows as the block has streams."""
     per_inclusion: list[float] = []
-    current = list(m_list)
+    rows = list(rows)
     for m_new in added:
-        total_m = sum(current)
-        # derive the newcomer's decoupler from user 0's, then fold the new
-        # channel into every existing decoupler
-        cost = _node_charge(n_r - (total_m - current[0]), [current[0]], model, span=n_r)
-        for m_j in current:
-            cost += _node_charge(n_r - (total_m - m_j), [m_new], model, span=n_r)
+        cost = _node_charge(rows[0], [m_0], model, span=n_r)
+        for t in rows:
+            cost += _node_charge(t, [m_new], model, span=n_r)
         per_inclusion.append(cost)
-        current.append(m_new)
+        rows = [t - m_new for t in rows] + [rows[0] - m_0]
     return per_inclusion
 
 
@@ -286,11 +289,13 @@ def estimate_flops(algorithm: str, n_r: int, m_per_user, k: int | None = None,
     model = model or CostModel()
     m_list = _normalize_users(k, m_per_user)
     algorithm = algorithm.upper()
+    total_m = sum(m_list)
 
     if algorithm == "SD_UI":
         added = _normalize_users(None, tuple(added or ()))
         _check_feasible(n_r, m_list + added)
-        per_inc = _sd_ui_breakdown(n_r, m_list, added, model)
+        per_inc = _sd_ui_breakdown(n_r, [n_r - (total_m - m) for m in m_list], m_list[0],
+                                   added, model)
         breakdown = tuple(
             (f"inclusion {i + 1}", int(round(c))) for i, c in enumerate(per_inc)
         )
@@ -300,7 +305,6 @@ def estimate_flops(algorithm: str, n_r: int, m_per_user, k: int | None = None,
     if added:
         raise InvalidInputError("added users only apply to the SD_UI algorithm")
     _check_feasible(n_r, m_list)
-    total_m = sum(m_list)
 
     if algorithm == "SD":
         per_level = _sd_breakdown(n_r, m_list, model)

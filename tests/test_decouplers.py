@@ -170,20 +170,22 @@ class TestSequentialDecoupler:
             assert rep.all_full_rank()
 
 
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """Block counts of every block-by-block fold (``_annihilate``) call."""
+    calls = []
+    fold = decouplers._annihilate
+
+    def spy(z, blocks):
+        calls.append(len(blocks))
+        return fold(z, blocks)
+
+    monkeypatch.setattr(decouplers, "_annihilate", spy)
+    return calls
+
+
 class TestNodeUpdate:
     """One complete QR per annihilated half, with the per-block fold as fallback."""
-
-    @pytest.fixture
-    def fold_calls(self, monkeypatch):
-        calls = []
-        fold = decouplers._annihilate
-
-        def spy(z, blocks):
-            calls.append(len(blocks))
-            return fold(z, blocks)
-
-        monkeypatch.setattr(decouplers, "_annihilate", spy)
-        return calls
 
     @staticmethod
     def assert_matches_svd(sd, oracle, n_r):
@@ -475,6 +477,74 @@ class TestIncludeUsers:
         sys = random_system(rng, 12, 3, 2)
         with pytest.raises(InvalidInputError):
             include_users(sys, pinv_decoupler(sys), [crandn(rng, 12, 2)])
+
+    @pytest.mark.parametrize("added", [(2, 2, 3), (1,)])
+    def test_mixed_widths_match_fresh_builds_and_estimate(self, added):
+        rng = np.random.default_rng(56)
+        base_m = (1, 2, 3, 1, 2)
+        sys = random_system(rng, 20, 5, list(base_m))
+        dec = sequential_decoupler(sys)
+        with flops.counting() as tally:
+            aug, upd = include_users(sys, dec, [crandn(rng, 20, m) for m in added])
+        assert tally.total == flops.estimate_flops("SD_UI", 20, base_m, added=added).total
+        for fresh in (sequential_decoupler(aug), svd_decoupler(aug)):
+            for w_upd, w_fresh in zip(upd.w, fresh.w, strict=True):
+                assert w_upd.shape == w_fresh.shape
+                assert subspace_distance(basis_of(w_upd, 20), basis_of(w_fresh, 20)) <= 1e-8
+
+    @staticmethod
+    def collinear_inclusion(rng):
+        sys = random_system(rng, 24, 6, 2)
+        new = [crandn(rng, 24, 2), crandn(rng, 24, 2)]
+        new[0][:, 1] = (1 - 0.5j) * new[0][:, 0]
+        return sys, sequential_decoupler(sys), new
+
+    def test_collinear_newcomer_keeps_rows_and_decoupling(self):
+        sys, dec, new = self.collinear_inclusion(np.random.default_rng(57))
+        aug, upd = include_users(sys, dec, new)
+        assert [w.shape[0] for w in upd.w] == [w.shape[0] for w in svd_decoupler(aug).w]
+        assert verify_decoupling(aug, upd).max_cross_residual <= 1e-10
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_k80_tally_matches_estimate(self, p):
+        rng = np.random.default_rng(58)
+        sys = random_system(rng, 170, 76, 2)
+        dec = sequential_decoupler(sys)
+        with flops.counting() as tally:
+            include_users(sys, dec, [crandn(rng, 170, 2) for _ in range(p)])
+        assert tally.total == flops.estimate_flops("SD_UI", 170, 2, k=76, added=[2] * p).total
+
+    def test_repeated_calls_are_bit_identical(self):
+        rng = np.random.default_rng(59)
+        sys = random_system(rng, 30, 7, [1 + i % 3 for i in range(7)])
+        dec = sequential_decoupler(sys)
+        new = [crandn(rng, 30, m) for m in (2, 1, 2)]
+        first, second = include_users(sys, dec, new)[1], include_users(sys, dec, new)[1]
+        for a, b in zip(first.w, second.w, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("collinear", [False, True])
+    def test_inclusion_is_one_stacked_qr(self, collinear, monkeypatch, fold_calls):
+        rng = np.random.default_rng(57)
+        if collinear:
+            sys, dec, new = self.collinear_inclusion(rng)
+        else:
+            sys = random_system(rng, 24, 6, 2)
+            dec, new = sequential_decoupler(sys), [crandn(rng, 24, 2) for _ in range(2)]
+        stacks, qr = [], np.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            stacks.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        include_users(sys, dec, new)
+        # six existing users fold (H_6, H_7); newcomer p folds H_0 and the
+        # other newcomer: all eight halves are 14 x 4 and share one complete QR
+        assert stacks == [(8, 14, 4)]
+        # a rank-1 newcomer costs every existing user and the other newcomer
+        # its rank: those seven take the block-by-block fold alone
+        assert fold_calls == ([2] * 7 if collinear else [])
 
 
 class TestVerifyDecoupling:

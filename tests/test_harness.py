@@ -88,7 +88,8 @@ class TestRunBerSweep:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_sweep_is_never_flop_counted(self, threads):
-        # every trial runs on a worker thread, which starts with no tally
+        # one thread runs the trials on the calling thread in an empty context,
+        # more run them on worker threads: neither starts with a tally
         with flops.counting() as tally:
             run_ber_sweep(small_cfg(threads=threads, bits_per_point=120))
         assert tally.total == 0
