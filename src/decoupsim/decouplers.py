@@ -9,7 +9,8 @@ free of inter-user interference.  Three constructions are provided:
 * :func:`sequential_decoupler` builds all decouplers at once over a
   binary partition tree, reusing intermediate common-nullspace
   estimates so that later stages work in ever smaller subspaces; each
-  tree level runs as stacked factorizations, one per equal-shape group;
+  tree level runs as stacked factorizations, one per equal-shape group
+  (of one system, or of a BER sweep's block of systems);
 * :func:`pinv_decoupler` takes block rows of the channel pseudo-inverse
   (which also equalizes each user's own channel to the identity), built
   from one SVD whose singular values also decide the rank.
@@ -36,7 +37,6 @@ from .kernels import (
     _nullspace_rows,
     _rank_cutoff,
     as_complex_matrix,
-    left_nullspace_basis,
     numerical_rank,
 )
 
@@ -198,7 +198,7 @@ def recursive_common_nullspace(blocks, z0: SubspaceBasis) -> SubspaceBasis:
 class _Group(NamedTuple):
     """Nodes of one tree level that share a shape, stacked on a leading axis."""
 
-    nodes: tuple[int, ...]    # their indices in the plan level, in stack order
+    nodes: tuple[int, ...]    # their keys in stack order (see _sd_levels and include_users)
     z: np.ndarray | None      # (B x t x n_r) ambient row-orthonormal bases; None: the identity
     local: np.ndarray         # (B x t x pending streams) pending blocks side by side, in z
 
@@ -246,21 +246,32 @@ def _fold_group(halves, widths) -> list[_Group]:
     return out
 
 
-def _sd_levels(sys: SystemChannel) -> Iterator[list[np.ndarray]]:
-    """Execute the partition-tree plan, yielding each level's node bases in
-    plan order.  The plan splits all nodes of a group alike (child 2i keeps
-    the first half, child 2i+1 the second), so children's blocks are column
-    slices of its stacks; halves of equal (t, widths) fold as one stack."""
-    widths = sys.m_per_user
-    yield [np.eye(sys.n_r, dtype=np.complex128)]
-    groups = [_Group((0,), None, sys.stacked()[None])]
-    for specs in flops._sd_plan(sys.k)[1:]:
+def _sd_levels(systems) -> Iterator[list[np.ndarray]]:
+    """Execute the partition-tree plan over a stack of systems with equal n_r
+    and stream widths, yielding each level's node bases, system by system in
+    plan order.  Stack entries are keyed by (system b, plan node i) as
+    ``b * L + i`` for a level of L nodes, so that child ``2 * key + side`` is
+    node ``2i + side`` of system b on the next level.  The plan splits all
+    nodes of a group alike (child 2i keeps the first half, child 2i+1 the
+    second), so children's blocks are column slices of its stacks; halves of
+    equal (t, widths) fold as one stack, whichever system they belong to."""
+    n_r, widths = systems[0].n_r, systems[0].m_per_user
+    if any((s.n_r, s.m_per_user) != (n_r, widths) for s in systems):
+        raise ShapeError("stacked systems need equal n_r and stream widths")
+    eye = np.eye(n_r, dtype=np.complex128)
+    yield [eye] * len(systems)
+    local = np.empty((len(systems), n_r, sum(widths)), dtype=np.complex128)
+    for b, s in enumerate(systems):
+        np.concatenate(s.users, axis=1, out=local[b])
+    groups = [_Group(tuple(range(len(systems))), None, local)]
+    for specs in flops._sd_plan(len(widths))[1:]:
         halves, nxt = {}, []  # halves by (t, widths); the next level's groups
         for nodes, z, local in groups:
-            split = sum(widths[p] for p in specs[2 * nodes[0]].pending)
+            first = 2 * nodes[0] % len(specs)
+            split = sum(widths[p] for p in specs[first].pending)
             cols = local[..., :split], local[..., split:]
             for side in (0, 1):
-                spec, children = specs[2 * nodes[0] + side], tuple(2 * i + side for i in nodes)
+                spec, children = specs[first + side], tuple(2 * i + side for i in nodes)
                 if spec.annihilate:
                     key = (local.shape[1], *(tuple(widths[p] for p in users)
                                              for users in (spec.annihilate, spec.pending)))
@@ -271,7 +282,19 @@ def _sd_levels(sys: SystemChannel) -> Iterator[list[np.ndarray]]:
             nxt += _fold_group(parts, folded)
         groups = [group for group in nxt if group.nodes]
         bases = {i: z_i for nodes, z, _ in groups for i, z_i in zip(nodes, z)}
-        yield [bases[i] for i in range(len(specs))]
+        yield [bases[i] for i in range(len(systems) * len(specs))]
+
+
+def _sequential_decouplers(systems) -> list[DecouplerSet]:
+    """:func:`sequential_decoupler` of every system, from one stacked walk
+    (:func:`_sd_levels`); each set equals the system's own build bit for bit."""
+    for bases in _sd_levels(systems):
+        pass  # earlier levels are freed as the executor moves on
+    # the halving keeps user order, so the live leaves come in user order
+    leaves = flops._sd_plan(systems[0].k)[-1]
+    live = [i for i, spec in enumerate(leaves) if spec.pending]
+    return [DecouplerSet(tuple(bases[b * len(leaves) + i] for i in live),
+                         method="SD", row_orthonormal=True) for b in range(len(systems))]
 
 
 def sequential_decoupler(sys: SystemChannel) -> DecouplerSet:
@@ -287,11 +310,7 @@ def sequential_decoupler(sys: SystemChannel) -> DecouplerSet:
     The result spans, per user, the same subspace as the per-user SVD
     baseline, and every matrix has orthonormal rows.
     """
-    for bases in _sd_levels(sys):
-        pass  # earlier levels are freed as the executor moves on
-    # the halving keeps user order, so the live leaves come in user order
-    w = tuple(z for spec, z in zip(flops._sd_plan(sys.k)[-1], bases) if spec.pending)
-    return DecouplerSet(w, method="SD", row_orthonormal=True)
+    return _sequential_decouplers([sys])[0]
 
 
 def partition_tree(sys: SystemChannel) -> list[list[PartitionNode]]:
@@ -311,7 +330,7 @@ def partition_tree(sys: SystemChannel) -> list[list[PartitionNode]]:
             )
             for spec, z in zip(specs, bases)
         ]
-        for level, (specs, bases) in enumerate(zip(flops._sd_plan(sys.k), _sd_levels(sys)))
+        for level, (specs, bases) in enumerate(zip(flops._sd_plan(sys.k), _sd_levels([sys])))
     ]
 
 
@@ -392,7 +411,8 @@ def svd_decoupler(sys: SystemChannel) -> DecouplerSet:
     This is the correctness oracle for the tree-based construction and
     the expensive baseline of the complexity comparisons: user i's
     decoupler is the left-nullspace basis of the concatenation of all
-    other users' channels.  Rows are orthonormal by construction.  Nonzero
+    other users' channels, charged as ``kernels.left_nullspace_basis`` is.
+    Rows are orthonormal by construction and are not re-checked.  Nonzero
     columns are first scaled to unit norm (uncharged): this leaves every
     nullspace unchanged and keeps a faint user above the rank cutoff.
     """
@@ -400,10 +420,13 @@ def svd_decoupler(sys: SystemChannel) -> DecouplerSet:
     norms = np.linalg.norm(h, axis=0)
     h = h / np.where(norms > 0, norms, 1.0)
     offsets = (0, *itertools.accumulate(sys.m_per_user))
+    tally = flops._tally.get()
     w = []
     for i in range(sys.k):
         complement = np.concatenate((h[:, :offsets[i]], h[:, offsets[i + 1]:]), axis=1)
-        w.append(left_nullspace_basis(complement).basis)
+        if tally is not None:
+            tally.add(tally.model.svd_full(*complement.shape))
+        w.append(_nullspace_rows(complement))
     return DecouplerSet(tuple(w), method="SVD", row_orthonormal=True)
 
 

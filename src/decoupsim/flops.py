@@ -12,8 +12,9 @@ Accounting convention
 Inside a :func:`counting` block, each charge site adds its model cost at
 the dimensions actually used to the block's own tally: the kernels
 ``left_nullspace_basis`` (a full SVD) and ``qr_decompose``, and the
-decouplers' own work (the sequential family's recursion below, and
-``pinv_decoupler``'s pseudo-inverse).  Outside every block nothing is
+decouplers' own work (the sequential family's recursion below,
+``svd_decoupler``'s full SVD per user, and ``pinv_decoupler``'s
+pseudo-inverse).  Outside every block nothing is
 counted, and audit helpers such as ``subspace_distance`` are never
 charged.  For the sequential decoupler family the charged work is the
 recursion's own arithmetic: the projection products ``T = Z @ A`` and

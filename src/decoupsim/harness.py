@@ -6,7 +6,13 @@ Reproducibility rules
 Every random draw in a sweep comes from a stream addressed by
 ``(config seed, trial index, purpose)``, so results are independent of
 execution order and worker count: re-running the same configuration at
-any parallelism degree produces byte-identical tables.  Comparisons
+any parallelism degree produces byte-identical tables.  A sweep task
+runs a block of a constant number of consecutive trials (the last block
+may be shorter), still drawn trial by trial from those streams; it builds
+the SD decouplers of all the block's (trial, subcarrier) systems in one
+stacked partition-tree walk and detects equal-shape links of all of them
+together.  Each system's arithmetic is the same in any block, so results
+depend neither on the block split nor on the thread count.  Comparisons
 between decouplers or detectors re-use the same streams (common random
 numbers); the arms differ only in the algorithm under test.
 
@@ -47,6 +53,7 @@ from .channels import (
 )
 from .decouplers import (
     SystemChannel,
+    _sequential_decouplers,
     include_users,
     pinv_decoupler,
     sequential_decoupler,
@@ -65,6 +72,7 @@ from .errors import (
     InfeasibleSystemError,
     InvalidConfigError,
     InvalidInputError,
+    ShapeError,
 )
 from .kernels import SubspaceBasis, subspace_distance
 
@@ -332,6 +340,9 @@ _DECOUPLE_FN = {
     "PINV": pinv_decoupler,
 }
 
+# trials per sweep task; a constant, so no trial's arithmetic depends on the thread count
+_BLOCK = 16
+
 
 def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
                    channel_factory=None) -> dict[tuple[str, str], BerResult]:
@@ -341,10 +352,11 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
     differences isolate the algorithms.  ``channel_factory``, when given,
     replaces the built-in channel generator: it is called as
     ``factory(trial, subcarrier)`` and must return the per-user true
-    channel matrices.  This is the plug-in point for externally defined
-    (e.g. standardized frequency-selective) fading models; the harness
-    still applies the configured estimation error on top and loops over
-    ``n_subcarriers`` flat subproblems per trial.
+    channel matrices, k of them, each n_r x m_i (else ``ShapeError``).
+    This is the plug-in point for externally defined (e.g. standardized
+    frequency-selective) fading models; the harness still applies the
+    configured estimation error on top and loops over ``n_subcarriers``
+    flat subproblems per trial.
     """
     decouplers = tuple(decouplers or (cfg.decoupler,))
     detectors = tuple(detectors or (cfg.detector,))
@@ -361,65 +373,80 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
     if "PINV" in decouplers:
         flops._check_pinv_feasible(cfg.n_r, cfg.m_total)
 
-    n_snr = len(cfg.snr_db)
+    trials, n_snr = cfg.trials, len(cfg.snr_db)
     sigmas = np.sqrt([cfg.sigma_n2(s) for s in cfg.snr_db])
     bits_per_vec = cons.bits_per_symbol * cfg.m_total
     bit_weights = 1 << np.arange(cons.bits_per_symbol - 1, -1, -1)
     popcount = np.array([bin(i).count("1") for i in range(cons.order)], dtype=np.int64)
     offsets = np.cumsum((0,) + cfg.m_i)
-    user_streams = [np.arange(offsets[u], offsets[u + 1]) for u in range(cfg.k)]
+    shapes = [(cfg.n_r, m_u) for m_u in cfg.m_i]
 
-    def detect(errors, di, dec, used_chans, y_clean, unit, tx_labels):
-        """Detect every user at every SNR point, stacked over each group of
-        users whose decoupler shape and stream count agree.  Decisions agree
-        with the per-link public detectors (covered by tests)."""
-        groups: dict[tuple, list[int]] = {}
-        for u in range(cfg.k):
-            groups.setdefault((dec.w[u].shape, cfg.m_i[u]), []).append(u)
-        for users in groups.values():
-            w = np.stack([dec.w[u] for u in users])
-            ht = w @ np.stack([used_chans[u] for u in users])
-            a = w @ y_clean
-            b = w @ unit
-            if cfg.whiten and not dec.row_orthonormal:
+    def true_channels(trial: int, sc: int) -> list[np.ndarray]:
+        if channel_factory is None:
+            return _build_true_channels(cfg, trial, sc, roots)
+        chans = [np.asarray(h, dtype=np.complex128) for h in channel_factory(trial, sc)]
+        if (got := [h.shape for h in chans]) != shapes:
+            raise ShapeError(f"channel_factory({trial}, {sc}) returned shapes {got}, "
+                             f"expected {cfg.k} users of n_r x m_i: {shapes}")
+        return chans
+
+    def detect(errors, di, decs, systems, y_clean, unit, tx_labels):
+        """Detect every user of every (trial, subcarrier) entry of a block at
+        every SNR point, stacked over each group of links whose decoupler
+        shape and stream count agree.  Decisions agree with the per-link
+        public detectors (covered by tests)."""
+        groups: dict[tuple, list[tuple[int, int]]] = {}
+        for e, dec in enumerate(decs):
+            for u in range(cfg.k):
+                groups.setdefault((dec.w[u].shape, cfg.m_i[u]), []).append((e, u))
+        for members in groups.values():
+            entries, users = (np.array(x) for x in zip(*members))
+            w = np.stack([decs[e].w[u] for e, u in members])
+            ht = w @ np.stack([systems[e].users[u] for e, u in members])
+            a = (w @ y_clean[entries, :, None])[..., 0]
+            b = (w @ unit[entries, :, None])[..., 0]
+            if cfg.whiten and not decs[0].row_orthonormal:
                 ht, a, b = _whiten(w @ np.conj(np.swapaxes(w, -1, -2)), ht, a, b)
-            tx = tx_labels[np.stack([user_streams[u] for u in users])][:, None, :]
+            streams = offsets[users, None] + np.arange(cfg.m_i[users[0]])
+            tx = tx_labels[entries[:, None], streams][:, None, :]
             for ti, det in enumerate(detectors):
                 z = (lmmse_stack(ht, a, b, sigmas) if det == "LMMSE"
                      else sic_stack(ht, a, b, sigmas, cons))
-                errors[di, ti, users] += popcount[tx ^ _symbol_indices(z, cons)].sum(axis=-1)
+                np.add.at(errors[di, ti], users,
+                          popcount[tx ^ _symbol_indices(z, cons)].sum(axis=-1))
 
-    def one_trial(trial: int) -> np.ndarray:
+    def one_block(first: int) -> np.ndarray:
+        """Error counts of trials ``first .. first + _BLOCK - 1`` (fewer at the end)."""
         errors = np.zeros((len(decouplers), len(detectors), cfg.k, n_snr), dtype=np.int64)
-        rng_bits = RngSeed(cfg.seed, trial * _STRIDE + _BITS).generator()
-        rng_noise = RngSeed(cfg.seed, trial * _STRIDE + _NOISE).generator()
-        bits = rng_bits.integers(0, 2, size=(cfg.n_subcarriers, bits_per_vec))
-        unit_noise = gen_awgn(rng_noise, 1.0, cfg.n_subcarriers * cfg.n_r).reshape(
-            cfg.n_subcarriers, cfg.n_r)
-        for sc in range(cfg.n_subcarriers):
-            if channel_factory is None:
-                true_chans = _build_true_channels(cfg, trial, sc, roots)
-            else:
-                true_chans = [np.asarray(h, dtype=np.complex128)
-                              for h in channel_factory(trial, sc)]
-            used_chans = _perturb_channels(cfg, trial, sc, true_chans)
-            sys_used = SystemChannel(cfg.n_r, used_chans)
-            h_true = np.concatenate(true_chans, axis=1)
-            x = modulate_bits(bits[sc], cons)
-            tx_labels = bits[sc].reshape(-1, cons.bits_per_symbol) @ bit_weights
-            y_clean = h_true @ x
-            for di, dec_name in enumerate(decouplers):
-                detect(errors, di, _DECOUPLE_FN[dec_name](sys_used), used_chans,
-                       y_clean, unit_noise[sc], tx_labels)
+        systems, y_clean, unit, tx_labels = [], [], [], []  # one per (trial, subcarrier)
+        for trial in range(first, min(first + _BLOCK, trials)):
+            rng_bits = RngSeed(cfg.seed, trial * _STRIDE + _BITS).generator()
+            rng_noise = RngSeed(cfg.seed, trial * _STRIDE + _NOISE).generator()
+            bits = rng_bits.integers(0, 2, size=(cfg.n_subcarriers, bits_per_vec))
+            tx_labels.append(bits.reshape(cfg.n_subcarriers, -1, cons.bits_per_symbol)
+                             @ bit_weights)
+            unit.append(gen_awgn(rng_noise, 1.0, cfg.n_subcarriers * cfg.n_r).reshape(
+                cfg.n_subcarriers, cfg.n_r))
+            for sc in range(cfg.n_subcarriers):
+                true_chans = true_channels(trial, sc)
+                used_chans = _perturb_channels(cfg, trial, sc, true_chans)
+                systems.append(SystemChannel(cfg.n_r, used_chans))
+                y_clean.append(np.concatenate(true_chans, axis=1) @ modulate_bits(bits[sc], cons))
+        y_clean, unit, tx_labels = np.stack(y_clean), np.concatenate(unit), np.concatenate(tx_labels)
+        for di, dec_name in enumerate(decouplers):
+            # SD builds the whole block in one stacked walk, the baselines system by system
+            decs = (_sequential_decouplers(systems) if dec_name == "SD"
+                    else [_DECOUPLE_FN[dec_name](sys) for sys in systems])
+            detect(errors, di, decs, systems, y_clean, unit, tx_labels)
         return errors
 
-    trials = cfg.trials
+    blocks = range(0, trials, _BLOCK)
     # no sweep is FLOP-counted: an empty context, like a pool thread, has no tally
     if cfg.threads == 1:
-        total = contextvars.Context().run(sum, map(one_trial, range(trials)))
+        total = contextvars.Context().run(sum, map(one_block, blocks))
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            total = sum(pool.map(one_trial, range(trials)))
+            total = sum(pool.map(one_block, blocks))
 
     results: dict[tuple[str, str], BerResult] = {}
     per_user_bits = [

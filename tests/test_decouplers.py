@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from decoupsim import decouplers, flops
-from decoupsim.errors import InfeasibleSystemError, InvalidInputError, SingularMatrixError
+from decoupsim import decouplers, flops, harness
+from decoupsim.channels import CeErrorParams, KroneckerParams, LargeScaleParams
+from decoupsim.errors import (
+    InfeasibleSystemError, InvalidInputError, ShapeError, SingularMatrixError,
+)
 from decoupsim.kernels import SubspaceBasis, identity_basis, left_nullspace_basis, subspace_distance
 from decoupsim.decouplers import (
     DecouplerSet,
@@ -262,6 +265,59 @@ class TestNodeUpdate:
             assert a.tobytes() == b.tobytes()
 
 
+class TestStackedWalk:
+    """One partition-tree walk over a stack of systems, as a BER sweep block runs SD."""
+
+    @pytest.mark.parametrize("n_r,m_list,b", [
+        (16, (1, 2, 3, 1, 2, 3, 1), 5),
+        (64, (4,) * 15, 16),
+        (170, (2,) * 80, 3),
+    ])
+    def test_bit_identical_to_per_system_builds(self, n_r, m_list, b):
+        rng = np.random.default_rng(90 + b)
+        systems = [random_system(rng, n_r, len(m_list), list(m_list)) for _ in range(b)]
+        with flops.counting() as tally:
+            stacked = decouplers._sequential_decouplers(systems)
+        # every stacked node is charged as in its own system's build
+        assert tally.total == b * flops.estimate_flops("SD", n_r, m_list).total
+        for sys, dec in zip(systems, stacked, strict=True):
+            assert dec.method == "SD" and dec.row_orthonormal
+            for w, w_alone in zip(dec.w, sequential_decoupler(sys).w, strict=True):
+                assert w.tobytes() == w_alone.tobytes()
+
+    def test_collinear_user_folds_only_its_own_system(self, monkeypatch):
+        rng = np.random.default_rng(74)
+        systems = [random_system(rng, 24, 8, 2) for _ in range(3)]
+        users = [h.copy() for h in systems[1].users]
+        users[5][:, 1] = -0.5j * users[5][:, 0]
+        systems[1] = SystemChannel(24, users)
+        folds, fold = [], decouplers._annihilate
+
+        def spy(z, blocks):
+            folds.append((z.tobytes(), tuple(block.tobytes() for block in blocks)))
+            return fold(z, blocks)
+
+        monkeypatch.setattr(decouplers, "_annihilate", spy)
+        alone = sequential_decoupler(systems[1])
+        alone_folds = folds[:]
+        folds.clear()
+        stacked = decouplers._sequential_decouplers(systems)
+        # system 1's rank-losing nodes take the block-by-block fold, with the
+        # same inputs as in its own build; the other systems stay stacked
+        assert len(alone_folds) == 3 and folds == alone_folds
+        for w, w_alone in zip(stacked[1].w, alone.w, strict=True):
+            assert w.tobytes() == w_alone.tobytes()
+        for sys, dec in zip(systems[::2], stacked[::2]):
+            for w, w_alone in zip(dec.w, sequential_decoupler(sys).w, strict=True):
+                assert w.tobytes() == w_alone.tobytes()
+
+    def test_unequal_widths_rejected(self):
+        rng = np.random.default_rng(95)
+        systems = [random_system(rng, 12, 3, 2), random_system(rng, 12, 3, [2, 2, 1])]
+        with pytest.raises(ShapeError):
+            decouplers._sequential_decouplers(systems)
+
+
 class TestPartitionTree:
     def test_root_shape(self):
         rng = np.random.default_rng(20)
@@ -381,6 +437,28 @@ class TestSvdDecoupler:
         rep = verify_decoupling(sys, svd_decoupler(sys))
         assert rep.max_cross_residual <= 1e-10
         assert rep.all_full_rank()
+
+    @pytest.mark.parametrize("n_r,m_i,channel", [
+        (64, 4, {}),
+        (64, 4, dict(kronecker=KroneckerParams(rho_tx=0.25, rho_rx=0.05))),
+        (32, 2, dict(large_scale=LargeScaleParams(mu_db=3.0, l_path=0.65, d_rel=0.65, tau=3.0))),
+        (64, 4, dict(ce_error=CeErrorParams(sigma_e2=0.01))),
+    ], ids=["uncorrelated", "kronecker", "large_scale", "ce_error"])
+    def test_rows_orthonormal_on_regime_shapes(self, n_r, m_i, channel):
+        # the oracle builds no SubspaceBasis, so nothing else checks its rows;
+        # the systems are the BER sweep's own draws of the acceptance regimes
+        cfg = harness.SimConfig(n_r=n_r, k=15, m_i=m_i, snr_db=(0.0,),
+                                bits_per_point=30 * m_i, seed=3, **channel)
+        roots = harness._kronecker_roots(cfg)
+        for trial in range(3):
+            chans = harness._build_true_channels(cfg, trial, 0, roots)
+            sys = SystemChannel(n_r, harness._perturb_channels(cfg, trial, 0, chans))
+            with flops.counting() as tally:
+                dec = svd_decoupler(sys)
+            assert tally.total == flops.estimate_flops("SVD", n_r, m_i, k=15).total
+            for w in dec.w:
+                assert w.shape == (n_r - 14 * m_i, n_r)
+                assert np.linalg.norm(w @ w.conj().T - np.eye(w.shape[0])) <= 1e-12
 
 
 class TestPinvDecoupler:

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from decoupsim import flops
+from decoupsim import decouplers, flops, harness
 from decoupsim.channels import CeErrorParams, KroneckerParams, LargeScaleParams, RngSeed
-from decoupsim.errors import InfeasibleSystemError, InvalidConfigError
+from decoupsim.errors import InfeasibleSystemError, InvalidConfigError, ShapeError
 from decoupsim.harness import (
     AUDIT_COLUMNS,
     BER_COLUMNS,
@@ -209,6 +209,59 @@ class TestRunBerSweep:
         res = run_ber_sweep(cfg, channel_factory=factory)
         assert res.aggregate.bits_sent[0] == 2400
         assert set(calls) == {(t, s) for t in range(cfg.trials) for s in range(2)}
+
+    @pytest.mark.parametrize("shapes", [
+        [(12, 3)] * 3,            # 3-stream channels where m_i = 2
+        [(12, 2)] * 2,            # a user short
+        [(10, 2)] * 3,            # wrong antenna count
+    ], ids=["streams", "users", "antennas"])
+    def test_wrong_factory_channels_fail_before_any_work(self, shapes, monkeypatch):
+        folds = []
+        monkeypatch.setattr(decouplers, "_fold_group", lambda *args: folds.append(args))
+
+        def factory(trial, subcarrier):
+            return [np.ones(shape, dtype=complex) for shape in shapes]
+
+        with pytest.raises(ShapeError, match=r"channel_factory\(0, 0\) returned shapes"):
+            run_ber_sweep(small_cfg(), channel_factory=factory)
+        assert folds == []
+
+
+class TestTrialBlocks:
+    """A sweep task runs a block of ``harness._BLOCK`` trials; the split changes nothing."""
+
+    ARMS = (("SD", "SVD", "PINV"), ("LMMSE", "SIC"))
+
+    @staticmethod
+    def cfg(**kw):
+        # two full blocks and a short one, two subcarriers: 24 bits per trial
+        return small_cfg(n_subcarriers=2, bits_per_point=(2 * harness._BLOCK + 3) * 24, **kw)
+
+    @pytest.mark.parametrize("whiten", [False, True])
+    def test_results_do_not_depend_on_threads_or_block_size(self, whiten, monkeypatch):
+        cfg = self.cfg(whiten=whiten)
+        assert cfg.trials == 2 * harness._BLOCK + 3
+        reference = run_paired_ber(cfg, *self.ARMS)
+        for threads in (2, 5):
+            assert run_paired_ber(cfg.with_overrides({"threads": threads}), *self.ARMS) == reference
+        monkeypatch.setattr(harness, "_BLOCK", 1)
+        assert run_paired_ber(cfg, *self.ARMS) == reference
+
+    def test_one_level_one_fold_per_block(self, monkeypatch):
+        calls, fold = [], decouplers._fold_group
+
+        def spy(halves, widths):
+            # (rows, stacked halves) of every stacked fold
+            calls.append((halves[0][2].shape[1], sum(len(a) for _, _, a, _ in halves)))
+            return fold(halves, widths)
+
+        monkeypatch.setattr(decouplers, "_fold_group", spy)
+        cfg = self.cfg()
+        run_paired_ber(cfg, ("SD",), ("LMMSE",))
+        # K=3 splits the root's users 2 | 1, so its two sides fold apart, each
+        # over all (trial, subcarrier) systems of a block at once
+        level_1 = [n for rows, n in calls if rows == cfg.n_r]
+        assert level_1 == [2 * harness._BLOCK] * 4 + [2 * 3] * 2
 
 
 class TestAudit:
