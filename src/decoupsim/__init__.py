@@ -58,9 +58,7 @@ from .errors import (
 )
 from .flops import CostModel, FlopReport, estimate_flops
 from .kernels import (
-    QrFactors,
     SubspaceBasis,
-    identity_basis,
     left_nullspace_basis,
     numerical_rank,
     qr_decompose,

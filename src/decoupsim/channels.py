@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _require_numbers
 
 __all__ = [
     "RngSeed",
@@ -57,6 +57,7 @@ class KroneckerParams:
     rho_rx: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_numbers(self)
         for name, rho in (("rho_tx", self.rho_tx), ("rho_rx", self.rho_rx)):
             if not 0.0 <= rho < 1.0:
                 raise InvalidInputError(f"{name} must be in [0, 1), got {rho}")
@@ -79,6 +80,7 @@ class LargeScaleParams:
     tau: float = 3.0
 
     def __post_init__(self) -> None:
+        _require_numbers(self)
         if self.l_path <= 0 or self.d_rel <= 0 or self.tau < 0:
             raise InvalidInputError("need l_path > 0, d_rel > 0, tau >= 0")
 
@@ -90,6 +92,7 @@ class CeErrorParams:
     sigma_e2: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_numbers(self)
         if self.sigma_e2 < 0:
             raise InvalidInputError("sigma_e2 must be >= 0")
 

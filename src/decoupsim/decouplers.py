@@ -101,13 +101,6 @@ class SystemChannel:
         """Combined stream count of everyone except user i."""
         return self.m_total - self.users[i].shape[1]
 
-    def complement(self, i: int) -> np.ndarray:
-        """Concatenation of all channels except user i's (built on demand)."""
-        blocks = [h for j, h in enumerate(self.users) if j != i]
-        if not blocks:
-            return np.zeros((self.n_r, 0), dtype=np.complex128)
-        return np.concatenate(blocks, axis=1)
-
     def stacked(self) -> np.ndarray:
         """The full n_r x m_total channel with users side by side."""
         return np.concatenate(self.users, axis=1)
@@ -119,13 +112,16 @@ class DecouplerSet:
 
     ``w[i]`` has n_r columns; for generic channels its row count is
     ``n_r - m_bar(i)``.  ``method`` records which algorithm produced the
-    set ("SD", "SVD" or "PINV") and ``row_orthonormal`` whether every
-    ``w[i]`` has orthonormal rows.
+    set ("SD", "SVD" or "PINV").
     """
 
     w: tuple[np.ndarray, ...]
     method: str
-    row_orthonormal: bool
+
+    @property
+    def row_orthonormal(self) -> bool:
+        """Whether every ``w[i]`` has orthonormal rows (all but PINV sets)."""
+        return self.method != "PINV"
 
     @property
     def k(self) -> int:
@@ -293,8 +289,8 @@ def _sequential_decouplers(systems) -> list[DecouplerSet]:
     # the halving keeps user order, so the live leaves come in user order
     leaves = flops._sd_plan(systems[0].k)[-1]
     live = [i for i, spec in enumerate(leaves) if spec.pending]
-    return [DecouplerSet(tuple(bases[b * len(leaves) + i] for i in live),
-                         method="SD", row_orthonormal=True) for b in range(len(systems))]
+    return [DecouplerSet(tuple(bases[b * len(leaves) + i] for i in live), "SD")
+            for b in range(len(systems))]
 
 
 def sequential_decoupler(sys: SystemChannel) -> DecouplerSet:
@@ -342,9 +338,10 @@ def include_users(
     Every existing decoupler folds all newcomers' channels out at once,
     and newcomer p's decoupler is user 0's with user 0's own channel and
     every other newcomer's folded out.  The result is subspace-equal to
-    rebuilding from scratch on the augmented system.  The projections of
-    the existing decouplers share one product, and folds of equal (rows,
-    stream widths) share one stacked complete QR (:func:`_fold_group`).
+    rebuilding from scratch on the augmented system.  Existing decouplers
+    of equal row count share one stacked projection product, and folds of
+    equal (rows, stream widths) share one stacked complete QR
+    (:func:`_fold_group`).
     The FLOP tally is the paper's one-newcomer-at-a-time convention
     (``flops._sd_ui_breakdown``) at the existing decouplers' row counts.
     Feasibility of the augmented system is checked before anything is
@@ -370,17 +367,15 @@ def include_users(
         tally.add(sum(flops._sd_ui_breakdown(sys.n_r, [w.shape[0] for w in existing.w],
                                              h_0.shape[1], widths, tally.model)))
     h_new = np.concatenate(new_mats, axis=1)
+    by_rows = {}  # existing users by row count
+    for j, w_j in enumerate(existing.w):
+        by_rows.setdefault(w_j.shape[0], []).append(j)
     halves = {}  # (rows, widths) -> (members, z, a, kept) stacks for _fold_group
-    # existing users, ordered by row count: each run of equal rows is a view
-    order = sorted(range(k), key=lambda j: existing.w[j].shape[0])
-    w_all = np.concatenate([existing.w[j] for j in order])
-    a_all, lo = w_all @ h_new, 0
-    for rows, run in itertools.groupby(order, key=lambda j: existing.w[j].shape[0]):
-        run = tuple(run)
-        hi = lo + rows * len(run)
-        a = a_all[lo:hi].reshape(len(run), rows, -1)
-        halves[rows, widths] = [(run, w_all[lo:hi].reshape(len(run), rows, -1), a, a[..., :0])]
-        lo = hi
+    for rows, run in by_rows.items():
+        # one concatenation and one product per group; a batched product is slower
+        w_run = np.concatenate([existing.w[j] for j in run])
+        z, a = (x.reshape(len(run), rows, -1) for x in (w_run, w_run @ h_new))
+        halves[rows, widths] = [(tuple(run), z, a, a[..., :0])]
     # newcomer p: W_0 with [H_0, H_new_q for q != p] folded out
     w_0 = existing.w[0]
     a_0 = w_0 @ np.concatenate((h_0, h_new), axis=1)
@@ -399,7 +394,7 @@ def include_users(
         for members, z, _ in contextvars.Context().run(_fold_group, parts, folded):
             for i, z_i in zip(members, z):
                 w[i] = z_i
-    return augmented, DecouplerSet(tuple(w), method=existing.method, row_orthonormal=True)
+    return augmented, DecouplerSet(tuple(w), existing.method)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +422,7 @@ def svd_decoupler(sys: SystemChannel) -> DecouplerSet:
         if tally is not None:
             tally.add(tally.model.svd_full(*complement.shape))
         w.append(_nullspace_rows(complement))
-    return DecouplerSet(tuple(w), method="SVD", row_orthonormal=True)
+    return DecouplerSet(tuple(w), "SVD")
 
 
 def pinv_decoupler(sys: SystemChannel) -> DecouplerSet:
@@ -450,11 +445,11 @@ def pinv_decoupler(sys: SystemChannel) -> DecouplerSet:
             f"({sys.m_total} streams, n_r={sys.n_r})"
         )
     if (tally := flops._tally.get()) is not None:
-        tally.add(tally.model.pinv(sys.n_r, sys.m_total))
+        tally.add(sum(c for _, c in flops._pinv_breakdown(sys.n_r, sys.m_total, tally.model)))
     w_full = vt.T @ ((1.0 / s)[:, None] * u.T)
     offsets = (0, *itertools.accumulate(sys.m_per_user))
     w = tuple(np.ascontiguousarray(w_full[a:b]) for a, b in zip(offsets, offsets[1:]))
-    return DecouplerSet(w, method="PINV", row_orthonormal=False)
+    return DecouplerSet(w, "PINV")
 
 
 # ---------------------------------------------------------------------------

@@ -246,9 +246,8 @@ def sic_stack(h, a, b, sigmas, cons: Constellation) -> np.ndarray:
     noise levels.  Returns ``(G, S, m)`` constellation points.  Requires
     full-column-rank effective channels (t >= m and every R[j,j] != 0).
     """
-    factors = qr_decompose(h)
-    r = factors.r
-    qh = np.conj(np.swapaxes(factors.q, -1, -2))
+    q, r = qr_decompose(h)
+    qh = np.conj(np.swapaxes(q, -1, -2))
     va = (qh @ np.asarray(a, dtype=np.complex128)[..., None])[..., 0]
     vb = (qh @ np.asarray(b, dtype=np.complex128)[..., None])[..., 0]
     v = va[:, None] + np.asarray(sigmas, dtype=np.float64)[:, None] * vb[:, None]

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the value-type checks.
 
 The CLI maps these onto process exit codes, so library code should raise
 the most specific class that applies.
 """
+
+import numbers
+from dataclasses import fields
 
 __all__ = [
     "DecoupsimError",
@@ -36,3 +39,20 @@ class SingularMatrixError(DecoupsimError, ArithmeticError):
 
 class InvalidConfigError(DecoupsimError, ValueError):
     """Simulation configuration failed validation."""
+
+
+def _is_int(value) -> bool:
+    """An integer: numpy integer scalars are, a bool or a float is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A real number: numpy scalars are, a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _require_numbers(params) -> None:
+    """Reject a dataclass field that is not a real number."""
+    for f in fields(params):
+        if not _is_number(value := getattr(params, f.name)):
+            raise InvalidInputError(f"{f.name} must be a number, got {value!r}")

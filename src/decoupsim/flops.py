@@ -14,9 +14,9 @@ the dimensions actually used to the block's own tally: the kernels
 ``left_nullspace_basis`` (a full SVD) and ``qr_decompose``, and the
 decouplers' own work (the sequential family's recursion below,
 ``svd_decoupler``'s full SVD per user, and ``pinv_decoupler``'s
-pseudo-inverse).  Outside every block nothing is
-counted, and audit helpers such as ``subspace_distance`` are never
-charged.  For the sequential decoupler family the charged work is the
+pseudo-inverse, priced by the estimate's :func:`_pinv_breakdown`).
+Outside every block nothing is counted, and audit helpers such as
+``subspace_distance`` are never charged.  For the sequential decoupler family the charged work is the
 recursion's own arithmetic: the projection products ``T = Z @ A`` and
 the nullspace factorizations of the small projected blocks, at the
 subspace dimensions where they execute.  Re-expressing orthonormal
@@ -44,7 +44,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
-from .errors import InfeasibleSystemError, InvalidInputError
+from .errors import InfeasibleSystemError, InvalidInputError, _require_numbers
 
 __all__ = [
     "CostModel",
@@ -71,6 +71,7 @@ class CostModel:
     inv_scale: float = 8.0   # complex Gauss-Jordan: n^3 multiplies + n^3 adds
 
     def __post_init__(self) -> None:
+        _require_numbers(self)
         for f in fields(self):
             if getattr(self, f.name) < 0:
                 raise InvalidInputError(f"cost model field {f.name!r} must be >= 0")
@@ -105,26 +106,19 @@ class CostModel:
             return 0.0
         return self.inv_scale * n ** 3
 
-    def pinv(self, m: int, n: int) -> float:
-        """Pseudo-inverse of an m x n matrix via the normal equations."""
-        if min(m, n) <= 0:
-            return 0.0
-        return self.matmul(n, m, n) + self.inverse(n) + self.matmul(n, n, m)
-
 
 @dataclass(frozen=True)
 class FlopReport:
-    """Tally for one algorithm on one system, with a per-phase breakdown."""
+    """Tally for one algorithm on one system: a per-phase breakdown and its ``total``."""
 
     algorithm: str
     n_r: int
     m_per_user: tuple[int, ...]
-    total: int
     breakdown: tuple[tuple[str, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.total != sum(c for _, c in self.breakdown):
-            raise InvalidInputError("report total does not equal the sum of its breakdown")
+    @property
+    def total(self) -> int:
+        return sum(c for _, c in self.breakdown)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +271,13 @@ def _sd_ui_breakdown(n_r: int, rows, m_0: int, added: tuple[int, ...], model: Co
     return per_inclusion
 
 
+def _pinv_breakdown(n_r: int, m_total: int, model: CostModel):
+    """The pseudo-inverse of an n_r x m_total channel via the normal equations."""
+    return (("gram matrix", model.matmul(m_total, n_r, m_total)),
+            ("inverse", model.inverse(m_total)),
+            ("apply adjoint", model.matmul(m_total, m_total, n_r)))
+
+
 def estimate_flops(algorithm: str, n_r: int, m_per_user, k: int | None = None,
                    added=None, model: CostModel | None = None) -> FlopReport:
     """Closed-form FLOP tally for one decoupler algorithm.
@@ -300,8 +301,7 @@ def estimate_flops(algorithm: str, n_r: int, m_per_user, k: int | None = None,
         breakdown = tuple(
             (f"inclusion {i + 1}", int(round(c))) for i, c in enumerate(per_inc)
         )
-        return FlopReport("SD_UI", n_r, m_list + added,
-                          sum(c for _, c in breakdown), breakdown)
+        return FlopReport("SD_UI", n_r, m_list + added, breakdown)
 
     if added:
         raise InvalidInputError("added users only apply to the SD_UI algorithm")
@@ -319,12 +319,9 @@ def estimate_flops(algorithm: str, n_r: int, m_per_user, k: int | None = None,
         )
     elif algorithm == "PINV":
         _check_pinv_feasible(n_r, total_m)
-        breakdown = (
-            ("gram matrix", int(round(model.matmul(total_m, n_r, total_m)))),
-            ("inverse", int(round(model.inverse(total_m)))),
-            ("apply adjoint", int(round(model.matmul(total_m, total_m, n_r)))),
-        )
+        breakdown = tuple((name, int(round(c)))
+                          for name, c in _pinv_breakdown(n_r, total_m, model))
     else:
         raise InvalidInputError(f"unknown algorithm {algorithm!r}")
 
-    return FlopReport(algorithm, n_r, m_list, sum(c for _, c in breakdown), breakdown)
+    return FlopReport(algorithm, n_r, m_list, breakdown)

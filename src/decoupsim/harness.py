@@ -30,6 +30,7 @@ import csv
 import datetime
 import io
 import json
+import pathlib
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -73,6 +74,8 @@ from .errors import (
     InvalidConfigError,
     InvalidInputError,
     ShapeError,
+    _is_int,
+    _is_number,
 )
 from .kernels import SubspaceBasis, subspace_distance
 
@@ -83,13 +86,11 @@ __all__ = [
     "AuditReport",
     "SNR_DEFINITION",
     "FLOP_CONVENTION",
-    "run_ber_sweep",
     "run_paired_ber",
     "run_equivalence_audit",
     "run_flop_bench",
     "FlopSweep",
     "emit_outputs",
-    "config_from_manifest",
     "ber_rows",
     "BER_COLUMNS",
     "AUDIT_COLUMNS",
@@ -144,14 +145,12 @@ class SimConfig:
     cost_model: flops.CostModel | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
-        if isinstance(self.m_i, int):
+        if _is_int(self.m_i) and _is_int(self.k):
             object.__setattr__(self, "m_i", (self.m_i,) * self.k)
-        else:
-            object.__setattr__(self, "m_i", tuple(int(m) for m in self.m_i))
-        self._validate()
-
-    def _validate(self) -> None:
+        for name, (ok, kind, convert) in _FIELD_TYPES.items():
+            if not ok(value := getattr(self, name)):
+                raise InvalidConfigError(f"{name} must be {kind}, got {value!r}")
+            object.__setattr__(self, name, convert(value))
         if self.n_r < 1 or self.k < 1:
             raise InvalidConfigError("n_r and k must be >= 1")
         if len(self.m_i) != self.k or any(m < 1 for m in self.m_i):
@@ -210,11 +209,9 @@ class SimConfig:
             _reject_unknown("channel.", channel, _CHANNEL_PARAMS)
             cm = d.get("cost_model")
             return cls(
-                n_r=int(system["n_r"]),
-                k=int(system["k"]),
-                m_i=system["m_i"] if isinstance(system["m_i"], int) else tuple(system["m_i"]),
+                **system,
                 cost_model=flops.CostModel(**cm) if cm else None,
-                **{name: cast(d[name]) for name, cast in _SCALAR_FIELDS.items() if name in d},
+                **{name: d[name] for name in _SCALAR_FIELDS if name in d},
                 **{name: params(**channel[name])
                    for name, params in _CHANNEL_PARAMS.items() if channel.get(name)},
             )
@@ -244,12 +241,28 @@ class SimConfig:
         return SimConfig.from_dict(d)
 
 
-# top-level config keys of SimConfig's scalar fields, each with its coercion
-_SCALAR_FIELDS = {"decoupler": str, "detector": str, "constellation": str, "snr_db": tuple,
-                  "bits_per_point": int, "seed": int, "whiten": bool, "threads": int,
-                  "n_subcarriers": int, "audit_trials": int}
+# top-level config keys of SimConfig's scalar fields
+_SCALAR_FIELDS = ("decoupler", "detector", "constellation", "snr_db", "bits_per_point",
+                  "seed", "whiten", "threads", "n_subcarriers", "audit_trials")
 _CHANNEL_PARAMS = {"kronecker": KroneckerParams, "large_scale": LargeScaleParams,
                    "ce_error": CeErrorParams}
+
+
+def _list_of(ok):
+    return lambda value: isinstance(value, (list, tuple, np.ndarray)) and all(map(ok, value))
+
+
+# (check, description, normal form) of SimConfig's typed fields: a value of the wrong
+# type is an error, never cast (bool("false") is True, int(16.9) is 16)
+_FIELD_TYPES = {
+    **dict.fromkeys(("n_r", "k", "bits_per_point", "seed", "threads", "n_subcarriers",
+                     "audit_trials"), (_is_int, "an integer", int)),
+    "m_i": (_list_of(_is_int), "an integer or a list of integers", lambda v: tuple(map(int, v))),
+    "snr_db": (_list_of(_is_number), "a list of numbers", lambda v: tuple(map(float, v))),
+    "whiten": (lambda v: isinstance(v, bool), "true or false", bool),
+    **dict.fromkeys(("decoupler", "detector", "constellation"),
+                    (lambda v: isinstance(v, str), "a string", str)),
+}
 
 
 def _asdict_or_none(params):
@@ -279,11 +292,7 @@ class BerCurve:
     @property
     def stderr(self) -> tuple[float, ...]:
         """Binomial standard error of each BER estimate."""
-        out = []
-        for e, n in zip(self.bit_errors, self.bits_sent):
-            p = e / n
-            out.append(float(np.sqrt(p * (1.0 - p) / n)))
-        return tuple(out)
+        return tuple(float(np.sqrt(p * (1.0 - p) / n)) for p, n in zip(self.ber, self.bits_sent))
 
 
 @dataclass(frozen=True)
@@ -448,32 +457,15 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             total = sum(pool.map(one_block, blocks))
 
-    results: dict[tuple[str, str], BerResult] = {}
-    per_user_bits = [
-        trials * cfg.n_subcarriers * m_u * cons.bits_per_symbol for m_u in cfg.m_i
-    ]
-    for di, dec_name in enumerate(decouplers):
-        for ti, det_name in enumerate(detectors):
-            curves = []
-            for u in range(cfg.k):
-                curves.append(BerCurve(
-                    cfg.snr_db,
-                    tuple(int(e) for e in total[di, ti, u]),
-                    (per_user_bits[u],) * n_snr,
-                ))
-            agg = BerCurve(
-                cfg.snr_db,
-                tuple(int(e) for e in total[di, ti].sum(axis=0)),
-                (sum(per_user_bits),) * n_snr,
-            )
-            results[(dec_name, det_name)] = BerResult(dec_name, det_name, tuple(curves), agg)
-    return results
+    per_user_bits = [trials * cfg.n_subcarriers * m_u * cons.bits_per_symbol for m_u in cfg.m_i]
 
+    def curve(errors, bits: int) -> BerCurve:
+        return BerCurve(cfg.snr_db, tuple(int(e) for e in errors), (bits,) * n_snr)
 
-def run_ber_sweep(cfg: SimConfig, channel_factory=None) -> BerResult:
-    """Monte-Carlo BER sweep for the configured (decoupler, detector) arm."""
-    results = run_paired_ber(cfg, (cfg.decoupler,), (cfg.detector,), channel_factory)
-    return results[(cfg.decoupler, cfg.detector)]
+    return {(dec, det): BerResult(dec, det, tuple(curve(total[di, ti, u], bits)
+                                                  for u, bits in enumerate(per_user_bits)),
+                                  curve(total[di, ti].sum(axis=0), sum(per_user_bits)))
+            for di, dec in enumerate(decouplers) for ti, det in enumerate(detectors)}
 
 
 # ---------------------------------------------------------------------------
@@ -578,12 +570,6 @@ def _bench_system(n_r: int, k: int, m_i: int, seed: int) -> SystemChannel:
     )
 
 
-def _instrumented_total(fn, model) -> int:
-    with flops.counting(model) as tally:
-        fn()
-    return tally.total
-
-
 def run_flop_bench(sweep: FlopSweep, model: flops.CostModel | None = None) -> list[dict]:
     """Tabulate estimated (and optionally instrumented) FLOPs for one sweep.
 
@@ -622,7 +608,9 @@ def run_flop_bench(sweep: FlopSweep, model: flops.CostModel | None = None) -> li
                     "SVD": lambda: svd_decoupler(sys),
                     "PINV": lambda: pinv_decoupler(sys)}
             for alg in estimates:
-                instrumented[alg] = _instrumented_total(runs[alg], model)
+                with flops.counting(model) as tally:
+                    runs[alg]()
+                instrumented[alg] = tally.total
         rows.extend({
             "sweep": sweep.mode,
             "param": param,
@@ -703,30 +691,20 @@ def emit_outputs(tables: dict[str, tuple[list[str], list[dict]]], out_dir,
     ``tables`` maps a file stem to (columns, rows).  The manifest records
     the full configuration, seed, cost model, package version and the
     SNR definition, so a run can be reproduced from its outputs alone.
+    An output directory that cannot be created or written is an
+    ``InvalidConfigError``.
     """
-    import pathlib
-
     out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, (columns, rows) in tables.items():
-        path = out / f"{name}.csv"
-        path.write_text(render_csv(columns, rows), encoding="utf-8")
-        written.append(str(path))
-    manifest = dict(manifest)
-    manifest.setdefault("package_version", _pkg_version)
-    manifest.setdefault("snr_definition", SNR_DEFINITION)
-    manifest.setdefault("flop_convention", FLOP_CONVENTION)
-    manifest.setdefault("cost_model", asdict(flops.CostModel()))
-    manifest.setdefault("created_utc",
-                        datetime.datetime.now(datetime.timezone.utc).isoformat())
-    mpath = out / "manifest.json"
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                     encoding="utf-8")
-    written.append(str(mpath))
-    return written
-
-
-def config_from_manifest(manifest: dict) -> SimConfig:
-    """Rebuild the configuration recorded in a run manifest."""
-    return SimConfig.from_dict(manifest["config"])
+    manifest = {"package_version": _pkg_version, "snr_definition": SNR_DEFINITION,
+                "flop_convention": FLOP_CONVENTION, "cost_model": asdict(flops.CostModel()),
+                "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                **manifest}
+    files = {f"{name}.csv": render_csv(columns, rows) for name, (columns, rows) in tables.items()}
+    files["manifest.json"] = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot write outputs to {out}: {exc}") from exc
+    return [str(out / name) for name in files]

@@ -24,9 +24,7 @@ from .errors import InvalidInputError, ShapeError
 
 __all__ = [
     "SubspaceBasis",
-    "QrFactors",
     "as_complex_matrix",
-    "identity_basis",
     "numerical_rank",
     "left_nullspace_basis",
     "qr_decompose",
@@ -85,20 +83,6 @@ class SubspaceBasis:
         return self.basis.conj().T @ self.basis
 
 
-@dataclass(frozen=True)
-class QrFactors:
-    """Thin QR factors: Q has orthonormal columns, R is upper-triangular
-    with real non-negative diagonal (stacked alike for stacked input)."""
-
-    q: np.ndarray
-    r: np.ndarray
-
-
-def identity_basis(n: int) -> SubspaceBasis:
-    """Canonical basis of all of C^n."""
-    return SubspaceBasis(np.eye(n, dtype=np.complex128), n)
-
-
 def _rank_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float | np.ndarray:
     """The one rank rule: the cutoff ``max(shape) * eps * sigma_max`` for the
     nonempty singular values ``s`` (descending) of a ``shape`` matrix, or
@@ -146,11 +130,12 @@ def left_nullspace_basis(t_mat) -> SubspaceBasis:
     return SubspaceBasis(_nullspace_rows(t_mat), t)
 
 
-def qr_decompose(a) -> QrFactors:
-    """Thin QR factorization with a fixed sign convention.
+def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR factorization ``(q, r)`` with a fixed sign convention.
 
     ``a`` is one n x m matrix or a stack ``(..., n, m)`` of them, factored
-    matrix by matrix; requires n >= m.  The diagonal of each R is forced
+    matrix by matrix; requires n >= m.  Q has orthonormal columns and R is
+    upper-triangular, stacked alike.  The diagonal of each R is forced
     to be real and non-negative (column phases are absorbed into Q),
     which makes the factorization deterministic across runs and
     backends.  The FLOP tally is charged once per matrix.
@@ -174,7 +159,7 @@ def qr_decompose(a) -> QrFactors:
     # the diagonal is now real up to rounding noise; make it exactly real
     idx = np.arange(m)
     r[..., idx, idx] = r[..., idx, idx].real
-    return QrFactors(q, r)
+    return q, r
 
 
 def subspace_distance(b1: SubspaceBasis, b2: SubspaceBasis) -> float:

@@ -62,6 +62,34 @@ class TestBerCommand:
         assert main(["ber", "--config", str(ber_config), "--out", str(tmp_path),
                      "--override", override]) == 2
 
+    @pytest.mark.parametrize("override,key", [
+        ('whiten="false"', "whiten"),
+        ("whiten=False", "whiten"),  # not JSON, so the string "False"
+        ("bits_per_point=1200.7", "bits_per_point"),  # 1200 would be a valid budget
+        ("seed=3.7", "seed"),
+        ("seed=true", "seed"),
+        ("threads=2.9", "threads"),
+        ("system.n_r=16.9", "n_r"),
+        ("system.m_i=[2, 2.5, 2]", "m_i"),
+        ('snr_db="048"', "snr_db"),
+        ('channel.large_scale.mu_db="3"', "mu_db"),
+        ('cost_model.add="2"', "add"),
+    ])
+    def test_value_of_wrong_type_is_config_error(self, ber_config, tmp_path, capsys,
+                                                 override, key):
+        # a wrong JSON type is rejected by name, never cast into shape
+        out = tmp_path / "o"
+        assert main(["ber", "--config", str(ber_config), "--out", str(out),
+                     "--override", override]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_is_config_error(self, ber_config, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        assert main(["ber", "--config", str(ber_config), "--out", str(out)]) == 2
+        assert f"invalid configuration: cannot write outputs to {out}" in capsys.readouterr().err
+
     def test_misspelt_key_in_config_file_is_config_error(self, ber_config, tmp_path):
         cfg = json.loads(ber_config.read_text())
         cfg["decodpler"] = cfg.pop("decoupler")

@@ -16,10 +16,8 @@ from decoupsim.harness import (
     SimConfig,
     audit_rows,
     ber_rows,
-    config_from_manifest,
     emit_outputs,
     render_csv,
-    run_ber_sweep,
     run_equivalence_audit,
     run_flop_bench,
     run_paired_ber,
@@ -56,6 +54,18 @@ class TestSimConfig:
         with pytest.raises(InvalidConfigError):
             small_cfg(detector="ML")
 
+    @pytest.mark.parametrize("field,value", [
+        ("whiten", "false"), ("n_r", 16.9), ("seed", True), ("m_i", 2.5),
+        ("snr_db", "048"), ("constellation", 4),
+    ])
+    def test_direct_construction_is_type_checked(self, field, value):
+        with pytest.raises(InvalidConfigError, match=f"{field} must be"):
+            small_cfg(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = small_cfg(n_r=np.int64(12), seed=np.int32(7), m_i=np.array([2, 2, 2]))
+        assert cfg == small_cfg() and type(cfg.n_r) is int and type(cfg.m_i[0]) is int
+
     def test_override_paths(self):
         cfg = small_cfg().with_overrides({"system.k": 4, "system.m_i": 2, "seed": 9,
                                           "channel.ce_error": {"sigma_e2": 0.02}})
@@ -71,19 +81,19 @@ class TestSimConfig:
 
 class TestRunBerSweep:
     def test_noiseless_limit_is_error_free(self):
-        res = run_ber_sweep(small_cfg(snr_db=(60.0,), bits_per_point=12000))
+        res = run_paired_ber(small_cfg(snr_db=(60.0,), bits_per_point=12000))["SD", "LMMSE"]
         assert res.aggregate.bit_errors == (0,)
         assert res.aggregate.bits_sent == (12000,)
 
     def test_error_conservation_across_users(self):
-        res = run_ber_sweep(small_cfg())
+        res = run_paired_ber(small_cfg())["SD", "LMMSE"]
         for i in range(2):
             assert sum(c.bit_errors[i] for c in res.per_user) == res.aggregate.bit_errors[i]
             assert sum(c.bits_sent[i] for c in res.per_user) == res.aggregate.bits_sent[i]
 
     def test_deterministic_across_thread_counts(self):
-        r1 = run_ber_sweep(small_cfg(threads=1))
-        r4 = run_ber_sweep(small_cfg(threads=4))
+        r1 = run_paired_ber(small_cfg(threads=1))
+        r4 = run_paired_ber(small_cfg(threads=4))
         assert r1 == r4
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -91,7 +101,7 @@ class TestRunBerSweep:
         # one thread runs the trials on the calling thread in an empty context,
         # more run them on worker threads: neither starts with a tally
         with flops.counting() as tally:
-            run_ber_sweep(small_cfg(threads=threads, bits_per_point=120))
+            run_paired_ber(small_cfg(threads=threads, bits_per_point=120))
         assert tally.total == 0
 
     def test_paired_arms_share_randomness(self):
@@ -101,25 +111,25 @@ class TestRunBerSweep:
 
     def test_single_arm_matches_paired_slice(self):
         cfg = small_cfg()
-        alone = run_ber_sweep(cfg)
+        alone = run_paired_ber(cfg)
         paired = run_paired_ber(cfg, ("SD", "SVD"), ("LMMSE", "SIC"))
-        assert alone == paired[("SD", "LMMSE")]
+        assert alone == {("SD", "LMMSE"): paired[("SD", "LMMSE")]}
 
     def test_ce_error_decouples_from_perturbed_but_sends_through_true(self):
-        noisy = run_ber_sweep(small_cfg(snr_db=(60.0,), bits_per_point=6000,
-                                        ce_error=CeErrorParams(0.05)))
+        noisy = run_paired_ber(small_cfg(snr_db=(60.0,), bits_per_point=6000,
+                                         ce_error=CeErrorParams(0.05)))["SD", "LMMSE"]
         # estimation error leaves residual interference: errors at high snr
         assert noisy.aggregate.bit_errors[0] > 0
 
     def test_kronecker_and_large_scale_toggles_run(self):
-        res = run_ber_sweep(small_cfg(kronecker=KroneckerParams(0.25, 0.05),
-                                      large_scale=LargeScaleParams()))
+        res = run_paired_ber(small_cfg(kronecker=KroneckerParams(0.25, 0.05),
+                                       large_scale=LargeScaleParams()))["SD", "LMMSE"]
         assert res.aggregate.bits_sent[0] == 1200
 
     def test_infeasible_system_rejected(self):
         with pytest.raises(InfeasibleSystemError, match="user 0 cannot be decoupled"):
-            run_ber_sweep(SimConfig(n_r=4, k=3, m_i=2, snr_db=(0.0,),
-                                    bits_per_point=120, seed=0))
+            run_paired_ber(SimConfig(n_r=4, k=3, m_i=2, snr_db=(0.0,),
+                                     bits_per_point=120, seed=0))
 
     def test_pinv_overload_rejected_like_its_estimate(self):
         # decoupling-feasible (m_bar = 4 < 5) but 6 streams > n_r for pinv
@@ -206,7 +216,7 @@ class TestRunBerSweep:
                                     + 1j * rng.standard_normal((12, 2)))
                     for _ in range(3)]
 
-        res = run_ber_sweep(cfg, channel_factory=factory)
+        res = run_paired_ber(cfg, channel_factory=factory)["SD", "LMMSE"]
         assert res.aggregate.bits_sent[0] == 2400
         assert set(calls) == {(t, s) for t in range(cfg.trials) for s in range(2)}
 
@@ -223,7 +233,7 @@ class TestRunBerSweep:
             return [np.ones(shape, dtype=complex) for shape in shapes]
 
         with pytest.raises(ShapeError, match=r"channel_factory\(0, 0\) returned shapes"):
-            run_ber_sweep(small_cfg(), channel_factory=factory)
+            run_paired_ber(small_cfg(), channel_factory=factory)
         assert folds == []
 
 
@@ -342,7 +352,7 @@ class TestOutputs:
         emit_outputs({"ber": (BER_COLUMNS, ber_rows(res))}, tmp_path,
                      {"command": "ber", "config": cfg.to_dict(), "seed": cfg.seed})
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        cfg2 = config_from_manifest(manifest)
+        cfg2 = SimConfig.from_dict(manifest["config"])
         res2 = run_paired_ber(cfg2, ("SD",), ("LMMSE",))
         assert ber_rows(res) == ber_rows(res2)
         assert manifest["snr_definition"]

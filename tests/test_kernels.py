@@ -6,9 +6,7 @@ import pytest
 from decoupsim import flops
 from decoupsim.errors import InvalidInputError, ShapeError
 from decoupsim.kernels import (
-    QrFactors,
     SubspaceBasis,
-    identity_basis,
     left_nullspace_basis,
     numerical_rank,
     qr_decompose,
@@ -80,27 +78,27 @@ class TestLeftNullspaceBasis:
 
 class TestQrDecompose:
     def test_identity(self):
-        f = qr_decompose(np.eye(2))
-        assert np.allclose(f.q, np.eye(2))
-        assert np.allclose(f.r, np.eye(2))
+        q, r = qr_decompose(np.eye(2))
+        assert np.allclose(q, np.eye(2))
+        assert np.allclose(r, np.eye(2))
 
     def test_single_column_phase_convention(self):
-        f = qr_decompose(np.array([[0.0], [3.0j]]))
-        assert np.allclose(f.q, np.array([[0.0], [1.0j]]))
-        assert np.allclose(f.r, np.array([[3.0]]))
+        q, r = qr_decompose(np.array([[0.0], [3.0j]]))
+        assert np.allclose(q, np.array([[0.0], [1.0j]]))
+        assert np.allclose(r, np.array([[3.0]]))
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(31)
         a = crandn(rng, 4, 2)
-        f = qr_decompose(a)
-        assert np.linalg.norm(f.q @ f.r - a) <= 1e-10 * np.linalg.norm(a)
-        assert np.linalg.norm(f.q.conj().T @ f.q - np.eye(2)) <= 1e-10
+        q, r = qr_decompose(a)
+        assert np.linalg.norm(q @ r - a) <= 1e-10 * np.linalg.norm(a)
+        assert np.linalg.norm(q.conj().T @ q - np.eye(2)) <= 1e-10
 
     def test_diagonal_real_non_negative_and_triangular(self):
         rng = np.random.default_rng(32)
         for _ in range(10):
             a = crandn(rng, 6, 4)
-            r = qr_decompose(a).r
+            _, r = qr_decompose(a)
             d = np.diagonal(r)
             assert np.all(d.imag == 0.0)
             assert np.all(d.real >= 0.0)
@@ -116,12 +114,12 @@ class TestQrDecompose:
         rng = np.random.default_rng(33)
         stack = crandn(rng, 5, 7, 3)
         stack[2, :, 1] = 0.0  # a zero column keeps its unit phase
-        f = qr_decompose(stack)
-        assert f.q.shape == (5, 7, 3) and f.r.shape == (5, 3, 3)
+        q, r = qr_decompose(stack)
+        assert q.shape == (5, 7, 3) and r.shape == (5, 3, 3)
         for g in range(5):
-            one = qr_decompose(stack[g])
-            assert np.array_equal(f.q[g], one.q)
-            assert np.array_equal(f.r[g], one.r)
+            q_g, r_g = qr_decompose(stack[g])
+            assert np.array_equal(q[g], q_g)
+            assert np.array_equal(r[g], r_g)
 
     def test_stack_charges_once_per_matrix(self):
         rng = np.random.default_rng(34)
@@ -169,7 +167,8 @@ class TestSubspaceDistance:
 
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
-            subspace_distance(identity_basis(3), identity_basis(4))
+            subspace_distance(SubspaceBasis(np.eye(3, dtype=complex), 3),
+                              SubspaceBasis(np.eye(4, dtype=complex), 4))
 
 
 class TestSubspaceBasisInvariants:
@@ -182,6 +181,6 @@ class TestSubspaceBasisInvariants:
             SubspaceBasis(np.eye(3, dtype=complex)[:, :2], 2)
 
     def test_identity_basis_spans_everything(self):
-        b = identity_basis(5)
+        b = SubspaceBasis(np.eye(5, dtype=complex), 5)
         assert b.dim == 5
         assert np.allclose(b.projector(), np.eye(5))

@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import decoupsim
+import decoupsim.harness
 
 
 def test_public_names_are_pinned():
@@ -9,10 +10,10 @@ def test_public_names_are_pinned():
         "CeErrorParams", "Constellation", "CostModel", "DecouplerSet", "DecouplingReport",
         "DecoupsimError", "EffectiveLink", "FlopReport", "InfeasibleSystemError",
         "InvalidConfigError", "InvalidInputError", "KroneckerParams", "LargeScaleParams",
-        "PartitionNode", "QrFactors", "RngSeed", "ShapeError", "SingularMatrixError",
+        "PartitionNode", "RngSeed", "ShapeError", "SingularMatrixError",
         "SubspaceBasis", "SystemChannel", "apply_large_scale", "build_link", "channels",
         "correlation_matrix", "decouplers", "demodulate_symbols", "detectors", "errors",
-        "estimate_flops", "flops", "gen_awgn", "gen_iid_channel", "identity_basis",
+        "estimate_flops", "flops", "gen_awgn", "gen_iid_channel",
         "include_users", "kernels", "kronecker_correlate", "left_nullspace_basis",
         "lmmse_detect", "lmmse_filter", "lmmse_stack", "matrix_sqrt_psd", "modulate_bits",
         "numerical_rank", "partition_tree", "perturb_channel", "pinv_decoupler",
@@ -23,3 +24,19 @@ def test_public_names_are_pinned():
     # the audit-only product and its cost wrapper are gone from their modules too
     assert not hasattr(decoupsim.flops, "count_matmul")
     assert not hasattr(decoupsim.kernels, "matmul")
+    # so are the pass-through wrappers, whose callers call the code behind them
+    for module, name in [(decoupsim.kernels, "QrFactors"), (decoupsim.kernels, "identity_basis"),
+                         (decoupsim.harness, "run_ber_sweep"),
+                         (decoupsim.harness, "config_from_manifest"),
+                         (decoupsim.harness, "_instrumented_total")]:
+        assert not hasattr(module, name), name
+    assert not hasattr(decoupsim.SystemChannel, "complement")
+
+
+def test_harness_public_names_are_pinned():
+    assert sorted(decoupsim.harness.__all__) == [
+        "AUDIT_COLUMNS", "AuditReport", "BER_COLUMNS", "BerCurve", "BerResult",
+        "FLOP_COLUMNS", "FLOP_CONVENTION", "FlopSweep", "SNR_DEFINITION", "SimConfig",
+        "ber_rows", "emit_outputs", "run_equivalence_audit", "run_flop_bench",
+        "run_paired_ber",
+    ]
