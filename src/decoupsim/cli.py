@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -100,6 +101,13 @@ def _manifest(command: str, cfg: SimConfig | None) -> dict:
 
 def _cmd_ber(args) -> int:
     cfg = _load_config(args)
+    # fail before the sweep, creating nothing, if --out cannot become a directory
+    ancestor = os.path.abspath(args.out)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK)):
+        raise InvalidConfigError(
+            f"cannot write outputs to {args.out}: {ancestor} is not a writable directory")
     results = run_paired_ber(cfg, (cfg.decoupler,), (cfg.detector,))
     emit_outputs({"ber": (BER_COLUMNS, ber_rows(results))}, args.out,
                  _manifest("ber", cfg))

@@ -23,7 +23,7 @@ residual interference of any decoupler set.
 
 from __future__ import annotations
 
-import contextvars
+import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -217,7 +217,7 @@ def _fold_group(halves, widths) -> list[_Group]:
     and kept into the children.  A node whose half loses rank leaves the
     stack and takes the block-by-block fold (:func:`_annihilate`) alone.
     Each node is charged as an SD tree node; :func:`include_users` runs its
-    folds (zero-width kept) where no tally is open and charges for itself.
+    folds (zero-width kept) in a nested tally it discards and charges itself.
     """
     nodes, zs, a, kepts = zip(*halves)
     nodes, a = sum(nodes, ()), np.concatenate(a)
@@ -389,11 +389,12 @@ def include_users(
         z = np.broadcast_to(w_0, (len(members), *w_0.shape))
         halves.setdefault(key, []).append((tuple(i for i, _ in members), z, a, a[..., :0]))
     w = [None] * augmented.k
-    for (_, folded), parts in halves.items():
-        # where no tally is open: SD's per-node charge is not inclusion's
-        for members, z, _ in contextvars.Context().run(_fold_group, parts, folded):
-            for i, z_i in zip(members, z):
-                w[i] = z_i
+    # a nested tally discards SD's per-node charges; with no tally open, none are made
+    with flops.counting() if tally is not None else contextlib.nullcontext():
+        for (_, folded), parts in halves.items():
+            for members, z, _ in _fold_group(parts, folded):
+                for i, z_i in zip(members, z):
+                    w[i] = z_i
     return augmented, DecouplerSet(tuple(w), existing.method)
 
 
@@ -406,7 +407,7 @@ def svd_decoupler(sys: SystemChannel) -> DecouplerSet:
     This is the correctness oracle for the tree-based construction and
     the expensive baseline of the complexity comparisons: user i's
     decoupler is the left-nullspace basis of the concatenation of all
-    other users' channels, charged as ``kernels.left_nullspace_basis`` is.
+    other users' channels, charged as one full SVD.
     Rows are orthonormal by construction and are not re-checked.  Nonzero
     columns are first scaled to unit norm (uncharged): this leaves every
     nullspace unchanged and keeps a faint user above the rank cutoff.

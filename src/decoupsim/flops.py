@@ -10,30 +10,29 @@ variant.
 Accounting convention
 ---------------------
 Inside a :func:`counting` block, each charge site adds its model cost at
-the dimensions actually used to the block's own tally: the kernels
-``left_nullspace_basis`` (a full SVD) and ``qr_decompose``, and the
-decouplers' own work (the sequential family's recursion below,
-``svd_decoupler``'s full SVD per user, and ``pinv_decoupler``'s
-pseudo-inverse, priced by the estimate's :func:`_pinv_breakdown`).
-Outside every block nothing is counted, and audit helpers such as
-``subspace_distance`` are never charged.  For the sequential decoupler family the charged work is the
-recursion's own arithmetic: the projection products ``T = Z @ A`` and
-the nullspace factorizations of the small projected blocks, at the
-subspace dimensions where they execute.  Re-expressing orthonormal
-bases (products of orthonormal factors, and carrying pending channel
-blocks into a child node's coordinates) is bookkeeping on
-known-orthonormal data and is excluded from the tally.  The sequential
-decoupler executes a tree level's annihilated halves as one stacked
-complete QR per group of equal-shape nodes, yet each node is charged as
-the paper's per-block recursion (:func:`_node_charge`, shared with the
-closed-form estimate), as is ``recursive_common_nullspace``.  Execution,
-``partition_tree`` and the estimate read one shape-only plan of the tree
-(:func:`_sd_plan`).  ``include_users`` folds all newcomers in one batch of
-such stacks, yet is charged one newcomer at a time
-(:func:`_sd_ui_breakdown`, shared with the ``SD_UI`` estimate).  The same
-convention is applied to every algorithm being compared, so reported
-ratios are internally consistent; the convention is recorded in every
-output manifest.
+the dimensions actually used to the block's own tally.  The charge sites
+are the decouplers: ``_annihilate``, ``_fold_group`` and
+``include_users`` for the sequential family's recursion below,
+``svd_decoupler`` (a full SVD per user) and ``pinv_decoupler`` (the
+pseudo-inverse, priced by the estimate's :func:`_pinv_breakdown`).  No
+kernel is charged, and outside every block nothing is counted.  For the
+sequential decoupler family the charged work is the recursion's own
+arithmetic: the projection products ``T = Z @ A`` and the nullspace
+factorizations of the small projected blocks, at the subspace dimensions
+where they execute.  Re-expressing orthonormal bases (products of
+orthonormal factors, and carrying pending channel blocks into a child
+node's coordinates) is bookkeeping on known-orthonormal data and is
+excluded from the tally.  The sequential decoupler executes a tree
+level's annihilated halves as one stacked complete QR per group of
+equal-shape nodes, yet each node is charged as the paper's per-block
+recursion (:func:`_node_charge`, shared with the closed-form estimate),
+as is ``recursive_common_nullspace``.  Execution, ``partition_tree`` and
+the estimate read one shape-only plan of the tree (:func:`_sd_plan`).
+``include_users`` folds all newcomers in one batch of such stacks, yet
+is charged one newcomer at a time (:func:`_sd_ui_breakdown`, shared with
+the ``SD_UI`` estimate).  The same convention is applied to every
+algorithm being compared, so reported ratios are internally consistent;
+the convention is recorded in every output manifest.
 """
 
 from __future__ import annotations
@@ -58,15 +57,15 @@ __all__ = [
 class CostModel:
     """Per-operation real-FLOP prices.
 
-    ``add``/``mul``/``div`` price one complex addition, multiplication and
-    division.  ``qr_scale``, ``svd_scale`` and ``inv_scale`` are leading
-    constants on the closed-form polynomials below.
+    ``add``/``mul`` price one complex addition and multiplication, and
+    ``svd_scale``/``inv_scale`` lead the closed-form polynomials below.
+    ``div`` and ``qr_scale`` are config keys that price no operation.
     """
 
     add: float = 2.0
     mul: float = 6.0
     div: float = 11.0
-    qr_scale: float = 16.0   # complex Householder thin QR with explicit Q
+    qr_scale: float = 16.0
     svd_scale: float = 4.0   # complex scaling of the real bidiagonal-SVD counts
     inv_scale: float = 8.0   # complex Gauss-Jordan: n^3 multiplies + n^3 adds
 
@@ -81,12 +80,6 @@ class CostModel:
         if min(m, n, p) <= 0:
             return 0.0
         return m * p * (n * self.mul + (n - 1) * self.add)
-
-    def qr(self, m: int, n: int) -> float:
-        """Thin QR of an m x n matrix (m >= n), Q materialized."""
-        if min(m, n) <= 0:
-            return 0.0
-        return self.qr_scale * n * n * (m - n / 3.0)
 
     def svd_full(self, m: int, n: int) -> float:
         """Full SVD of an m x n matrix with all singular vectors."""
@@ -142,12 +135,12 @@ _tally: ContextVar[_Tally | None] = ContextVar("decoupsim_flop_tally", default=N
 
 @contextmanager
 def counting(model: CostModel | None = None):
-    """Count the FLOPs of the kernels run inside the block, priced by ``model``.
+    """Count the FLOPs of the decoupler work run inside the block, priced by ``model``.
 
     Yields a tally whose ``total`` (an int) is set when the block exits.
 
     >>> with counting() as tally:
-    ...     some_instrumented_work()
+    ...     sequential_decoupler(sys)
     >>> tally.total
 
     A tally counts work done in the thread (context) that opened it; a
@@ -201,31 +194,31 @@ def _check_pinv_feasible(n_r: int, m_total: int) -> None:
         )
 
 
-_PlanNode = namedtuple("_PlanNode", "parent processed pending annihilate")
+_PlanNode = namedtuple("_PlanNode", "processed pending annihilate")
 
 
 @lru_cache
 def _sd_plan(k: int) -> tuple[tuple[_PlanNode, ...], ...]:
     """The sequential decoupler's binary partition tree for K users, level by level.
 
-    A node is ``(parent, processed, pending, annihilate)``: its parent's
-    index in the previous level (-1 at the root), the users its basis
+    A node is ``(processed, pending, annihilate)``: the users its basis
     annihilates, the users still pending, and the users it folds in
     (none: it keeps its parent's basis).  Pending users split in half,
     the first half taking the extra user; child 2i keeps the first half
-    and annihilates the second, child 2i+1 the reverse.  A child with
-    nothing to keep is a dead branch (non-power-of-two K).  Levels are
-    added until no node holds more than one pending user.
+    and annihilates the second, child 2i+1 the reverse, so node i's
+    parent is node i // 2 of the previous level.  A child with nothing to
+    keep is a dead branch (non-power-of-two K).  Levels are added until
+    no node holds more than one pending user.
     """
-    levels = [(_PlanNode(-1, (), tuple(range(k)), ()),)]
+    levels = [(_PlanNode((), tuple(range(k)), ()),)]
     while any(len(node.pending) > 1 for node in levels[-1]):
         nxt = []
-        for i, node in enumerate(levels[-1]):
+        for node in levels[-1]:
             half = (len(node.pending) + 1) // 2
             first, second = node.pending[:half], node.pending[half:]
             for keep, other in ((first, second), (second, first)):
                 annihilate = other if keep else ()
-                nxt.append(_PlanNode(i, node.processed + annihilate, keep, annihilate))
+                nxt.append(_PlanNode(node.processed + annihilate, keep, annihilate))
         levels.append(tuple(nxt))
     return tuple(levels)
 
@@ -248,8 +241,9 @@ def _sd_breakdown(n_r: int, m_list: tuple[int, ...], model: CostModel):
     """Charged recursion arithmetic per plan level, at generic dimensions."""
     plan = _sd_plan(len(m_list))
     return [
-        sum(_node_charge(n_r - sum(m_list[p] for p in parents[node.parent].processed),
-                         [m_list[p] for p in node.annihilate], model) for node in nodes)
+        sum(_node_charge(n_r - sum(m_list[p] for p in parents[i // 2].processed),
+                         [m_list[p] for p in node.annihilate], model)
+            for i, node in enumerate(nodes))
         for parents, nodes in zip(plan, plan[1:])
     ]
 

@@ -262,6 +262,9 @@ _FIELD_TYPES = {
     "whiten": (lambda v: isinstance(v, bool), "true or false", bool),
     **dict.fromkeys(("decoupler", "detector", "constellation"),
                     (lambda v: isinstance(v, str), "a string", str)),
+    **{name: (lambda v, cls=cls: v is None or isinstance(v, cls),
+              f"a {cls.__name__} or None", lambda v: v)
+       for name, cls in {**_CHANNEL_PARAMS, "cost_model": flops.CostModel}.items()},
 }
 
 
@@ -450,7 +453,8 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
         return errors
 
     blocks = range(0, trials, _BLOCK)
-    # no sweep is FLOP-counted: an empty context, like a pool thread, has no tally
+    # one thread runs in an empty context, which starts as a pool thread does: with
+    # no FLOP tally and numpy's default error state, so no output depends on threads
     if cfg.threads == 1:
         total = contextvars.Context().run(sum, map(one_block, blocks))
     else:

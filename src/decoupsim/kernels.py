@@ -2,10 +2,8 @@
 
 Everything downstream (decouplers, detectors, the benchmark harness) is
 built on these operations.  All functions are pure: they validate their
-inputs, never mutate them, and are safe to call concurrently.  Inside a
-:func:`decoupsim.flops.counting` block, :func:`left_nullspace_basis` and
-:func:`qr_decompose` add their model cost to that block's tally; the
-other primitives are never charged.
+inputs, never mutate them, and are safe to call concurrently.  None is
+charged to a FLOP tally; the decouplers charge their own work.
 
 Subspaces are represented by row-orthonormal basis matrices throughout,
 so the pseudo-inverse of a basis is simply its adjoint and projecting a
@@ -19,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flops
 from .errors import InvalidInputError, ShapeError
 
 __all__ = [
@@ -101,7 +98,7 @@ def numerical_rank(a) -> int:
 
 
 def _nullspace_rows(t_mat: np.ndarray) -> np.ndarray:
-    """SVD kernel of :func:`left_nullspace_basis`: nullspace rows, no checks, no charge."""
+    """SVD kernel of :func:`left_nullspace_basis`: nullspace rows, no checks."""
     t, m = t_mat.shape
     if t == 0:
         return np.zeros((0, 0), dtype=np.complex128)
@@ -124,10 +121,7 @@ def left_nullspace_basis(t_mat) -> SubspaceBasis:
     yields the canonical identity basis.
     """
     t_mat = as_complex_matrix(t_mat, "t_mat")
-    t, m = t_mat.shape
-    if (tally := flops._tally.get()) is not None:
-        tally.add(tally.model.svd_full(t, m))
-    return SubspaceBasis(_nullspace_rows(t_mat), t)
+    return SubspaceBasis(_nullspace_rows(t_mat), t_mat.shape[0])
 
 
 def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +132,7 @@ def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     upper-triangular, stacked alike.  The diagonal of each R is forced
     to be real and non-negative (column phases are absorbed into Q),
     which makes the factorization deterministic across runs and
-    backends.  The FLOP tally is charged once per matrix.
+    backends.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 3:
@@ -148,8 +142,6 @@ def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     n, m = a.shape[-2:]
     if n < m:
         raise ShapeError(f"qr_decompose needs n >= m, got {n} x {m}")
-    if (tally := flops._tally.get()) is not None:
-        tally.add(tally.model.qr(n, m) * int(np.prod(a.shape[:-2])))
     q, r = np.linalg.qr(a, mode="reduced")
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     mag = np.abs(diag)

@@ -84,11 +84,19 @@ class TestBerCommand:
         assert f"{key} must be" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unwritable_out_is_config_error(self, ber_config, tmp_path, capsys):
-        out = tmp_path / "taken"
-        out.write_text("a file, not a directory")
-        assert main(["ber", "--config", str(ber_config), "--out", str(out)]) == 2
-        assert f"invalid configuration: cannot write outputs to {out}" in capsys.readouterr().err
+    def test_unwritable_out_is_config_error(self, ber_config, tmp_path, capsys, monkeypatch):
+        # rejected before the sweep; root may write anywhere, so the cases are files
+        def sweep(*args, **kwargs):
+            raise AssertionError("swept before checking --out")
+
+        monkeypatch.setattr("decoupsim.cli.run_paired_ber", sweep)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory")
+        for out in (taken, taken / "sub"):
+            assert main(["ber", "--config", str(ber_config), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"invalid configuration: cannot write outputs to {out}" in err
+        assert taken.read_text() == "a file, not a directory"
 
     def test_misspelt_key_in_config_file_is_config_error(self, ber_config, tmp_path):
         cfg = json.loads(ber_config.read_text())

@@ -12,12 +12,19 @@ from decoupsim.decouplers import (
     SystemChannel,
     include_users,
     pinv_decoupler,
+    recursive_common_nullspace,
     sequential_decoupler,
     svd_decoupler,
 )
 from decoupsim.errors import InfeasibleSystemError, InvalidInputError
 from decoupsim.flops import CostModel, estimate_flops
-from decoupsim.kernels import SubspaceBasis, qr_decompose, subspace_distance
+from decoupsim.kernels import (
+    SubspaceBasis,
+    left_nullspace_basis,
+    numerical_rank,
+    qr_decompose,
+    subspace_distance,
+)
 
 
 def bench_system(n_r, k, m_i, seed=0):
@@ -35,14 +42,12 @@ class TestCostModel:
         model = CostModel()
         assert model.matmul(0, 5, 5) == 0
         assert model.svd_full(0, 3) == 0
-        assert model.qr(4, 0) == 0
 
     def test_costs_monotone_in_each_dimension(self):
         model = CostModel()
         for fn in (model.matmul,):
             assert fn(3, 4, 5) < fn(4, 4, 5) < fn(4, 5, 5) < fn(4, 5, 6)
         assert model.svd_full(6, 4) < model.svd_full(7, 4) < model.svd_full(7, 5)
-        assert model.qr(6, 4) < model.qr(7, 4) < model.qr(8, 5)
         assert model.inverse(4) < model.inverse(5)
 
     def test_negative_field_rejected(self):
@@ -50,43 +55,40 @@ class TestCostModel:
             CostModel(mul=-1.0)
 
 
-# the probe charge site of the tally tests: one 2x2 thin QR
-QR_2X2 = CostModel().qr(2, 2)
+# the probe charge site of the tally tests: one 3 x 1 block folded out of C^3,
+# charged as one SD tree node (146 FLOPs under the default model)
+PROBE_BLOCK = np.array([[1.0], [2.0j], [-1.0]])
+PROBE = flops._node_charge(3, [1], CostModel(), span=3)
+
+
+def probe():
+    recursive_common_nullspace([PROBE_BLOCK], SubspaceBasis(np.eye(3, dtype=complex), 3))
 
 
 class TestInstrumentation:
     def test_nothing_counted_outside_a_block(self):
-        a = np.eye(2, dtype=complex)
         assert flops._tally.get() is None
         with flops.counting() as tally:
-            qr_decompose(a)
-        qr_decompose(a)
+            probe()
+        probe()
         assert flops._tally.get() is None
-        assert tally.total == round(QR_2X2) and tally.flops == QR_2X2
-
-    def test_instrumented_qr_matches_formula(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((7, 5)) + 0j
-        with flops.counting() as tally:
-            qr_decompose(a)
-        assert tally.total == round(CostModel().qr(7, 5))
-
-    def test_single_2x2_qr_adds_its_model_cost(self):
-        a = np.eye(2, dtype=complex)
-        with flops.counting() as tally:
-            qr_decompose(a)
-        assert tally.total == round(QR_2X2)
+        assert tally.total == 146 and tally.flops == PROBE
 
     def test_subspace_distance_is_never_charged(self):
-        # an audit helper, not decoupler work, so no tally may see it
+        # audit helpers and the other kernels are not decoupler work: no tally sees them
+        rng = np.random.default_rng(34)
+        a = rng.standard_normal((4, 7, 3)) + 1j * rng.standard_normal((4, 7, 3))
         sys = bench_system(12, 4, 2)
         sd, svd = sequential_decoupler(sys), svd_decoupler(sys)
         with flops.counting() as tally:
             subspace_distance(SubspaceBasis(sd.w[0], 12), SubspaceBasis(svd.w[0], 12))
+            qr_decompose(a[0])
+            qr_decompose(a)
+            left_nullspace_basis(a[0])
+            numerical_rank(a[0])
         assert tally.total == 0
 
     def test_concurrent_blocks_keep_their_own_tallies(self):
-        a = np.eye(2, dtype=complex)
         barrier = threading.Barrier(4)
         totals = [None] * 4
 
@@ -94,7 +96,7 @@ class TestInstrumentation:
             with flops.counting() as tally:
                 barrier.wait(timeout=10)  # every block is open before any counts
                 for _ in range(200):
-                    qr_decompose(a)
+                    probe()
                 barrier.wait(timeout=10)  # and stays open until all have counted
             totals[i] = tally.total
 
@@ -109,19 +111,18 @@ class TestInstrumentation:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert totals == [round(200 * QR_2X2)] * 4
+        assert totals == [round(200 * PROBE)] * 4
 
     def test_nested_block_counts_only_its_own_work(self):
-        a = np.eye(2, dtype=complex)
-        inner_model = CostModel(qr_scale=8.0)
+        inner_model = CostModel(svd_scale=8.0)
         with flops.counting() as outer:
-            qr_decompose(a)
+            probe()
             with flops.counting(inner_model) as inner:
                 for _ in range(3):
-                    qr_decompose(a)
-            qr_decompose(a)
-        assert inner.total == round(3 * inner_model.qr(2, 2))
-        assert outer.total == round(2 * QR_2X2)
+                    probe()
+            probe()
+        assert inner.total == 3 * 226
+        assert outer.total == round(2 * PROBE)
         assert flops._tally.get() is None
 
 

@@ -57,6 +57,8 @@ class TestSimConfig:
     @pytest.mark.parametrize("field,value", [
         ("whiten", "false"), ("n_r", 16.9), ("seed", True), ("m_i", 2.5),
         ("snr_db", "048"), ("constellation", 4),
+        ("kronecker", {"rho_tx": 0.2, "rho_rx": 0.1}), ("large_scale", 3.0),
+        ("ce_error", {"sigma_e2": 0.01}), ("cost_model", {"add": 2}),
     ])
     def test_direct_construction_is_type_checked(self, field, value):
         with pytest.raises(InvalidConfigError, match=f"{field} must be"):

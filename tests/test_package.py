@@ -31,6 +31,9 @@ def test_public_names_are_pinned():
                          (decoupsim.harness, "_instrumented_total")]:
         assert not hasattr(module, name), name
     assert not hasattr(decoupsim.SystemChannel, "complement")
+    # the decouplers are the only FLOP charge sites: no kernel counts, nothing prices a QR
+    assert not hasattr(decoupsim.kernels, "flops")
+    assert not hasattr(decoupsim.CostModel, "qr")
 
 
 def test_harness_public_names_are_pinned():
