@@ -41,6 +41,103 @@ class RngSeed:
         )
 
 
+# SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _pcg64_states(seed: int, streams) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``RngSeed(seed, s).generator()`` for every stream s.
+
+    SeedSequence's hash, vectorised over the streams: the entropy is the
+    seed's 32-bit words padded to 4, then the stream's one or two words
+    (streams must be below 2^64).  The pool after the seed's words is the
+    same for every stream, so it is hashed once on Python ints; each stream
+    word then goes into the 4 pool words as one uint32 array pass, which
+    wraps as the uint32 original does.  ``generate_state(4, uint64)`` gives
+    the seed and increment, and pcg64_set_seed's two LCG steps take Python
+    ints.
+    """
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_L * x - _MIX_R * y) & _M32
+        return result ^ result >> 16
+
+    def columns(const: int, mult: int, n: int):
+        """The hash constant before and after each of n steps, as uint32 columns."""
+        seq = [const]
+        for _ in range(n):
+            seq.append(seq[-1] * mult & _M32)
+        return (np.array(seq[:-1], dtype=np.uint32)[:, None],
+                np.array(seq[1:], dtype=np.uint32)[:, None], seq[-1])
+
+    def mix_in(pool, word):
+        """One entropy word of every stream into its 4 pool words: 4 hashmix-mix steps."""
+        nonlocal hash_const
+        xor, mul, hash_const = columns(hash_const, _MULT_A, 4)
+        value = (word.astype(np.uint32) ^ xor) * mul
+        mixed = _MIX_L * pool - _MIX_R * (value ^ value >> 16)
+        return mixed ^ mixed >> 16
+
+    seed_words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    seed_words += [0] * (4 - len(seed_words))
+    pool = [hashmix(word) for word in seed_words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in seed_words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    streams = np.asarray(streams, dtype=np.uint64).ravel()
+    pool = mix_in(np.array(pool, dtype=np.uint32)[:, None], streams & _M32)
+    if (wide := streams >> 32 != 0).any():  # a stream of 2^32 or more has a second word
+        pool[:, wide] = mix_in(pool[:, wide], streams[wide] >> 32)
+    # generate_state(4, uint64): 8 words from the pool in turn, paired little end first
+    xor, mul, _ = columns(_INIT_B, _MULT_B, 8)
+    value = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ xor) * mul
+    value = (value ^ value >> 16).astype(np.uint64)
+    out = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*(value[0::2] | value[1::2] << 32).tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        out.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _M128, inc))
+    return out
+
+
+class _StreamReader:
+    """One PCG64 generator that reads many ``(seed, stream)`` streams in turn.
+
+    ``read(streams)`` hashes the batch at once (:func:`_pcg64_states`) and
+    yields the generator at the start of each stream, in order: it draws
+    what ``RngSeed(seed, stream).generator()`` would.  Every item is the
+    same generator, so a stream's draws must be finished before the next
+    item is taken; a reader belongs to one task.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self._bitgen = np.random.PCG64(0)  # each read replaces this state
+        self._gen = np.random.Generator(self._bitgen)
+
+    def read(self, streams):
+        for state, inc in _pcg64_states(self.seed, streams):
+            self._bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                  "has_uint32": 0, "uinteger": 0}
+            yield self._gen
+
+
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -160,10 +257,14 @@ def kronecker_correlate(h_iid, tx_root, rx_root) -> np.ndarray:
 
 def apply_large_scale(h, params: LargeScaleParams, seed) -> np.ndarray:
     """Scale a channel by one lognormal shadowing / path-loss gain draw."""
-    rng = _as_rng(seed)
-    nu = rng.standard_normal()
-    gain = 10.0 ** (params.mu_db * nu / 10.0) * np.sqrt(params.l_path / params.d_rel ** params.tau)
+    gain = _shadowing_gain(params, _as_rng(seed).standard_normal())
     return gain * np.asarray(h, dtype=np.complex128)
+
+
+def _shadowing_gain(params: LargeScaleParams, nu: float) -> float:
+    """The gain of one standard normal draw ``nu``, on Python scalars: a
+    vectorised ``10.0 ** array`` rounds differently from scalar ``pow``."""
+    return 10.0 ** (params.mu_db * nu / 10.0) * np.sqrt(params.l_path / params.d_rel ** params.tau)
 
 
 def perturb_channel(h, ce: CeErrorParams, seed) -> np.ndarray:

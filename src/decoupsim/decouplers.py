@@ -242,24 +242,20 @@ def _fold_group(halves, widths) -> list[_Group]:
     return out
 
 
-def _sd_levels(systems) -> Iterator[list[np.ndarray]]:
-    """Execute the partition-tree plan over a stack of systems with equal n_r
-    and stream widths, yielding each level's node bases, system by system in
-    plan order.  Stack entries are keyed by (system b, plan node i) as
-    ``b * L + i`` for a level of L nodes, so that child ``2 * key + side`` is
-    node ``2i + side`` of system b on the next level.  The plan splits all
-    nodes of a group alike (child 2i keeps the first half, child 2i+1 the
-    second), so children's blocks are column slices of its stacks; halves of
-    equal (t, widths) fold as one stack, whichever system they belong to."""
-    n_r, widths = systems[0].n_r, systems[0].m_per_user
-    if any((s.n_r, s.m_per_user) != (n_r, widths) for s in systems):
-        raise ShapeError("stacked systems need equal n_r and stream widths")
-    eye = np.eye(n_r, dtype=np.complex128)
-    yield [eye] * len(systems)
-    local = np.empty((len(systems), n_r, sum(widths)), dtype=np.complex128)
-    for b, s in enumerate(systems):
-        np.concatenate(s.users, axis=1, out=local[b])
-    groups = [_Group(tuple(range(len(systems))), None, local)]
+def _sd_levels(local: np.ndarray, widths) -> Iterator[list[np.ndarray]]:
+    """Execute the partition-tree plan over a (B x n_r x sum(widths)) stack of
+    B systems' user channels side by side, yielding each level's node bases,
+    system by system in plan order.  Stack entries are keyed by (system b,
+    plan node i) as ``b * L + i`` for a level of L nodes, so that child
+    ``2 * key + side`` is node ``2i + side`` of system b on the next level.
+    The plan splits all nodes of a group alike (child 2i keeps the first
+    half, child 2i+1 the second), so children's blocks are column slices of
+    its stacks; halves of equal (t, widths) fold as one stack, whichever
+    system they belong to."""
+    n = len(local)
+    eye = np.eye(local.shape[1], dtype=np.complex128)
+    yield [eye] * n
+    groups = [_Group(tuple(range(n)), None, local)]
     for specs in flops._sd_plan(len(widths))[1:]:
         halves, nxt = {}, []  # halves by (t, widths); the next level's groups
         for nodes, z, local in groups:
@@ -278,19 +274,31 @@ def _sd_levels(systems) -> Iterator[list[np.ndarray]]:
             nxt += _fold_group(parts, folded)
         groups = [group for group in nxt if group.nodes]
         bases = {i: z_i for nodes, z, _ in groups for i, z_i in zip(nodes, z)}
-        yield [bases[i] for i in range(len(systems) * len(specs))]
+        yield [bases[i] for i in range(n * len(specs))]
+
+
+def _sd_sets(local: np.ndarray, widths) -> list[DecouplerSet]:
+    """:func:`sequential_decoupler` of every system of a :func:`_sd_levels`
+    stack, from one stacked walk; each set equals the system's own build bit
+    for bit."""
+    for bases in _sd_levels(local, widths):
+        pass  # earlier levels are freed as the executor moves on
+    # the halving keeps user order, so the live leaves come in user order
+    leaves = flops._sd_plan(len(widths))[-1]
+    live = [i for i, spec in enumerate(leaves) if spec.pending]
+    return [DecouplerSet(tuple(bases[b * len(leaves) + i] for i in live), "SD")
+            for b in range(len(local))]
 
 
 def _sequential_decouplers(systems) -> list[DecouplerSet]:
-    """:func:`sequential_decoupler` of every system, from one stacked walk
-    (:func:`_sd_levels`); each set equals the system's own build bit for bit."""
-    for bases in _sd_levels(systems):
-        pass  # earlier levels are freed as the executor moves on
-    # the halving keeps user order, so the live leaves come in user order
-    leaves = flops._sd_plan(systems[0].k)[-1]
-    live = [i for i, spec in enumerate(leaves) if spec.pending]
-    return [DecouplerSet(tuple(bases[b * len(leaves) + i] for i in live), "SD")
-            for b in range(len(systems))]
+    """:func:`sequential_decoupler` of every system, from one stacked walk."""
+    n_r, widths = systems[0].n_r, systems[0].m_per_user
+    if any((s.n_r, s.m_per_user) != (n_r, widths) for s in systems):
+        raise ShapeError("stacked systems need equal n_r and stream widths")
+    local = np.empty((len(systems), n_r, sum(widths)), dtype=np.complex128)
+    for b, s in enumerate(systems):
+        np.concatenate(s.users, axis=1, out=local[b])
+    return _sd_sets(local, widths)
 
 
 def sequential_decoupler(sys: SystemChannel) -> DecouplerSet:
@@ -326,7 +334,9 @@ def partition_tree(sys: SystemChannel) -> list[list[PartitionNode]]:
             )
             for spec, z in zip(specs, bases)
         ]
-        for level, (specs, bases) in enumerate(zip(flops._sd_plan(sys.k), _sd_levels([sys])))
+        for level, (specs, bases) in enumerate(zip(
+            flops._sd_plan(sys.k),
+            _sd_levels(np.concatenate(sys.users, axis=1)[None], sys.m_per_user)))
     ]
 
 

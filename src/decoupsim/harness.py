@@ -3,16 +3,24 @@ FLOP benchmarks.
 
 Reproducibility rules
 ---------------------
-Every random draw in a sweep comes from a stream addressed by
-``(config seed, trial index, purpose)``, so results are independent of
-execution order and worker count: re-running the same configuration at
-any parallelism degree produces byte-identical tables.  A sweep task
-runs a block of a constant number of consecutive trials (the last block
-may be shorter), still drawn trial by trial from those streams; it builds
-the SD decouplers of all the block's (trial, subcarrier) systems in one
-stacked partition-tree walk and detects equal-shape links of all of them
-together.  Each system's arithmetic is the same in any block, so results
-depend neither on the block split nor on the thread count.  Comparisons
+Every random draw in a sweep comes from its own stream
+``RngSeed(config seed, trial * 2^20 + purpose)``: purpose 0 draws the
+trial's bits and 1 its noise, and ``16 + 3 * (k * subcarrier + user)``
+plus 0, 1 or 2 the user's i.i.d. channel, estimation error and shadowing
+gain on that subcarrier.  A trial's streams must stay below the next
+trial's, so a configuration needs ``16 + 3 * k * n_subcarriers <= 2^20``.
+Results are therefore independent of execution order and worker count:
+re-running the same configuration at any parallelism degree produces
+byte-identical tables.  A sweep task runs a block of a constant number
+of consecutive trials (the last block may be shorter).  It draws the
+channels of all the block's (trial, subcarrier) systems stacked: one
+generator reads the streams one after another, each with the bytes it
+draws on its own, and the correlation, gains and estimation error apply
+once per stack of equal-width users.  It builds the SD decouplers of all
+the block's systems in one stacked partition-tree walk and detects
+equal-shape links of all of them together.  Each system's arithmetic is
+the same in any block, so results depend neither on the block split nor
+on the thread count.  Comparisons
 between decouplers or detectors re-use the same streams (common random
 numbers); the arms differ only in the algorithm under test.
 
@@ -44,17 +52,15 @@ from .channels import (
     KroneckerParams,
     LargeScaleParams,
     RngSeed,
-    apply_large_scale,
+    _shadowing_gain,
+    _StreamReader,
     correlation_matrix,
-    gen_awgn,
     gen_iid_channel,
-    kronecker_correlate,
     matrix_sqrt_psd,
-    perturb_channel,
 )
 from .decouplers import (
     SystemChannel,
-    _sequential_decouplers,
+    _sd_sets,
     include_users,
     pinv_decoupler,
     sequential_decoupler,
@@ -66,7 +72,6 @@ from .detectors import (
     _symbol_indices,
     _whiten,
     lmmse_stack,
-    modulate_bits,
     sic_stack,
 )
 from .errors import (
@@ -116,10 +121,11 @@ FLOP_CONVENTION = (
 _DECOUPLERS = ("SD", "SVD", "PINV")
 _DETECTORS = ("LMMSE", "SIC")
 
-# stream layout inside one trial (see _trial_streams)
+# stream layout: trial * _STRIDE + purpose (see the module docstring)
 _STRIDE = 1 << 20
 _BITS, _NOISE = 0, 1
 _PER_USER_BASE = 16
+_IID, _CE, _SHADOW = 0, 1, 2   # per-user purposes, 3 streams per (subcarrier, user)
 
 
 @dataclass(frozen=True)
@@ -165,6 +171,13 @@ class SimConfig:
             raise InvalidConfigError("snr_db grid must be sorted ascending")
         if self.threads < 1 or self.n_subcarriers < 1 or self.audit_trials < 1:
             raise InvalidConfigError("threads, n_subcarriers and audit_trials must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
+        if _PER_USER_BASE + 3 * self.k * self.n_subcarriers > _STRIDE:
+            raise InvalidConfigError(
+                f"k x n_subcarriers = {self.k * self.n_subcarriers} overflows a trial's "
+                f"streams: {_PER_USER_BASE} + 3 x k x n_subcarriers must be <= 2^20, "
+                f"so k x n_subcarriers <= {(_STRIDE - _PER_USER_BASE) // 3}")
         try:
             cons = Constellation.from_name(self.constellation)
         except InvalidInputError as exc:
@@ -311,28 +324,117 @@ class BerResult:
 # ---------------------------------------------------------------------------
 # BER sweep core.
 
-def _build_true_channels(cfg: SimConfig, trial: int, subcarrier: int, roots) -> list[np.ndarray]:
-    base = trial * _STRIDE + _PER_USER_BASE + 3 * cfg.k * subcarrier
-    chans = []
-    for u, m_u in enumerate(cfg.m_i):
-        h = gen_iid_channel(RngSeed(cfg.seed, base + 3 * u), cfg.n_r, m_u)
+def _user_streams(cfg: SimConfig, systems, purpose: int) -> list[int]:
+    """The ``purpose`` stream (``_IID``, ``_CE`` or ``_SHADOW``) of every user of
+    every (trial, subcarrier) system, system by system in user order."""
+    return [trial * _STRIDE + _PER_USER_BASE + 3 * (cfg.k * sc + u) + purpose
+            for trial, sc in systems for u in range(cfg.k)]
+
+
+def _width_slots(cfg: SimConfig) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """Each user's ``(width, index among the users of that width)``, and the
+    number of users of each width: a block's channels are stacked per width."""
+    counts: dict[int, int] = {}
+    slots = []
+    for m_u in cfg.m_i:
+        slots.append((m_u, counts.get(m_u, 0)))
+        counts[m_u] = slots[-1][1] + 1
+    return slots, counts
+
+
+def _draw_normals(cfg: SimConfig, systems, purpose: int, reader) -> dict[int, np.ndarray]:
+    """Per width, the (systems, users, 2, n_r, m) stack of every user's real
+    then imaginary n_r x m standard normals from its ``purpose`` stream."""
+    slots, counts = _width_slots(cfg)
+    normals = {m: np.empty((len(systems), c, 2, cfg.n_r, m)) for m, c in counts.items()}
+    outs = [normals[m][e, j] for e in range(len(systems)) for m, j in slots]
+    for rng, out in zip(reader.read(_user_streams(cfg, systems, purpose)), outs):
+        rng.standard_normal(out=out)
+    return normals
+
+
+def _complex_normals(x: np.ndarray, scale) -> np.ndarray:
+    """``scale * (re + 1j * im)`` of the normals ``x[..., 0, :, :]`` and
+    ``x[..., 1, :, :]``, with the bytes of that complex product."""
+    h = np.empty(x.shape[:-3] + x.shape[-2:], dtype=np.complex128)
+    np.multiply(x[..., 0, :, :], scale, out=h.real)
+    np.multiply(x[..., 1, :, :], scale, out=h.imag)
+    return h
+
+
+def _true_stacks(cfg: SimConfig, systems, roots, reader) -> dict[int, np.ndarray]:
+    """The true channels of the (trial, subcarrier) ``systems``: per width m, a
+    complex (systems, users of width m, n_r, m) stack in user order.
+
+    Every entry has the bytes of ``gen_iid_channel``, then
+    ``kronecker_correlate`` and ``apply_large_scale``, over its streams."""
+    stacks = {}
+    for m, x in _draw_normals(cfg, systems, _IID, reader).items():
+        h = stacks[m] = _complex_normals(x, np.sqrt(0.5))
         if cfg.kronecker is not None:
             rx_root, tx_roots = roots
-            h = kronecker_correlate(h, tx_roots[m_u], rx_root)
-        if cfg.large_scale is not None:
-            h = apply_large_scale(h, cfg.large_scale, RngSeed(cfg.seed, base + 3 * u + 2))
-        chans.append(h)
-    return chans
+            product = x.reshape(-1).view(np.complex128).reshape(h.shape)  # the normals' memory
+            np.matmul(rx_root, h, out=product)
+            np.matmul(product, tx_roots[m], out=h)
+    if cfg.large_scale is not None:
+        gains = np.array([_shadowing_gain(cfg.large_scale, rng.standard_normal())
+                          for rng in reader.read(_user_streams(cfg, systems, _SHADOW))])
+        gains = gains.reshape(len(systems), cfg.k)
+        for m, h in stacks.items():
+            # a real gain scales both parts, as the complex product with gain + 0j does
+            parts = h.view(np.float64)
+            parts *= gains[:, [u for u, m_u in enumerate(cfg.m_i) if m_u == m], None, None]
+    return stacks
+
+
+def _perturbed_stacks(cfg: SimConfig, systems, true, reader) -> dict[int, np.ndarray]:
+    """The used channels: ``true`` plus, with a CE error, the bytes of
+    ``perturb_channel`` over each user's stream; ``true`` itself without one."""
+    if cfg.ce_error is None or cfg.ce_error.sigma_e2 == 0.0:
+        return true
+    scale = np.sqrt(cfg.ce_error.sigma_e2 / 2.0)
+    used = {}
+    for m, x in _draw_normals(cfg, systems, _CE, reader).items():
+        used[m] = _complex_normals(x, scale)
+        used[m] += true[m]
+    return used
+
+
+def _stack_users(cfg: SimConfig, chans) -> dict[int, np.ndarray]:
+    """Per-system lists of user channels as per-width stacks."""
+    slots, counts = _width_slots(cfg)
+    stacks = {m: np.empty((len(chans), c, cfg.n_r, m), dtype=np.complex128)
+              for m, c in counts.items()}
+    for e, users in enumerate(chans):
+        for (m, j), h in zip(slots, users):
+            stacks[m][e, j] = h
+    return stacks
+
+
+def _side_by_side(cfg: SimConfig, stacks) -> np.ndarray:
+    """Every system's user channels side by side, in user order: a
+    (systems, n_r, sum(m_i)) stack."""
+    out = np.empty((len(stacks[cfg.m_i[0]]), cfg.n_r, cfg.m_total), dtype=np.complex128)
+    offsets = np.cumsum((0,) + cfg.m_i)
+    for (m, j), lo, hi in zip(_width_slots(cfg)[0], offsets, offsets[1:]):
+        out[:, :, lo:hi] = stacks[m][:, j]
+    return out
+
+
+def _users(cfg: SimConfig, stacks, e: int) -> list[np.ndarray]:
+    """System ``e``'s user channels, in user order, as views of the stacks."""
+    return [stacks[m][e, j] for m, j in _width_slots(cfg)[0]]
+
+
+def _build_true_channels(cfg: SimConfig, trial: int, subcarrier: int, roots) -> list[np.ndarray]:
+    return _users(cfg, _true_stacks(cfg, [(trial, subcarrier)], roots,
+                                    _StreamReader(cfg.seed)), 0)
 
 
 def _perturb_channels(cfg: SimConfig, trial: int, subcarrier: int, chans) -> list[np.ndarray]:
-    if cfg.ce_error is None or cfg.ce_error.sigma_e2 == 0.0:
-        return chans
-    base = trial * _STRIDE + _PER_USER_BASE + 3 * cfg.k * subcarrier
-    return [
-        perturb_channel(h, cfg.ce_error, RngSeed(cfg.seed, base + 3 * u + 1))
-        for u, h in enumerate(chans)
-    ]
+    used = _perturbed_stacks(cfg, [(trial, subcarrier)], _stack_users(cfg, [chans]),
+                             _StreamReader(cfg.seed))
+    return _users(cfg, used, 0)
 
 
 def _kronecker_roots(cfg: SimConfig):
@@ -393,16 +495,16 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
     offsets = np.cumsum((0,) + cfg.m_i)
     shapes = [(cfg.n_r, m_u) for m_u in cfg.m_i]
 
-    def true_channels(trial: int, sc: int) -> list[np.ndarray]:
-        if channel_factory is None:
-            return _build_true_channels(cfg, trial, sc, roots)
+    def factory_channels(trial: int, sc: int) -> list[np.ndarray]:
         chans = [np.asarray(h, dtype=np.complex128) for h in channel_factory(trial, sc)]
         if (got := [h.shape for h in chans]) != shapes:
             raise ShapeError(f"channel_factory({trial}, {sc}) returned shapes {got}, "
                              f"expected {cfg.k} users of n_r x m_i: {shapes}")
+        if not all(np.isfinite(h).all() for h in chans):
+            raise InvalidInputError(f"channel_factory({trial}, {sc}) returned non-finite entries")
         return chans
 
-    def detect(errors, di, decs, systems, y_clean, unit, tx_labels):
+    def detect(errors, di, decs, chans, y_clean, unit, tx_labels):
         """Detect every user of every (trial, subcarrier) entry of a block at
         every SNR point, stacked over each group of links whose decoupler
         shape and stream count agree.  Decisions agree with the per-link
@@ -414,7 +516,7 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
         for members in groups.values():
             entries, users = (np.array(x) for x in zip(*members))
             w = np.stack([decs[e].w[u] for e, u in members])
-            ht = w @ np.stack([systems[e].users[u] for e, u in members])
+            ht = w @ np.stack([chans[e][u] for e, u in members])
             a = (w @ y_clean[entries, :, None])[..., 0]
             b = (w @ unit[entries, :, None])[..., 0]
             if cfg.whiten and not decs[0].row_orthonormal:
@@ -430,26 +532,31 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
     def one_block(first: int) -> np.ndarray:
         """Error counts of trials ``first .. first + _BLOCK - 1`` (fewer at the end)."""
         errors = np.zeros((len(decouplers), len(detectors), cfg.k, n_snr), dtype=np.int64)
-        systems, y_clean, unit, tx_labels = [], [], [], []  # one per (trial, subcarrier)
-        for trial in range(first, min(first + _BLOCK, trials)):
-            rng_bits = RngSeed(cfg.seed, trial * _STRIDE + _BITS).generator()
-            rng_noise = RngSeed(cfg.seed, trial * _STRIDE + _NOISE).generator()
-            bits = rng_bits.integers(0, 2, size=(cfg.n_subcarriers, bits_per_vec))
-            tx_labels.append(bits.reshape(cfg.n_subcarriers, -1, cons.bits_per_symbol)
-                             @ bit_weights)
-            unit.append(gen_awgn(rng_noise, 1.0, cfg.n_subcarriers * cfg.n_r).reshape(
-                cfg.n_subcarriers, cfg.n_r))
-            for sc in range(cfg.n_subcarriers):
-                true_chans = true_channels(trial, sc)
-                used_chans = _perturb_channels(cfg, trial, sc, true_chans)
-                systems.append(SystemChannel(cfg.n_r, used_chans))
-                y_clean.append(np.concatenate(true_chans, axis=1) @ modulate_bits(bits[sc], cons))
-        y_clean, unit, tx_labels = np.stack(y_clean), np.concatenate(unit), np.concatenate(tx_labels)
+        block = range(first, min(first + _BLOCK, trials))
+        entries = [(trial, sc) for trial in block for sc in range(cfg.n_subcarriers)]
+        reader = _StreamReader(cfg.seed)  # this task's generator, one stream at a time
+        bits = np.stack([rng.integers(0, 2, size=(cfg.n_subcarriers, bits_per_vec))
+                         for rng in reader.read([trial * _STRIDE + _BITS for trial in block])])
+        tx_labels = bits.reshape(len(entries), -1, cons.bits_per_symbol) @ bit_weights
+        noise = np.empty((len(block), 2, cfg.n_subcarriers, cfg.n_r))
+        for rng, out in zip(reader.read([trial * _STRIDE + _NOISE for trial in block]), noise):
+            rng.standard_normal(out=out)  # gen_awgn's real, then imaginary parts
+        unit = _complex_normals(noise, np.sqrt(0.5)).reshape(len(entries), cfg.n_r)
+        true = (_true_stacks(cfg, entries, roots, reader) if channel_factory is None
+                else _stack_users(cfg, [factory_channels(*entry) for entry in entries]))
+        used = _perturbed_stacks(cfg, entries, true, reader)
+        # the signal crosses the true channels; SD and detection see the used ones
+        local = _side_by_side(cfg, true)
+        y_clean = (local @ cons.points[tx_labels][..., None])[..., 0]
+        if used is not true:
+            local = _side_by_side(cfg, used)
+        chans = [_users(cfg, used, e) for e in range(len(entries))]
+        # SD builds the whole block in one stacked walk, the baselines system by system
+        systems = [SystemChannel(cfg.n_r, c) for c in chans] if set(decouplers) - {"SD"} else []
         for di, dec_name in enumerate(decouplers):
-            # SD builds the whole block in one stacked walk, the baselines system by system
-            decs = (_sequential_decouplers(systems) if dec_name == "SD"
+            decs = (_sd_sets(local, cfg.m_i) if dec_name == "SD"
                     else [_DECOUPLE_FN[dec_name](sys) for sys in systems])
-            detect(errors, di, decs, systems, y_clean, unit, tx_labels)
+            detect(errors, di, decs, chans, y_clean, unit, tx_labels)
         return errors
 
     blocks = range(0, trials, _BLOCK)
@@ -552,6 +659,8 @@ def _flop_points(sweep: FlopSweep) -> list[tuple[str, int, int, int, int, int]]:
     whose last ``added = p`` users join the base system; the base system
     is checked for feasibility here, before anything runs.
     """
+    if sweep.seed < 0:
+        raise InvalidConfigError(f"seed must be >= 0, got {sweep.seed}")
     if sweep.mode == "users":
         return [("k", k, sweep.n_r or k * sweep.m_i + 10, k, sweep.m_i, 0)
                 for k in sweep.k_values]

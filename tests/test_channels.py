@@ -1,10 +1,14 @@
 """Random channel generation: determinism, moments, correlation structure."""
 
+import random
+
 import numpy as np
 import pytest
 
 from decoupsim.errors import InvalidInputError
 from decoupsim.channels import (
+    _pcg64_states,
+    _StreamReader,
     CeErrorParams,
     KroneckerParams,
     LargeScaleParams,
@@ -29,6 +33,44 @@ class TestRngSeed:
         a = gen_iid_channel(RngSeed(42, 0), 6, 3)
         b = gen_iid_channel(RngSeed(42, 1), 6, 3)
         assert not np.allclose(a, b)
+
+
+class TestStreamHash:
+    """The vectorised SeedSequence hash that block sweeps draw their streams with."""
+
+    @staticmethod
+    def keys():
+        # 40 seeds x 56 streams; seeds past 2^32, 2^64 and 2^128 take more
+        # words, streams of 2^32 and more (a trial index of 4096 and up) two
+        rnd = random.Random(17)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 7, 2**128 - 1, 2**128,
+                 2**130 + 5] + [rnd.getrandbits(rnd.choice((8, 31, 33, 63, 65, 100, 129, 140)))
+                                for _ in range(30)]
+        fixed = [0, 1, 16, 2**20, 2**32 - 1, 2**32, 2**32 + 1, 5001 * 2**20 + 16, 2**63,
+                 2**64 - 1]
+        return [(seed, fixed + [rnd.getrandbits(rnd.choice((4, 20, 31, 32, 33, 40, 52, 64)))
+                                for _ in range(46)])
+                for seed in seeds]
+
+    def test_states_match_seed_sequence(self):
+        keys = self.keys()
+        assert sum(len(streams) for _, streams in keys) >= 2000
+        for seed, streams in keys:
+            want = [RngSeed(seed, s).generator().bit_generator.state["state"] for s in streams]
+            assert _pcg64_states(seed, streams) == [(w["state"], w["inc"]) for w in want], seed
+
+    def test_reader_draws_what_each_stream_draws(self):
+        for seed, streams in self.keys()[::8]:
+            reader = _StreamReader(seed)
+            got = [(rng.standard_normal(3), rng.integers(0, 2, 5)) for rng in reader.read(streams)]
+            for s, (normals, bits) in zip(streams, got, strict=True):
+                rng = RngSeed(seed, s).generator()
+                assert normals.tobytes() == rng.standard_normal(3).tobytes()
+                assert bits.tobytes() == rng.integers(0, 2, 5).tobytes()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+            _pcg64_states(-3, [0])
 
 
 class TestIidChannel:

@@ -191,6 +191,22 @@ class TestIncludeCommand:
         assert not (out / "include.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["ber", "--seed", "-5"],
+    ["ber", "--override", "seed=-3"],
+    ["audit", "--seed", "-5"],
+    ["flops", "--seed", "-5", "--sweep", "users"],
+    ["include", "--seed", "-5", "--base-k", "4", "--base-n-r", "12", "--p-max", "1"],
+], ids=["ber", "ber_config", "audit", "flops", "include"])
+def test_negative_seed_is_config_error(argv, ber_config, tmp_path, capsys):
+    # numpy's SeedSequence takes no negative seed; it fails as a configuration error
+    out = tmp_path / "s"
+    config = ["--config", str(ber_config)] if argv[0] in ("ber", "audit") else []
+    assert main([*argv, *config, "--out", str(out)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["audit", "flops", "include"])
 def test_threads_is_rejected_where_no_pool_runs(command, ber_config, tmp_path):
     # only ``ber`` runs a thread pool; elsewhere --threads is an invalid configuration

@@ -6,8 +6,20 @@ import numpy as np
 import pytest
 
 from decoupsim import decouplers, flops, harness
-from decoupsim.channels import CeErrorParams, KroneckerParams, LargeScaleParams, RngSeed
-from decoupsim.errors import InfeasibleSystemError, InvalidConfigError, ShapeError
+from decoupsim.channels import (
+    CeErrorParams,
+    KroneckerParams,
+    LargeScaleParams,
+    RngSeed,
+    _StreamReader,
+    apply_large_scale,
+    correlation_matrix,
+    gen_iid_channel,
+    kronecker_correlate,
+    matrix_sqrt_psd,
+    perturb_channel,
+)
+from decoupsim.errors import InfeasibleSystemError, InvalidConfigError, InvalidInputError, ShapeError
 from decoupsim.harness import (
     AUDIT_COLUMNS,
     BER_COLUMNS,
@@ -63,6 +75,17 @@ class TestSimConfig:
     def test_direct_construction_is_type_checked(self, field, value):
         with pytest.raises(InvalidConfigError, match=f"{field} must be"):
             small_cfg(**{field: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
+            small_cfg(seed=-3)
+
+    def test_streams_must_fit_a_trial(self):
+        # 16 + 3 x 100 x 3500 = 1,050,016 streams would run into the next trial's
+        with pytest.raises(InvalidConfigError, match=r"k x n_subcarriers <= 349520"):
+            SimConfig(n_r=200, k=100, m_i=1, n_subcarriers=3500, bits_per_point=700000)
+        assert SimConfig(n_r=200, k=80, m_i=1, n_subcarriers=4369,
+                         bits_per_point=2 * 80 * 4369).trials == 1
 
     def test_numpy_integers_are_integers(self):
         cfg = small_cfg(n_r=np.int64(12), seed=np.int32(7), m_i=np.array([2, 2, 2]))
@@ -222,6 +245,13 @@ class TestRunBerSweep:
         assert res.aggregate.bits_sent[0] == 2400
         assert set(calls) == {(t, s) for t in range(cfg.trials) for s in range(2)}
 
+    def test_non_finite_factory_channels_rejected(self):
+        def factory(trial, subcarrier):
+            return [np.full((12, 2), np.nan if trial == 3 else 1.0, dtype=complex)] * 3
+
+        with pytest.raises(InvalidInputError, match=r"channel_factory\(3, 0\) returned non-finite"):
+            run_paired_ber(small_cfg(), channel_factory=factory)
+
     @pytest.mark.parametrize("shapes", [
         [(12, 3)] * 3,            # 3-stream channels where m_i = 2
         [(12, 2)] * 2,            # a user short
@@ -237,6 +267,81 @@ class TestRunBerSweep:
         with pytest.raises(ShapeError, match=r"channel_factory\(0, 0\) returned shapes"):
             run_paired_ber(small_cfg(), channel_factory=factory)
         assert folds == []
+
+
+class TestBlockChannels:
+    """A block draws its channels stacked, with the bytes of the public per-stream
+    generators over the ``(seed, trial * 2^20 + purpose)`` streams."""
+
+    CFG = SimConfig(n_r=10, k=4, m_i=(1, 3, 2, 3), n_subcarriers=3, snr_db=(4.0,), seed=9,
+                    bits_per_point=(2 * harness._BLOCK + 3) * 2 * 9 * 3,
+                    kronecker=KroneckerParams(rho_tx=0.4, rho_rx=0.3),
+                    large_scale=LargeScaleParams(), ce_error=CeErrorParams(sigma_e2=0.01))
+
+    @staticmethod
+    def reference(cfg, trial, sc, true=None):
+        """(true, used) channels of one system, user by user."""
+        base = trial * harness._STRIDE + 16 + 3 * cfg.k * sc
+        rx_root = matrix_sqrt_psd(correlation_matrix(cfg.kronecker.rho_rx, cfg.n_r))
+        if true is None:
+            true = []
+            for u, m in enumerate(cfg.m_i):
+                h = gen_iid_channel(RngSeed(cfg.seed, base + 3 * u), cfg.n_r, m)
+                h = kronecker_correlate(
+                    h, matrix_sqrt_psd(correlation_matrix(cfg.kronecker.rho_tx, m)), rx_root)
+                true.append(apply_large_scale(h, cfg.large_scale,
+                                              RngSeed(cfg.seed, base + 3 * u + 2)))
+        return true, [perturb_channel(h, cfg.ce_error, RngSeed(cfg.seed, base + 3 * u + 1))
+                      for u, h in enumerate(true)]
+
+    @staticmethod
+    def assert_same(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_block_straddling_trial_4096(self):
+        # trial 4096's streams start at 2^32, where a stream takes a second hash word
+        cfg, roots = self.CFG, harness._kronecker_roots(self.CFG)
+        entries = [(trial, sc) for trial in range(4090, 4102) for sc in range(3)]
+        reader = _StreamReader(cfg.seed)
+        true = harness._true_stacks(cfg, entries, roots, reader)
+        used = harness._perturbed_stacks(cfg, entries, true, reader)
+        for e, (trial, sc) in enumerate(entries):
+            want_true, want_used = self.reference(cfg, trial, sc)
+            self.assert_same(harness._users(cfg, true, e), want_true)
+            self.assert_same(harness._users(cfg, used, e), want_used)
+            # the per-trial functions are the one-system case
+            one_true = harness._build_true_channels(cfg, trial, sc, roots)
+            self.assert_same(one_true, want_true)
+            self.assert_same(harness._perturb_channels(cfg, trial, sc, one_true), want_used)
+
+    @pytest.mark.parametrize("factory", [False, True], ids=["built_in", "channel_factory"])
+    def test_sweep_blocks_draw_the_public_channels(self, factory, monkeypatch):
+        cfg, blocks, perturb = self.CFG, [], harness._perturbed_stacks
+
+        def spy(cfg, systems, true, reader):
+            used = perturb(cfg, systems, true, reader)
+            blocks.append((systems, true, used))
+            return used
+
+        def channels(trial, sc):  # a factory's own channels, kept as they are
+            rng = RngSeed(500 + trial, sc).generator()
+            return [rng.standard_normal((cfg.n_r, m)) + 1j * rng.standard_normal((cfg.n_r, m))
+                    for m in cfg.m_i]
+
+        monkeypatch.setattr(harness, "_perturbed_stacks", spy)
+        run_paired_ber(cfg, channel_factory=channels if factory else None)
+        # two full blocks and a short one of 3 trials, 3 subcarriers each
+        assert [len(systems) for systems, _, _ in blocks] == [3 * harness._BLOCK] * 2 + [9]
+        assert [entry for systems, _, _ in blocks for entry in systems] == [
+            (trial, sc) for trial in range(cfg.trials) for sc in range(3)]
+        for systems, true, used in blocks:
+            for e, (trial, sc) in enumerate(systems):
+                want_true, want_used = self.reference(
+                    cfg, trial, sc, channels(trial, sc) if factory else None)
+                self.assert_same(harness._users(cfg, true, e), want_true)
+                self.assert_same(harness._users(cfg, used, e), want_used)
 
 
 class TestTrialBlocks:
