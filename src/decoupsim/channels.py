@@ -7,6 +7,7 @@ trials can draw from disjoint streams without coordination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,7 +169,8 @@ class LargeScaleParams:
     loss, ``d_rel`` the relative distance and ``tau`` the path-loss
     exponent.  The per-realization gain is
     ``10^(mu_db * nu / 10) * sqrt(l_path / d_rel^tau)`` with a standard
-    normal draw ``nu``.
+    normal draw ``nu``.  The path-loss factor must be finite and positive;
+    a draw whose gain overflows raises ``FloatingPointError``.
     """
 
     mu_db: float = 3.0
@@ -178,8 +180,16 @@ class LargeScaleParams:
 
     def __post_init__(self) -> None:
         _require_numbers(self)
-        if self.l_path <= 0 or self.d_rel <= 0 or self.tau < 0:
-            raise InvalidInputError("need l_path > 0, d_rel > 0, tau >= 0")
+        if not math.isfinite(self.mu_db) or self.l_path <= 0 or self.d_rel <= 0 or self.tau < 0:
+            raise InvalidInputError("need a finite mu_db, l_path > 0, d_rel > 0, tau >= 0")
+        try:
+            factor = _path_loss(self)
+        except (OverflowError, ZeroDivisionError):  # d_rel ** tau out of range
+            factor = math.nan
+        if not 0.0 < factor < math.inf:
+            raise InvalidInputError(
+                f"path-loss factor sqrt(l_path / d_rel ** tau) is not finite and positive "
+                f"for l_path={self.l_path}, d_rel={self.d_rel}, tau={self.tau}")
 
 
 @dataclass(frozen=True)
@@ -261,10 +271,23 @@ def apply_large_scale(h, params: LargeScaleParams, seed) -> np.ndarray:
     return gain * np.asarray(h, dtype=np.complex128)
 
 
+def _path_loss(params: LargeScaleParams) -> float:
+    """``sqrt(l_path / d_rel ** tau)`` on Python scalars."""
+    return math.sqrt(params.l_path / params.d_rel ** params.tau)
+
+
 def _shadowing_gain(params: LargeScaleParams, nu: float) -> float:
     """The gain of one standard normal draw ``nu``, on Python scalars: a
-    vectorised ``10.0 ** array`` rounds differently from scalar ``pow``."""
-    return 10.0 ** (params.mu_db * nu / 10.0) * np.sqrt(params.l_path / params.d_rel ** params.tau)
+    vectorised ``10.0 ** array`` rounds differently from scalar ``pow``.
+    A gain past the float range raises ``FloatingPointError``."""
+    try:
+        gain = 10.0 ** (params.mu_db * nu / 10.0) * _path_loss(params)
+    except OverflowError:
+        gain = math.inf
+    if gain == math.inf:
+        raise FloatingPointError(
+            f"shadowing gain overflows: mu_db={params.mu_db} with normal draw {nu}")
+    return gain
 
 
 def perturb_channel(h, ce: CeErrorParams, seed) -> np.ndarray:

@@ -13,7 +13,9 @@ free of inter-user interference.  Three constructions are provided:
   (of one system, or of a BER sweep's block of systems);
 * :func:`pinv_decoupler` takes block rows of the channel pseudo-inverse
   (which also equalizes each user's own channel to the identity), built
-  from one SVD whose singular values also decide the rank.
+  from one thin QR of the column-scaled channel: R is the Cholesky factor
+  of the Gram matrix the FLOP model prices, and its diagonal decides the
+  rank.
 
 :func:`include_users` updates a row-orthonormal (SD or SVD) decoupler
 set when new users join, folding all newcomers into every decoupler with
@@ -440,16 +442,23 @@ def pinv_decoupler(sys: SystemChannel) -> DecouplerSet:
     """Zero-forcing decouplers from block rows of the channel pseudo-inverse.
 
     Requires the stacked channel to have full column rank (total streams
-    at most n_r).  User i's block satisfies ``W_i @ H_i = I`` as well as
-    the usual cross-user annihilation; rows are not orthonormal.  One SVD
-    gives both the rank decision (``kernels._rank_cutoff``) and the
-    inverse, in numpy's ``pinv`` arithmetic.
+    at most n_r, no zero column).  User i's block satisfies
+    ``W_i @ H_i = I`` as well as the usual cross-user annihilation; rows
+    are not orthonormal.  The columns are scaled to unit norm and factored
+    by one thin QR; ``R^H R`` is the scaled Gram matrix that the FLOP model
+    prices, so R is its Cholesky factor up to row phases, found without
+    forming it (which would square the condition number).  The rank
+    decision is the one rule (``kernels._rank_cutoff``) on R's diagonal,
+    the Cholesky pivots; the inverse is ``solve(R, Q^H)`` with the column
+    scaling undone on its rows.
     """
     h = sys.stacked()
-    full_rank = sys.m_total <= sys.n_r
+    norms = np.linalg.norm(h, axis=0)
+    full_rank = sys.m_total <= sys.n_r and bool(norms.all())
     if full_rank:
-        u, s, vt = np.linalg.svd(np.conj(h), full_matrices=False)
-        full_rank = s[-1] > _rank_cutoff(s, h.shape)
+        q, r = np.linalg.qr(h / norms)
+        pivots = np.sort(np.abs(np.diagonal(r)))[::-1]
+        full_rank = pivots[-1] > _rank_cutoff(pivots, h.shape)
     if not full_rank:
         raise SingularMatrixError(
             f"stacked channel is not full column rank "
@@ -457,7 +466,7 @@ def pinv_decoupler(sys: SystemChannel) -> DecouplerSet:
         )
     if (tally := flops._tally.get()) is not None:
         tally.add(sum(c for _, c in flops._pinv_breakdown(sys.n_r, sys.m_total, tally.model)))
-    w_full = vt.T @ ((1.0 / s)[:, None] * u.T)
+    w_full = np.linalg.solve(r, q.conj().T) / norms[:, None]
     offsets = (0, *itertools.accumulate(sys.m_per_user))
     w = tuple(np.ascontiguousarray(w_full[a:b]) for a, b in zip(offsets, offsets[1:]))
     return DecouplerSet(w, "PINV")

@@ -30,9 +30,11 @@ as is ``recursive_common_nullspace``.  Execution, ``partition_tree`` and
 the estimate read one shape-only plan of the tree (:func:`_sd_plan`).
 ``include_users`` folds all newcomers in one batch of such stacks, yet
 is charged one newcomer at a time (:func:`_sd_ui_breakdown`, shared with
-the ``SD_UI`` estimate).  The same convention is applied to every
-algorithm being compared, so reported ratios are internally consistent;
-the convention is recorded in every output manifest.
+the ``SD_UI`` estimate).  ``pinv_decoupler`` executes a thin QR whose R
+is the Cholesky factor of the Gram matrix it is priced by.  The same
+convention is applied to every algorithm being compared, so reported
+ratios are internally consistent; the convention is recorded in every
+output manifest.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pytest
 from decoupsim.errors import InvalidInputError
 from decoupsim.channels import (
     _pcg64_states,
+    _shadowing_gain,
     _StreamReader,
     CeErrorParams,
     KroneckerParams,
@@ -198,6 +199,34 @@ class TestLargeScale:
     def test_bad_params_rejected(self):
         with pytest.raises(InvalidInputError):
             LargeScaleParams(l_path=0.0)
+
+    @pytest.mark.parametrize("fields", [
+        dict(d_rel=1e-300, tau=3.0),              # d_rel ** tau underflows to 0
+        dict(d_rel=1e300, tau=3.0),               # d_rel ** tau overflows
+        dict(l_path=1e308, d_rel=1e-10, tau=1.0),  # the quotient overflows
+        dict(l_path=1e-300, d_rel=1e10, tau=30.0),  # the quotient underflows to 0
+        dict(mu_db=float("inf")),
+        dict(mu_db=float("nan")),
+        dict(l_path=float("nan")),
+    ])
+    def test_out_of_range_path_loss_rejected(self, fields):
+        with pytest.raises(InvalidInputError):
+            LargeScaleParams(**fields)
+
+    @pytest.mark.parametrize("mu_db,nu", [(4000.0, 1.9), (3082.0, 1.0)])
+    def test_overflowing_gain_is_a_numerical_failure(self, mu_db, nu):
+        # 10^760 overflows the pow itself; 10^308.2 only its product with the path loss
+        params = LargeScaleParams(mu_db=mu_db)
+        with pytest.raises(FloatingPointError, match="overflows"):
+            _shadowing_gain(params, nu)
+        assert _shadowing_gain(params, -nu) >= 0.0
+
+    def test_gain_bytes_match_the_scalar_formula(self):
+        params = LargeScaleParams(mu_db=8.0, l_path=0.65, d_rel=0.4, tau=3.7)
+        for nu in np.random.default_rng(12).standard_normal(2000).tolist():
+            ref = 10.0 ** (params.mu_db * nu / 10.0) * np.sqrt(
+                params.l_path / params.d_rel ** params.tau)
+            assert _shadowing_gain(params, nu) == ref
 
 
 class TestCeError:

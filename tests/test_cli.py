@@ -116,6 +116,18 @@ class TestBerCommand:
         assert main(["ber", "--config", str(ber_config), "--out", str(tmp_path),
                      "--override", "system.n_r=4"]) == 3
 
+    @pytest.mark.parametrize("large_scale,code", [
+        ({"mu_db": 4000.0}, 4),               # a shadowing draw overflows
+        ({"d_rel": 1e-300, "tau": 3.0}, 2),   # the path loss is out of range
+    ])
+    def test_out_of_range_large_scale_exits_cleanly(self, tmp_path, capsys, large_scale, code):
+        path = tmp_path / "ls.json"
+        path.write_text(json.dumps({"system": {"n_r": 8, "k": 2, "m_i": 2},
+                                    "bits_per_point": 80,
+                                    "channel": {"large_scale": large_scale}}))
+        assert main(["ber", "--config", str(path), "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestAuditCommand:
     def test_runs(self, ber_config, tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from decoupsim import decouplers, flops, harness
-from decoupsim.channels import CeErrorParams, KroneckerParams, LargeScaleParams
+from decoupsim.channels import (
+    CeErrorParams, KroneckerParams, LargeScaleParams, correlation_matrix, matrix_sqrt_psd,
+)
 from decoupsim.errors import (
     InfeasibleSystemError, InvalidInputError, ShapeError, SingularMatrixError,
 )
@@ -30,6 +32,13 @@ def random_system(rng, n_r, k, m_i):
     if isinstance(m_i, int):
         m_i = [m_i] * k
     return SystemChannel(n_r, [crandn(rng, n_r, m) for m in m_i])
+
+
+def kronecker_system(seed, n_r, k, m_i, rho):
+    """k users of m_i streams with receive and per-user transmit correlation rho."""
+    rng = np.random.default_rng(seed)
+    rx, tx = (matrix_sqrt_psd(correlation_matrix(rho, n)) for n in (n_r, m_i))
+    return SystemChannel(n_r, [rx @ crandn(rng, n_r, m_i) @ tx for _ in range(k)])
 
 
 def basis_of(w, n_r):
@@ -506,6 +515,56 @@ class TestPinvDecoupler:
             assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
         for prod in [a @ p, p @ a]:
             assert np.linalg.norm(prod - prod.conj().T) <= 1e-9
+
+    def test_builds_without_an_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        pinv_decoupler(random_system(np.random.default_rng(43), 24, 10, 2))
+        assert calls == []
+
+    @pytest.mark.parametrize("shape", ["k80", "kronecker_0.9"])
+    def test_agrees_with_numpy_pinv(self, shape):
+        if shape == "k80":
+            sys, bound = random_system(np.random.default_rng(44), 170, 80, 2), 1e-12
+        else:
+            # a forward error of a backward-stable solve grows with the condition
+            # number (about 3e5 here, 0.1-0.3 cond * eps measured over 12 seeds)
+            sys = kronecker_system(45, 64, 30, 2, 0.9)
+            bound = np.linalg.cond(sys.stacked()) * np.finfo(float).eps
+        ref = np.linalg.pinv(sys.stacked())
+        w = np.vstack(pinv_decoupler(sys).w)
+        assert np.linalg.norm(w - ref) <= bound * np.linalg.norm(ref)
+
+    def test_strong_correlation_stays_exact_where_normal_equations_fail(self):
+        sys = kronecker_system(45, 64, 30, 2, 0.9)
+        assert verify_decoupling(sys, pinv_decoupler(sys)).max_cross_residual <= 1e-10
+        # the Gram route squares the condition number and misses the same bound
+        h = sys.stacked()
+        l_inv = np.linalg.inv(np.linalg.cholesky(h.conj().T @ h))
+        w = l_inv.conj().T @ (l_inv @ h.conj().T)
+        gram = DecouplerSet(tuple(np.split(w, 30)), "PINV")
+        assert verify_decoupling(sys, gram).max_cross_residual > 1e-10
+
+    def test_zero_column_rejected(self):
+        rng = np.random.default_rng(46)
+        h = crandn(rng, 12, 2)
+        h[:, 1] = 0.0
+        with pytest.raises(SingularMatrixError):
+            pinv_decoupler(SystemChannel(12, [crandn(rng, 12, 2), h]))
+
+    def test_near_singular_correlation_rejected(self):
+        sys = kronecker_system(47, 64, 30, 2, 0.99)
+        # the SVD rule rejects it too
+        s = np.linalg.svd(sys.stacked(), compute_uv=False)
+        assert s[-1] <= 64 * np.finfo(float).eps * s[0]
+        with pytest.raises(SingularMatrixError):
+            pinv_decoupler(sys)
+
+    def test_repeat_builds_are_bit_identical(self):
+        sys = random_system(np.random.default_rng(48), 40, 12, 3)
+        first, second = pinv_decoupler(sys), pinv_decoupler(sys)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first.w, second.w))
 
 
 class TestIncludeUsers:
