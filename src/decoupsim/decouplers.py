@@ -10,7 +10,9 @@ free of inter-user interference.  Three constructions are provided:
   binary partition tree, reusing intermediate common-nullspace
   estimates so that later stages work in ever smaller subspaces; each
   tree level runs as stacked factorizations, one per equal-shape group
-  (of one system, or of a BER sweep's block of systems);
+  (of one system, or of a BER sweep's block of systems), whose full rank
+  a shifted Cholesky of R's Gram certifies (the singular values of R
+  decide only when the certificate fails);
 * :func:`pinv_decoupler` takes block rows of the channel pseudo-inverse
   (which also equalizes each user's own channel to the identity), built
   from one thin QR of the column-scaled channel: R is the Cholesky factor
@@ -36,6 +38,7 @@ from . import flops
 from .errors import InvalidInputError, ShapeError, SingularMatrixError
 from .kernels import (
     SubspaceBasis,
+    _certified_full_rank,
     _nullspace_rows,
     _rank_cutoff,
     as_complex_matrix,
@@ -211,13 +214,17 @@ def _apply(v: np.ndarray, parts) -> np.ndarray:
 
 def _fold_group(halves, widths) -> list[_Group]:
     """Fold the halves a (t x M, blocks of ``widths`` streams) of ``(children,
-    z, a, kept)`` stacks by one stacked complete QR and one stacked SVD of R.
+    z, a, kept)`` stacks by one stacked complete QR.
 
     Feasibility keeps M < t.  A half of full column rank under the one rank
     rule (``kernels._rank_cutoff``), which then holds for each block too,
     has its nullspace in the trailing Q columns; stacked products carry z
-    and kept into the children.  A node whose half loses rank leaves the
-    stack and takes the block-by-block fold (:func:`_annihilate`) alone.
+    and kept into the children.  A certificate, one stacked shifted Cholesky
+    of R's Gram (``kernels._certified_full_rank``), proves every half full;
+    only when it fails does one stacked SVD of R give the rule every half's
+    singular values, so the decision is the rule's either way.  A node whose
+    half loses rank leaves the stack and takes the block-by-block fold
+    (:func:`_annihilate`) alone.
     Each node is charged as an SD tree node; :func:`include_users` runs its
     folds (zero-width kept) in a nested tally it discards and charges itself.
     """
@@ -225,8 +232,12 @@ def _fold_group(halves, widths) -> list[_Group]:
     nodes, a = sum(nodes, ()), np.concatenate(a)
     t, width = a.shape[1:]
     q, r = np.linalg.qr(a, mode="complete")
-    s = np.linalg.svd(r[:, :width], compute_uv=False)
-    full = s[:, -1] > _rank_cutoff(s, (t, width))
+    r = r[:, :width]
+    if _certified_full_rank(r):
+        full = np.ones(len(a), dtype=bool)
+    else:
+        s = np.linalg.svd(r, compute_uv=False)
+        full = s[:, -1] > _rank_cutoff(s, (t, width))
     if (tally := flops._tally.get()) is not None:
         tally.add(int(full.sum()) * flops._node_charge(t, widths, tally.model))
     v = np.conj(q[..., width:].swapaxes(1, 2), order="C")
@@ -482,6 +493,11 @@ class DecouplingReport:
     max_cross_residual: float
     per_user: tuple[dict, ...]
 
+    @property
+    def max_scale_free_residual(self) -> float:
+        """The worst per-user ``scale_free_residual``."""
+        return max(u["scale_free_residual"] for u in self.per_user)
+
     def all_full_rank(self) -> bool:
         return all(u["full_rank"] for u in self.per_user)
 
@@ -490,8 +506,11 @@ def verify_decoupling(sys: SystemChannel, dec: DecouplerSet) -> DecouplingReport
     """Measure how well ``dec`` suppresses cross-user interference.
 
     For each user the report records the worst relative residual
-    ``norm(W_i @ H_k) / norm(H_k)`` over all other users k, and whether
-    the effective own channel ``W_i @ H_i`` keeps full stream rank.
+    ``norm(W_i @ H_k) / norm(H_k)`` over all other users k, the same
+    residual made scale-free, ``norm(W_i @ H_k) / (norm(W_i, 2) *
+    norm(H_k))`` (a zero-forcing W_i grows as its user's channel fades,
+    and the raw residual with it), and whether the effective own channel
+    ``W_i @ H_i`` keeps full stream rank.
     """
     if dec.k != sys.k:
         raise ShapeError(f"decoupler set covers {dec.k} users, system has {sys.k}")
@@ -500,11 +519,15 @@ def verify_decoupling(sys: SystemChannel, dec: DecouplerSet) -> DecouplingReport
     for i, w in enumerate(dec.w):
         if w.shape[1] != sys.n_r:
             raise ShapeError(f"decoupler {i} has {w.shape[1]} columns, expected {sys.n_r}")
-        cross = 0.0
+        w_norm = np.linalg.norm(w, 2)
+        cross = scale_free = 0.0
         for kk, h in enumerate(sys.users):
             if kk == i:
                 continue
-            cross = max(cross, float(np.linalg.norm(w @ h) / np.linalg.norm(h)))
+            residual, h_norm = np.linalg.norm(w @ h), np.linalg.norm(h)
+            if residual:  # else nothing leaks, and a zero H_k or W_i has no scale
+                cross = max(cross, float(residual / h_norm))
+                scale_free = max(scale_free, float(residual / (w_norm * h_norm)))
         m_i = sys.users[i].shape[1]
         eff_rank = numerical_rank(w @ sys.users[i])
         per_user.append(
@@ -512,6 +535,7 @@ def verify_decoupling(sys: SystemChannel, dec: DecouplerSet) -> DecouplingReport
                 "user": i,
                 "rows": w.shape[0],
                 "cross_residual": cross,
+                "scale_free_residual": scale_free,
                 "effective_rank": eff_rank,
                 "streams": m_i,
                 "full_rank": eff_rank == m_i,

@@ -196,12 +196,16 @@ def lmmse_stack(h, a, b, sigmas) -> np.ndarray:
     observes ``a[g] + sigmas[s] * b[g]`` in white noise of variance
     ``sigmas[s]**2``: a sweep that scales one unit-noise draw ``b``.
     Returns ``(G, S, m)``: ``(H^H H + sigma^2 I)^-1 H^H y`` for every
-    link and noise level, from one batched solve.
+    link and noise level, from one batched solve.  A channel whose Gram
+    matrix overflows raises ``FloatingPointError``.
     """
     h = np.asarray(h, dtype=np.complex128)
     sigmas = np.asarray(sigmas, dtype=np.float64)
     hh = np.conj(np.swapaxes(h, -1, -2))
-    gram = hh @ h
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = hh @ h
+    if not np.all(np.isfinite(gram)):
+        raise FloatingPointError("effective-channel Gram matrix overflows")
     hta = hh @ np.asarray(a, dtype=np.complex128)[..., None]
     htb = hh @ np.asarray(b, dtype=np.complex128)[..., None]
     lhs = gram[:, None] + (sigmas * sigmas)[:, None, None] * np.eye(h.shape[-1])
@@ -244,7 +248,9 @@ def sic_stack(h, a, b, sigmas, cons: Constellation) -> np.ndarray:
 
     The loop runs over the m streams only, vectorized over links and
     noise levels.  Returns ``(G, S, m)`` constellation points.  Requires
-    full-column-rank effective channels (t >= m and every R[j,j] != 0).
+    full-column-rank effective channels (t >= m and every R[j,j] != 0);
+    a channel whose Gram trace ``norm(R)**2`` overflows raises
+    ``FloatingPointError``.
     """
     q, r = qr_decompose(h)
     qh = np.conj(np.swapaxes(q, -1, -2))
@@ -253,7 +259,11 @@ def sic_stack(h, a, b, sigmas, cons: Constellation) -> np.ndarray:
     v = va[:, None] + np.asarray(sigmas, dtype=np.float64)[:, None] * vb[:, None]
     m = r.shape[-1]
     pivots = np.diagonal(r, axis1=-2, axis2=-1).real
-    scale = np.maximum(np.linalg.norm(r, axis=(-2, -1)), 1.0)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(r, axis=(-2, -1))  # sqrt of the Gram's trace
+    if not np.all(np.isfinite(norm)):
+        raise FloatingPointError("effective-channel Gram matrix overflows")
+    scale = np.maximum(norm, 1.0)
     if np.any(np.abs(pivots) <= 1e-12 * scale[:, None]):
         raise SingularMatrixError("zero pivot on the R diagonal in SIC back-substitution")
     x_hat = np.zeros(v.shape, dtype=np.complex128)

@@ -83,8 +83,48 @@ class SubspaceBasis:
 def _rank_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float | np.ndarray:
     """The one rank rule: the cutoff ``max(shape) * eps * sigma_max`` for the
     nonempty singular values ``s`` (descending) of a ``shape`` matrix, or
-    one cutoff per matrix for the values ``(..., k)`` of a stack of them."""
+    one cutoff per matrix for the values ``(..., k)`` of a stack of them.
+    :func:`_certified_full_rank` proves full rank under this rule without
+    the singular values; callers fall back to them when it cannot."""
     return (max(shape) * _EPS) * s[..., 0]
+
+
+# Shift of the full-rank certificate: a certified matrix has
+# sigma_min / sigma_max >= about sqrt(1e-8) = 1e-4.
+_CERT_SHIFT = 1e-8
+
+
+def _certified_full_rank(r: np.ndarray) -> bool:
+    """Whether every member of a stack ``(B, m, m)`` of square upper-triangular
+    QR factors R is full rank under the one rank rule, proved without an SVD.
+
+    Each R is scaled by its largest entry, so no sum of squares below
+    overflows or underflows, and one stacked Cholesky factors
+    ``G - tau * trace(G) * I`` for its Gram ``G = R^H R`` and
+    ``tau = 1e-8``: the shift of G scaled to unit trace, that is of R scaled
+    to unit Frobenius norm.  At unit trace the rounding in forming G and in
+    the Cholesky is at most about ``(2m + 1) * eps`` in the 2-norm, so a
+    factorization that succeeds proves ``sigma_min^2 >= (tau - (2m + 1) *
+    eps) * sigma_max^2``: ``sigma_min / sigma_max >= ~1e-4`` for any m below
+    about 10^5.  The rule's cutoff ratio is ``max(t, m) * eps``, ten orders
+    smaller and far above the SVD's own rounding, so the rule calls every
+    member full.  False (a Cholesky that fails for any member, a zero R or
+    a non-finite entry) proves nothing: the caller decides by the singular
+    values and :func:`_rank_cutoff`.
+    """
+    scale = np.abs(r).max(axis=(-2, -1), keepdims=True)
+    if not np.all((scale > 0) & (scale < np.inf)):  # a zero or non-finite R
+        return False
+    r = r / scale
+    gram = np.conj(r.swapaxes(-1, -2)) @ r
+    idx = np.arange(r.shape[-1])
+    diag = gram[..., idx, idx]
+    gram[..., idx, idx] = diag - _CERT_SHIFT * diag.real.sum(axis=-1, keepdims=True)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def numerical_rank(a) -> int:

@@ -119,6 +119,7 @@ class TestBerCommand:
     @pytest.mark.parametrize("large_scale,code", [
         ({"mu_db": 4000.0}, 4),               # a shadowing draw overflows
         ({"d_rel": 1e-300, "tau": 3.0}, 2),   # the path loss is out of range
+        ({"mu_db": 1000.0}, 4),               # an effective-channel Gram overflows
     ])
     def test_out_of_range_large_scale_exits_cleanly(self, tmp_path, capsys, large_scale, code):
         path = tmp_path / "ls.json"
@@ -127,6 +128,7 @@ class TestBerCommand:
                                     "channel": {"large_scale": large_scale}}))
         assert main(["ber", "--config", str(path), "--out", str(tmp_path / "o")]) == code
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o" / "ber.csv").exists()
 
 
 class TestAuditCommand:

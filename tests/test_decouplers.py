@@ -684,6 +684,80 @@ class TestIncludeUsers:
         assert fold_calls == ([2] * 7 if collinear else [])
 
 
+def certificate_systems():
+    """Systems whose tree halves span the rank certificate's cases, by name."""
+    rng = np.random.default_rng(96)
+    small = [crandn(rng, 24, 2) for _ in range(8)]
+    cases = {"generic_k80": random_system(rng, 170, 80, 2)}
+    for amplitude in (1e-8, 1e-12):
+        cases[f"faint_{amplitude:g}"] = SystemChannel(24, [small[0] * amplitude] + small[1:])
+    pair = [crandn(rng, 20, 2) for _ in range(5)]
+    pair[1] = pair[0] + 1e-10 * crandn(rng, 20, 2)
+    cases["near_collinear_pair"] = SystemChannel(20, pair)
+    dup = [h.copy() for h in small]
+    dup[3][:, 1] = dup[3][:, 0]
+    cases["duplicated_column"] = SystemChannel(24, dup)
+    # user 6 folded out alone at the last level: its half's R is zero
+    cases["zero_user"] = SystemChannel(24, small[:6] + [np.zeros((24, 2))] + small[7:])
+    for rho in (0.9, 0.99):
+        cases[f"kronecker_{rho}"] = kronecker_system(97, 64, 30, 2, rho)
+    for scale in (1e150, 1e-150):
+        cases[f"scaled_{scale:g}"] = SystemChannel(24, [h * scale for h in small])
+    return cases
+
+
+class TestRankCertificate:
+    """The shifted-Cholesky certificate decides as the SVD rule, at less cost."""
+
+    @staticmethod
+    def sd_and_included(sys):
+        """SD's set of ``sys`` and the set its last two users' inclusion gives."""
+        base = SystemChannel(sys.n_r, sys.users[:-2])
+        included = include_users(base, sequential_decoupler(base), sys.users[-2:])[1]
+        return sequential_decoupler(sys).w + included.w
+
+    @staticmethod
+    def svd_calls(monkeypatch):
+        """``(shape, compute_uv)`` of every ``np.linalg.svd`` call."""
+        calls, svd = [], np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        return calls
+
+    @pytest.mark.parametrize("name", list(certificate_systems()))
+    def test_sets_bit_identical_with_the_certificate_failing(self, name, monkeypatch):
+        sys = certificate_systems()[name]
+        certified = self.sd_and_included(sys)
+        monkeypatch.setattr(decouplers, "_certified_full_rank", lambda r: False)
+        for w, w_rule in zip(certified, self.sd_and_included(sys), strict=True):
+            assert w.tobytes() == w_rule.tobytes()
+
+    def test_generic_k80_build_and_inclusion_run_no_svd(self, monkeypatch):
+        sys = certificate_systems()["generic_k80"]
+        base = SystemChannel(170, sys.users[:76])
+        dec = sequential_decoupler(base)
+        calls = self.svd_calls(monkeypatch)
+        sequential_decoupler(sys)
+        include_users(base, dec, sys.users[76:])
+        assert calls == []
+
+    def test_collinear_inclusion_falls_back_to_the_svd_rule(self, monkeypatch, fold_calls):
+        sys, dec, new = TestIncludeUsers.collinear_inclusion(np.random.default_rng(57))
+        calls = self.svd_calls(monkeypatch)
+        upd = include_users(sys, dec, new)[1]
+        # the eight 14 x 4 halves' R factors go to the rule in one stack,
+        # and the seven rank-losing ones take the block-by-block fold
+        assert [shape for shape, uv in calls if not uv] == [(8, 4, 4)]
+        assert fold_calls == [2] * 7
+        monkeypatch.setattr(decouplers, "_certified_full_rank", lambda r: False)
+        for w, w_rule in zip(upd.w, include_users(sys, dec, new)[1].w, strict=True):
+            assert w.tobytes() == w_rule.tobytes()
+
+
 class TestVerifyDecoupling:
     def test_negative_control_flagged(self):
         rng = np.random.default_rng(60)
@@ -694,6 +768,29 @@ class TestVerifyDecoupling:
         broken[2] = q.conj().T
         rep = verify_decoupling(sys, DecouplerSet(tuple(broken), "SD"))
         assert rep.max_cross_residual > 1e-2
+
+    def test_faint_user_pinv_is_exact_when_scale_free(self):
+        # zero-forcing makes the faint user's W grow as 1/amplitude, and the
+        # raw residual with it; the scale-free residual stays at rounding level
+        rng = np.random.default_rng(71)
+        users = [crandn(rng, 20, 2) for _ in range(8)]
+        sys = SystemChannel(20, [users[0] * 1e-8] + users[1:])
+        rep = verify_decoupling(sys, pinv_decoupler(sys))
+        assert 1e-9 <= rep.max_cross_residual <= 1e-7
+        assert rep.max_scale_free_residual <= 1e-14
+        assert rep.max_scale_free_residual == max(u["scale_free_residual"] for u in rep.per_user)
+        # a row-orthonormal W has unit 2-norm: both residuals agree
+        sd = verify_decoupling(sys, sequential_decoupler(sys))
+        for u in sd.per_user:
+            assert u["scale_free_residual"] == pytest.approx(u["cross_residual"], rel=1e-12)
+
+    def test_zero_user_channel_has_no_residual(self):
+        rng = np.random.default_rng(62)
+        sys = SystemChannel(12, [crandn(rng, 12, 2) for _ in range(3)] + [np.zeros((12, 2))])
+        with np.errstate(all="raise"):
+            rep = verify_decoupling(sys, sequential_decoupler(sys))
+        assert rep.max_cross_residual <= 1e-10 and rep.max_scale_free_residual <= 1e-10
+        assert not rep.per_user[3]["full_rank"]
 
     def test_recursion_invariant_order_insensitive_random_pairs(self):
         rng = np.random.default_rng(61)

@@ -268,3 +268,16 @@ class TestStackedDetectors:
         h[2, :, 1] = h[2, :, 0]
         with pytest.raises(SingularMatrixError):
             sic_stack(h, a, b, sigmas, Constellation.qpsk())
+
+    @pytest.mark.parametrize("detector", ["LMMSE", "SIC"])
+    def test_overflowing_gram_raises_floating_point_error(self, links, detector):
+        # one link's channel at 1e200: its Gram passes the float range
+        h, a, b, sigmas = links
+        h = h.copy()
+        h[1] *= 1e200
+        with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError,
+                                                                      match="Gram"):
+            if detector == "LMMSE":
+                lmmse_stack(h, a, b, sigmas)
+            else:
+                sic_stack(h, a, b, sigmas, Constellation.qpsk())

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from decoupsim.channels import correlation_matrix, matrix_sqrt_psd
 from decoupsim.errors import InvalidInputError, ShapeError
 from decoupsim.kernels import (
     SubspaceBasis,
+    _certified_full_rank,
+    _rank_cutoff,
     left_nullspace_basis,
     numerical_rank,
     qr_decompose,
@@ -173,3 +176,96 @@ class TestSubspaceBasisInvariants:
         b = SubspaceBasis(np.eye(5, dtype=complex), 5)
         assert b.dim == 5
         assert np.allclose(b.projector(), np.eye(5))
+
+
+def r_stack(a):
+    """The square R factors of a stack of tall matrices, as the SD fold takes them."""
+    return np.linalg.qr(a, mode="complete")[1][..., :a.shape[-1], :]
+
+
+def rule_full(r, t):
+    """The one rank rule on each member's singular values (the SVD fallback)."""
+    s = np.linalg.svd(r, compute_uv=False)
+    return s[:, -1] > _rank_cutoff(s, (t, r.shape[-1]))
+
+
+def certificate_cases():
+    """Stacks of tall t x M halves, named, from generic to rank-deficient."""
+    rng = np.random.default_rng(81)
+    generic = crandn(rng, 3, 170, 80)
+    cases = {"generic_k80": generic}
+    for amplitude in (1e-8, 1e-12):
+        faint = generic.copy()
+        faint[:, :, :2] *= amplitude
+        cases[f"faint_{amplitude:g}"] = faint
+    pair = crandn(rng, 3, 20, 4)
+    pair[:, :, 2:] = pair[:, :, :2] + 1e-10 * crandn(rng, 3, 20, 2)
+    cases["near_collinear_pair"] = pair
+    dup = crandn(rng, 3, 24, 6)
+    dup[1, :, 5] = dup[1, :, 0]
+    cases["duplicated_column"] = dup
+    zero = crandn(rng, 3, 24, 6)
+    zero[2] = 0.0
+    cases["zero"] = zero
+    for rho in (0.9, 0.99):
+        rx, tx = (matrix_sqrt_psd(correlation_matrix(rho, n)) for n in (64, 30))
+        cases[f"kronecker_{rho}"] = rx @ crandn(rng, 4, 64, 30) @ tx
+    return cases
+
+
+class TestFullRankCertificate:
+    """The shifted-Cholesky certificate never claims more than the rank rule."""
+
+    @pytest.mark.parametrize("name,a", certificate_cases().items())
+    def test_never_certifies_what_the_rule_calls_deficient(self, name, a):
+        r = r_stack(a)
+        full = rule_full(r, a.shape[-2])
+        if _certified_full_rank(r):
+            assert full.all(), name
+        # members are certified one by one just as in a stack
+        for member, ok in zip(r, full):
+            if _certified_full_rank(member[None]):
+                assert ok, name
+
+    @pytest.mark.parametrize("name,expected", [
+        ("generic_k80", True),
+        ("faint_1e-08", False),     # sigma ratio 1e-8 is full, but below the shift
+        ("near_collinear_pair", False),
+        ("duplicated_column", False),
+        ("zero", False),
+    ])
+    def test_decision_on_named_cases(self, name, expected):
+        assert _certified_full_rank(r_stack(certificate_cases()[name])) is expected
+
+    def test_sigma_ratios_across_the_shift_and_the_cutoff(self):
+        rng = np.random.default_rng(82)
+        t, m = 40, 12
+        for ratio in 10.0 ** -np.arange(0.0, 17.0, 0.5):
+            u = np.linalg.qr(crandn(rng, t, m))[0]
+            v = np.linalg.qr(crandn(rng, m, m))[0]
+            s = np.geomspace(1.0, ratio, m)
+            r = r_stack((u * s) @ v.conj().T)[None]
+            certified = _certified_full_rank(r)
+            if certified:
+                assert rule_full(r, t).all()
+            # the shift's square root (1e-4) sets the certificate's reach
+            if ratio >= 1e-3:
+                assert certified, ratio
+            elif ratio < 1e-5:
+                assert not certified, ratio
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e300, 1e-300])
+    def test_extreme_scales_neither_overflow_nor_underflow(self, scale):
+        cases = certificate_cases()
+        for name in ("generic_k80", "duplicated_column"):
+            r = r_stack(cases[name])
+            scaled = r * scale
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                assert _certified_full_rank(scaled) is _certified_full_rank(r), name
+
+    def test_non_finite_entries_are_not_certified(self):
+        r = r_stack(certificate_cases()["generic_k80"])
+        r[1, 0, 0] = np.nan
+        assert not _certified_full_rank(r)
+        r[1, 0, 0] = np.inf
+        assert not _certified_full_rank(r)
