@@ -27,6 +27,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -197,9 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call reuses; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidConfigError as exc:

@@ -42,6 +42,7 @@ import pathlib
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -437,15 +438,21 @@ def _perturb_channels(cfg: SimConfig, trial: int, subcarrier: int, chans) -> lis
     return _users(cfg, used, 0)
 
 
+@lru_cache
+def _correlation_root(rho: float, n: int) -> np.ndarray:
+    """``matrix_sqrt_psd(correlation_matrix(rho, n))``, factored once per
+    process and read-only, so no caller can change what the next run sees."""
+    root = matrix_sqrt_psd(correlation_matrix(rho, n))
+    root.flags.writeable = False
+    return root
+
+
 def _kronecker_roots(cfg: SimConfig):
+    """``(rx_root, {m: tx_root})`` of the Kronecker channel, or None without one."""
     if cfg.kronecker is None:
         return None
-    rx_root = matrix_sqrt_psd(correlation_matrix(cfg.kronecker.rho_rx, cfg.n_r))
-    tx_roots = {
-        m: matrix_sqrt_psd(correlation_matrix(cfg.kronecker.rho_tx, m))
-        for m in set(cfg.m_i)
-    }
-    return rx_root, tx_roots
+    return (_correlation_root(cfg.kronecker.rho_rx, cfg.n_r),
+            {m: _correlation_root(cfg.kronecker.rho_tx, m) for m in set(cfg.m_i)})
 
 
 _DECOUPLE_FN = {
@@ -560,9 +567,10 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
         return errors
 
     blocks = range(0, trials, _BLOCK)
-    # one thread runs in an empty context, which starts as a pool thread does: with
-    # no FLOP tally and numpy's default error state, so no output depends on threads
-    if cfg.threads == 1:
+    # one thread, or a single block, runs in an empty context, which starts as a pool
+    # thread does: with no FLOP tally and numpy's default error state, so no output
+    # depends on threads; an idle pool would only cost its start and stop
+    if min(cfg.threads, len(blocks)) == 1:
         total = contextvars.Context().run(sum, map(one_block, blocks))
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -753,17 +761,8 @@ def ber_rows(results: dict[tuple[str, str], BerResult]) -> list[dict]:
     rows = []
     for (dec, det), res in sorted(results.items()):
         for label, curve in [(str(u), c) for u, c in enumerate(res.per_user)] + [("all", res.aggregate)]:
-            for i, snr in enumerate(curve.snr_db):
-                rows.append({
-                    "decoupler": dec,
-                    "detector": det,
-                    "user": label,
-                    "snr_db": snr,
-                    "bits_sent": curve.bits_sent[i],
-                    "bit_errors": curve.bit_errors[i],
-                    "ber": curve.ber[i],
-                    "stderr": curve.stderr[i],
-                })
+            rows.extend(dict(zip(BER_COLUMNS, (dec, det, label, *point))) for point in zip(
+                curve.snr_db, curve.bits_sent, curve.bit_errors, curve.ber, curve.stderr))
     return rows
 
 

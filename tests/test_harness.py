@@ -121,12 +121,13 @@ class TestRunBerSweep:
         r4 = run_paired_ber(small_cfg(threads=4))
         assert r1 == r4
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_sweep_is_never_flop_counted(self, threads):
-        # one thread runs the trials on the calling thread in an empty context,
-        # more run them on worker threads: neither starts with a tally
+    @pytest.mark.parametrize("threads, bits", [(1, 120), (2, 120), (2, 204)],
+                             ids=["1", "2", "2_two_blocks"])
+    def test_sweep_is_never_flop_counted(self, threads, bits):
+        # one thread or one block (10 trials) runs on the calling thread in an empty
+        # context, two blocks (17 trials) on two worker threads: none starts with a tally
         with flops.counting() as tally:
-            run_paired_ber(small_cfg(threads=threads, bits_per_point=120))
+            run_paired_ber(small_cfg(threads=threads, bits_per_point=bits))
         assert tally.total == 0
 
     def test_paired_arms_share_randomness(self):
@@ -267,6 +268,33 @@ class TestRunBerSweep:
         with pytest.raises(ShapeError, match=r"channel_factory\(0, 0\) returned shapes"):
             run_paired_ber(small_cfg(), channel_factory=factory)
         assert folds == []
+
+
+class TestKroneckerRoots:
+    CFG = SimConfig(n_r=10, k=3, m_i=(1, 3, 1), snr_db=(4.0,), bits_per_point=10,
+                    kronecker=KroneckerParams(rho_tx=0.35, rho_rx=0.6))
+
+    def test_roots_are_factored_once_and_read_only(self):
+        (rx, tx), (rx_again, tx_again) = (harness._kronecker_roots(self.CFG) for _ in range(2))
+        assert rx is rx_again and sorted(tx) == sorted(tx_again) == [1, 3]
+        assert all(tx[m] is tx_again[m] for m in tx) and tx is not tx_again
+        for root in (rx, *tx.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                root[0, 0] = 2.0
+
+    def test_roots_have_the_bytes_of_a_fresh_factorization(self):
+        rx, tx = harness._kronecker_roots(self.CFG)
+        fresh = [(rx, matrix_sqrt_psd(correlation_matrix(0.6, 10)))]
+        fresh += [(tx[m], matrix_sqrt_psd(correlation_matrix(0.35, m))) for m in (1, 3)]
+        for got, want in fresh:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_roots_follow_the_parameters(self):
+        other = self.CFG.with_overrides({"channel.kronecker.rho_rx": 0.2})
+        (rx, tx), (rx_other, tx_other) = map(harness._kronecker_roots, (self.CFG, other))
+        assert not np.array_equal(rx, rx_other)
+        assert all(tx[m] is tx_other[m] for m in tx)
+        assert harness._kronecker_roots(small_cfg()) is None
 
 
 class TestBlockChannels:
