@@ -27,7 +27,6 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from functools import lru_cache
 
 import numpy as np
 
@@ -198,14 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser every ``main`` call reuses; parsing leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except InvalidConfigError as exc:

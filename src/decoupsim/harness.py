@@ -567,11 +567,17 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
         return errors
 
     blocks = range(0, trials, _BLOCK)
+
+    def on_calling_thread():
+        # numpy's default error state, which numpy < 2 keeps per thread, not per context
+        with np.errstate(all="warn", under="ignore"):
+            return sum(map(one_block, blocks))
+
     # one thread, or a single block, runs in an empty context, which starts as a pool
     # thread does: with no FLOP tally and numpy's default error state, so no output
     # depends on threads; an idle pool would only cost its start and stop
     if min(cfg.threads, len(blocks)) == 1:
-        total = contextvars.Context().run(sum, map(one_block, blocks))
+        total = contextvars.Context().run(on_calling_thread)
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             total = sum(pool.map(one_block, blocks))
@@ -761,8 +767,18 @@ def ber_rows(results: dict[tuple[str, str], BerResult]) -> list[dict]:
     rows = []
     for (dec, det), res in sorted(results.items()):
         for label, curve in [(str(u), c) for u, c in enumerate(res.per_user)] + [("all", res.aggregate)]:
-            rows.extend(dict(zip(BER_COLUMNS, (dec, det, label, *point))) for point in zip(
-                curve.snr_db, curve.bits_sent, curve.bit_errors, curve.ber, curve.stderr))
+            ber, stderr = curve.ber, curve.stderr  # each a property that builds a tuple
+            for i, snr in enumerate(curve.snr_db):
+                rows.append({
+                    "decoupler": dec,
+                    "detector": det,
+                    "user": label,
+                    "snr_db": snr,
+                    "bits_sent": curve.bits_sent[i],
+                    "bit_errors": curve.bit_errors[i],
+                    "ber": ber[i],
+                    "stderr": stderr[i],
+                })
     return rows
 
 

@@ -130,6 +130,14 @@ class TestRunBerSweep:
             run_paired_ber(small_cfg(threads=threads, bits_per_point=bits))
         assert tally.total == 0
 
+    @pytest.mark.parametrize("threads, bits", [(1, 120), (2, 120), (2, 204)],
+                             ids=["1", "2", "2_two_blocks"])
+    def test_sweep_ignores_the_callers_error_state(self, threads, bits):
+        cfg = small_cfg(threads=threads, bits_per_point=bits)
+        with np.errstate(all="raise"):
+            raised = run_paired_ber(cfg)
+        assert raised == run_paired_ber(cfg)
+
     def test_paired_arms_share_randomness(self):
         res = run_paired_ber(small_cfg(), ("SD", "SVD"), ("LMMSE",))
         # equal-subspace decouplers make identical decisions realization by realization
