@@ -2,7 +2,12 @@
 
 Every generator is a pure function of its seed, so identical seeds
 reproduce identical realizations bit for bit and parallel Monte-Carlo
-trials can draw from disjoint streams without coordination.
+trials can draw from disjoint streams without coordination.  Every
+complex Gaussian comes from one stacked draw, ``scale * (re + 1j * im)``
+per generator (its real parts, then its imaginary parts): a public
+generator is its batch of one, and a BER sweep block draws all its
+systems' users of one width as one batch.  :func:`kronecker_correlate`
+takes such a stack as it takes one matrix.
 """
 
 from __future__ import annotations
@@ -139,6 +144,20 @@ class _StreamReader:
             yield self._gen
 
 
+def _complex_normals(rngs, shape, scale) -> np.ndarray:
+    """``scale * (re + 1j * im)`` stacked: entry i of the ``shape`` result comes
+    from the i-th generator of ``rngs``, which draws its real, then its
+    imaginary standard normals.  The real ``scale`` multiplies each part,
+    which gives the bytes of the complex product but for the sign of a zero."""
+    x = np.empty((shape[0], 2, *shape[1:]))
+    for rng, out in zip(rngs, x, strict=True):
+        rng.standard_normal(out=out)
+    h = np.empty(shape, dtype=np.complex128)
+    np.multiply(x[:, 0], scale, out=h.real)
+    np.multiply(x[:, 1], scale, out=h.imag)
+    return h
+
+
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -208,10 +227,7 @@ def gen_iid_channel(seed, n_r: int, m_i: int) -> np.ndarray:
     """n_r x m_i matrix of i.i.d. unit-variance circular complex Gaussians."""
     if n_r < 1 or m_i < 1:
         raise InvalidInputError("dimensions must be >= 1")
-    rng = _as_rng(seed)
-    return np.sqrt(0.5) * (
-        rng.standard_normal((n_r, m_i)) + 1j * rng.standard_normal((n_r, m_i))
-    )
+    return _complex_normals([_as_rng(seed)], (1, n_r, m_i), np.sqrt(0.5))[0]
 
 
 def correlation_matrix(rho: float, n: int) -> np.ndarray:
@@ -253,9 +269,11 @@ def kronecker_correlate(h_iid, tx_root, rx_root) -> np.ndarray:
 
     The roots are the PSD square roots ``S^(1/2)`` of the correlation
     matrices (:func:`matrix_sqrt_psd`), so a sweep factors them once.
+    ``H`` may be a stack of equal-shape channels (its last two axes), each
+    correlated with the bytes of its own call.
     """
     h = np.asarray(h_iid, dtype=np.complex128)
-    if rx_root.shape[0] != h.shape[0] or tx_root.shape[0] != h.shape[1]:
+    if h.ndim < 2 or rx_root.shape[0] != h.shape[-2] or tx_root.shape[0] != h.shape[-1]:
         raise InvalidInputError(
             f"shape mismatch: H {h.shape}, rx_root {rx_root.shape}, tx_root {tx_root.shape}"
         )
@@ -290,11 +308,7 @@ def _shadowing_gain(params: LargeScaleParams, nu: float) -> float:
 def perturb_channel(h, ce: CeErrorParams, seed) -> np.ndarray:
     """Add i.i.d. complex Gaussian estimation error of variance sigma_e2."""
     h = np.asarray(h, dtype=np.complex128)
-    rng = _as_rng(seed)
-    delta = np.sqrt(ce.sigma_e2 / 2.0) * (
-        rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
-    )
-    return h + delta
+    return h + _complex_normals([_as_rng(seed)], (1, *h.shape), np.sqrt(ce.sigma_e2 / 2.0))[0]
 
 
 def gen_awgn(seed, sigma_n2: float, n: int) -> np.ndarray:
@@ -303,7 +317,4 @@ def gen_awgn(seed, sigma_n2: float, n: int) -> np.ndarray:
         raise InvalidInputError("sigma_n2 must be >= 0")
     if n < 0:
         raise InvalidInputError("n must be >= 0")
-    rng = _as_rng(seed)
-    return np.sqrt(sigma_n2 / 2.0) * (
-        rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    )
+    return _complex_normals([_as_rng(seed)], (1, n), np.sqrt(sigma_n2 / 2.0))[0]

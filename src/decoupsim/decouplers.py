@@ -303,17 +303,6 @@ def _sd_sets(local: np.ndarray, widths) -> list[DecouplerSet]:
             for b in range(len(local))]
 
 
-def _sequential_decouplers(systems) -> list[DecouplerSet]:
-    """:func:`sequential_decoupler` of every system, from one stacked walk."""
-    n_r, widths = systems[0].n_r, systems[0].m_per_user
-    if any((s.n_r, s.m_per_user) != (n_r, widths) for s in systems):
-        raise ShapeError("stacked systems need equal n_r and stream widths")
-    local = np.empty((len(systems), n_r, sum(widths)), dtype=np.complex128)
-    for b, s in enumerate(systems):
-        np.concatenate(s.users, axis=1, out=local[b])
-    return _sd_sets(local, widths)
-
-
 def sequential_decoupler(sys: SystemChannel) -> DecouplerSet:
     """Build all users' decouplers jointly over a binary partition tree.
 
@@ -327,7 +316,7 @@ def sequential_decoupler(sys: SystemChannel) -> DecouplerSet:
     The result spans, per user, the same subspace as the per-user SVD
     baseline, and every matrix has orthonormal rows.
     """
-    return _sequential_decouplers([sys])[0]
+    return _sd_sets(np.concatenate(sys.users, axis=1)[None], sys.m_per_user)[0]
 
 
 def partition_tree(sys: SystemChannel) -> list[list[PartitionNode]]:

@@ -12,12 +12,15 @@ trial's, so a configuration needs ``16 + 3 * k * n_subcarriers <= 2^20``.
 Results are therefore independent of execution order and worker count:
 re-running the same configuration at any parallelism degree produces
 byte-identical tables.  A sweep task runs a block of a constant number
-of consecutive trials (the last block may be shorter).  It draws the
-channels of all the block's (trial, subcarrier) systems stacked: one
-generator reads the streams one after another, each with the bytes it
-draws on its own, and the correlation, gains and estimation error apply
-once per stack of equal-width users.  It builds the SD decouplers of all
-the block's systems in one stacked partition-tree walk and detects
+of consecutive trials (the last block may be shorter).  It holds the
+channels of all the block's (trial, subcarrier) systems in one layout, a
+(systems, n_r, sum(m_i)) stack of each system's users side by side, where
+a user is a column slice.  One generator reads the streams one after
+another, each with the bytes it draws on its own; the users of one width
+are drawn (``channels._complex_normals``) and correlated as one batch and
+scattered into the stack, and the gains and estimation error apply to
+the whole stack.  It builds the SD decouplers of all the block's systems
+from that stack in one stacked partition-tree walk and detects
 equal-shape links of all of them together.  Each system's arithmetic is
 the same in any block, so results depend neither on the block split nor
 on the thread count.  Comparisons
@@ -53,10 +56,12 @@ from .channels import (
     KroneckerParams,
     LargeScaleParams,
     RngSeed,
+    _complex_normals,
     _shadowing_gain,
     _StreamReader,
     correlation_matrix,
     gen_iid_channel,
+    kronecker_correlate,
     matrix_sqrt_psd,
 )
 from .decouplers import (
@@ -332,110 +337,58 @@ def _user_streams(cfg: SimConfig, systems, purpose: int) -> list[int]:
             for trial, sc in systems for u in range(cfg.k)]
 
 
-def _width_slots(cfg: SimConfig) -> tuple[list[tuple[int, int]], dict[int, int]]:
-    """Each user's ``(width, index among the users of that width)``, and the
-    number of users of each width: a block's channels are stacked per width."""
-    counts: dict[int, int] = {}
-    slots = []
-    for m_u in cfg.m_i:
-        slots.append((m_u, counts.get(m_u, 0)))
-        counts[m_u] = slots[-1][1] + 1
-    return slots, counts
-
-
-def _draw_normals(cfg: SimConfig, systems, purpose: int, reader) -> dict[int, np.ndarray]:
-    """Per width, the (systems, users, 2, n_r, m) stack of every user's real
-    then imaginary n_r x m standard normals from its ``purpose`` stream."""
-    slots, counts = _width_slots(cfg)
-    normals = {m: np.empty((len(systems), c, 2, cfg.n_r, m)) for m, c in counts.items()}
-    outs = [normals[m][e, j] for e in range(len(systems)) for m, j in slots]
-    for rng, out in zip(reader.read(_user_streams(cfg, systems, purpose)), outs):
-        rng.standard_normal(out=out)
-    return normals
-
-
-def _complex_normals(x: np.ndarray, scale) -> np.ndarray:
-    """``scale * (re + 1j * im)`` of the normals ``x[..., 0, :, :]`` and
-    ``x[..., 1, :, :]``, with the bytes of that complex product."""
-    h = np.empty(x.shape[:-3] + x.shape[-2:], dtype=np.complex128)
-    np.multiply(x[..., 0, :, :], scale, out=h.real)
-    np.multiply(x[..., 1, :, :], scale, out=h.imag)
-    return h
-
-
-def _true_stacks(cfg: SimConfig, systems, roots, reader) -> dict[int, np.ndarray]:
-    """The true channels of the (trial, subcarrier) ``systems``: per width m, a
-    complex (systems, users of width m, n_r, m) stack in user order.
-
-    Every entry has the bytes of ``gen_iid_channel``, then
-    ``kronecker_correlate`` and ``apply_large_scale``, over its streams."""
-    stacks = {}
-    for m, x in _draw_normals(cfg, systems, _IID, reader).items():
-        h = stacks[m] = _complex_normals(x, np.sqrt(0.5))
-        if cfg.kronecker is not None:
-            rx_root, tx_roots = roots
-            product = x.reshape(-1).view(np.complex128).reshape(h.shape)  # the normals' memory
-            np.matmul(rx_root, h, out=product)
-            np.matmul(product, tx_roots[m], out=h)
-    if cfg.large_scale is not None:
-        gains = np.array([_shadowing_gain(cfg.large_scale, rng.standard_normal())
-                          for rng in reader.read(_user_streams(cfg, systems, _SHADOW))])
-        gains = gains.reshape(len(systems), cfg.k)
-        for m, h in stacks.items():
-            # a real gain scales both parts, as the complex product with gain + 0j does
-            parts = h.view(np.float64)
-            parts *= gains[:, [u for u, m_u in enumerate(cfg.m_i) if m_u == m], None, None]
-    return stacks
-
-
-def _perturbed_stacks(cfg: SimConfig, systems, true, reader) -> dict[int, np.ndarray]:
-    """The used channels: ``true`` plus, with a CE error, the bytes of
-    ``perturb_channel`` over each user's stream; ``true`` itself without one."""
-    if cfg.ce_error is None or cfg.ce_error.sigma_e2 == 0.0:
-        return true
-    scale = np.sqrt(cfg.ce_error.sigma_e2 / 2.0)
-    used = {}
-    for m, x in _draw_normals(cfg, systems, _CE, reader).items():
-        used[m] = _complex_normals(x, scale)
-        used[m] += true[m]
-    return used
-
-
-def _stack_users(cfg: SimConfig, chans) -> dict[int, np.ndarray]:
-    """Per-system lists of user channels as per-width stacks."""
-    slots, counts = _width_slots(cfg)
-    stacks = {m: np.empty((len(chans), c, cfg.n_r, m), dtype=np.complex128)
-              for m, c in counts.items()}
-    for e, users in enumerate(chans):
-        for (m, j), h in zip(slots, users):
-            stacks[m][e, j] = h
-    return stacks
-
-
-def _side_by_side(cfg: SimConfig, stacks) -> np.ndarray:
-    """Every system's user channels side by side, in user order: a
-    (systems, n_r, sum(m_i)) stack."""
-    out = np.empty((len(stacks[cfg.m_i[0]]), cfg.n_r, cfg.m_total), dtype=np.complex128)
+def _draw_users(cfg: SimConfig, systems, purpose: int, reader, scale, roots=None) -> np.ndarray:
+    """The (systems, n_r, sum(m_i)) stack of every system's users side by side,
+    in user order: each user's columns hold ``scale * (re + 1j * im)`` from its
+    ``purpose`` stream, Kronecker-correlated by ``roots`` when given.  The
+    users of one width are drawn, and correlated, as one stack."""
+    out = np.empty((len(systems), cfg.n_r, cfg.m_total), dtype=np.complex128)
     offsets = np.cumsum((0,) + cfg.m_i)
-    for (m, j), lo, hi in zip(_width_slots(cfg)[0], offsets, offsets[1:]):
-        out[:, :, lo:hi] = stacks[m][:, j]
+    streams = np.reshape(_user_streams(cfg, systems, purpose), (len(systems), cfg.k))
+    for m in set(cfg.m_i):
+        users = [u for u, m_u in enumerate(cfg.m_i) if m_u == m]
+        h = _complex_normals(reader.read(streams[:, users].ravel()),
+                             (len(systems) * len(users), cfg.n_r, m), scale)
+        if roots is not None:
+            h = kronecker_correlate(h, roots[1][m], roots[0])
+        for j, u in enumerate(users):
+            out[:, :, offsets[u]:offsets[u + 1]] = h[j::len(users)]
     return out
 
 
-def _users(cfg: SimConfig, stacks, e: int) -> list[np.ndarray]:
-    """System ``e``'s user channels, in user order, as views of the stacks."""
-    return [stacks[m][e, j] for m, j in _width_slots(cfg)[0]]
+def _true_stack(cfg: SimConfig, systems, roots, reader) -> np.ndarray:
+    """The true channels of the (trial, subcarrier) ``systems``, side by side.
+
+    Every user has the bytes of ``gen_iid_channel``, then
+    ``kronecker_correlate`` and ``apply_large_scale``, over its streams."""
+    h = _draw_users(cfg, systems, _IID, reader, np.sqrt(0.5), roots)
+    if cfg.large_scale is not None:
+        gains = [_shadowing_gain(cfg.large_scale, rng.standard_normal())
+                 for rng in reader.read(_user_streams(cfg, systems, _SHADOW))]
+        # a real gain scales both parts, as the complex product with gain + 0j does
+        parts = h.view(np.float64)
+        gains = np.reshape(gains, (len(systems), 1, cfg.k))
+        parts *= np.repeat(gains, np.multiply(2, cfg.m_i), axis=2)
+    return h
+
+
+def _ce_error(cfg: SimConfig, systems, reader) -> np.ndarray | None:
+    """The estimation error of the (trial, subcarrier) ``systems``, side by side:
+    each user's ``perturb_channel`` draw over its stream; None without one."""
+    if cfg.ce_error is None or cfg.ce_error.sigma_e2 == 0.0:
+        return None
+    return _draw_users(cfg, systems, _CE, reader, np.sqrt(cfg.ce_error.sigma_e2 / 2.0))
 
 
 def _build_true_channels(cfg: SimConfig, trial: int, subcarrier: int, roots) -> list[np.ndarray]:
-    return _users(cfg, _true_stacks(cfg, [(trial, subcarrier)], roots,
-                                    _StreamReader(cfg.seed)), 0)
+    h = _true_stack(cfg, [(trial, subcarrier)], roots, _StreamReader(cfg.seed))[0]
+    return np.split(h, np.cumsum(cfg.m_i)[:-1], axis=1)
 
 
 def _perturb_channels(cfg: SimConfig, trial: int, subcarrier: int, chans) -> list[np.ndarray]:
-    used = _perturbed_stacks(cfg, [(trial, subcarrier)], _stack_users(cfg, [chans]),
-                             _StreamReader(cfg.seed))
-    return _users(cfg, used, 0)
+    error = _ce_error(cfg, [(trial, subcarrier)], _StreamReader(cfg.seed))
+    h = np.concatenate(chans, axis=1)
+    return np.split(h if error is None else h + error[0], np.cumsum(cfg.m_i)[:-1], axis=1)
 
 
 @lru_cache
@@ -511,7 +464,7 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
             raise InvalidInputError(f"channel_factory({trial}, {sc}) returned non-finite entries")
         return chans
 
-    def detect(errors, di, decs, chans, y_clean, unit, tx_labels):
+    def detect(errors, di, decs, used, y_clean, unit, tx_labels):
         """Detect every user of every (trial, subcarrier) entry of a block at
         every SNR point, stacked over each group of links whose decoupler
         shape and stream count agree.  Decisions agree with the per-link
@@ -523,7 +476,7 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
         for members in groups.values():
             entries, users = (np.array(x) for x in zip(*members))
             w = np.stack([decs[e].w[u] for e, u in members])
-            ht = w @ np.stack([chans[e][u] for e, u in members])
+            ht = w @ np.stack([used[e, :, offsets[u]:offsets[u + 1]] for e, u in members])
             a = (w @ y_clean[entries, :, None])[..., 0]
             b = (w @ unit[entries, :, None])[..., 0]
             if cfg.whiten and not decs[0].row_orthonormal:
@@ -545,39 +498,34 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
         bits = np.stack([rng.integers(0, 2, size=(cfg.n_subcarriers, bits_per_vec))
                          for rng in reader.read([trial * _STRIDE + _BITS for trial in block])])
         tx_labels = bits.reshape(len(entries), -1, cons.bits_per_symbol) @ bit_weights
-        noise = np.empty((len(block), 2, cfg.n_subcarriers, cfg.n_r))
-        for rng, out in zip(reader.read([trial * _STRIDE + _NOISE for trial in block]), noise):
-            rng.standard_normal(out=out)  # gen_awgn's real, then imaginary parts
-        unit = _complex_normals(noise, np.sqrt(0.5)).reshape(len(entries), cfg.n_r)
-        true = (_true_stacks(cfg, entries, roots, reader) if channel_factory is None
-                else _stack_users(cfg, [factory_channels(*entry) for entry in entries]))
-        used = _perturbed_stacks(cfg, entries, true, reader)
+        unit = _complex_normals(reader.read([trial * _STRIDE + _NOISE for trial in block]),
+                                (len(block), cfg.n_subcarriers, cfg.n_r), np.sqrt(0.5))
+        # each trial's gen_awgn(1.0, n_subcarriers * n_r), a row per subcarrier
+        unit = unit.reshape(len(entries), cfg.n_r)
+        true = (_true_stack(cfg, entries, roots, reader) if channel_factory is None
+                else np.stack([np.concatenate(factory_channels(*entry), axis=1)
+                               for entry in entries]))
+        error = _ce_error(cfg, entries, reader)
+        used = true if error is None else true + error
         # the signal crosses the true channels; SD and detection see the used ones
-        local = _side_by_side(cfg, true)
-        y_clean = (local @ cons.points[tx_labels][..., None])[..., 0]
-        if used is not true:
-            local = _side_by_side(cfg, used)
-        chans = [_users(cfg, used, e) for e in range(len(entries))]
+        y_clean = (true @ cons.points[tx_labels][..., None])[..., 0]
         # SD builds the whole block in one stacked walk, the baselines system by system
-        systems = [SystemChannel(cfg.n_r, c) for c in chans] if set(decouplers) - {"SD"} else []
+        systems = ([SystemChannel(cfg.n_r, np.split(h, offsets[1:-1], axis=1)) for h in used]
+                   if set(decouplers) - {"SD"} else [])
+        # an arm's decoupler sets are freed once detected, before the next arm builds
         for di, dec_name in enumerate(decouplers):
-            decs = (_sd_sets(local, cfg.m_i) if dec_name == "SD"
-                    else [_DECOUPLE_FN[dec_name](sys) for sys in systems])
-            detect(errors, di, decs, chans, y_clean, unit, tx_labels)
+            detect(errors, di, _sd_sets(used, cfg.m_i) if dec_name == "SD"
+                   else [_DECOUPLE_FN[dec_name](sys) for sys in systems],
+                   used, y_clean, unit, tx_labels)
         return errors
 
     blocks = range(0, trials, _BLOCK)
-
-    def on_calling_thread():
-        # numpy's default error state, which numpy < 2 keeps per thread, not per context
-        with np.errstate(all="warn", under="ignore"):
-            return sum(map(one_block, blocks))
-
     # one thread, or a single block, runs in an empty context, which starts as a pool
-    # thread does: with no FLOP tally and numpy's default error state, so no output
-    # depends on threads; an idle pool would only cost its start and stop
+    # thread does: with no FLOP tally and numpy's default error state (a context
+    # variable), so no output depends on threads; an idle pool would only cost its
+    # start and stop
     if min(cfg.threads, len(blocks)) == 1:
-        total = contextvars.Context().run(on_calling_thread)
+        total = contextvars.Context().run(lambda: sum(map(one_block, blocks)))
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             total = sum(pool.map(one_block, blocks))

@@ -162,10 +162,27 @@ class TestKronecker:
                                   matrix_sqrt_psd(correlation_matrix(0.0, 6)))
         assert np.array_equal(out, h)
 
+    def test_stack_gives_the_bytes_of_per_matrix_calls(self):
+        tx_root = matrix_sqrt_psd(correlation_matrix(0.4, 3))
+        rx_root = matrix_sqrt_psd(correlation_matrix(0.3, 6))
+        h = np.stack([gen_iid_channel(RngSeed(6, i), 6, 3) for i in range(10)]).reshape(2, 5, 6, 3)
+        out = kronecker_correlate(h, tx_root, rx_root)
+        assert out.shape == h.shape
+        for i, j in np.ndindex(2, 5):
+            assert out[i, j].tobytes() == kronecker_correlate(h[i, j], tx_root, rx_root).tobytes()
+
     def test_root_shapes_must_match_the_channel(self):
         h = gen_iid_channel(RngSeed(6), 6, 3)
         with pytest.raises(InvalidInputError, match="shape mismatch"):
             kronecker_correlate(h, np.eye(6), np.eye(3))
+        # a stack is checked on its last two axes
+        for stack in (np.stack([h] * 4), np.stack([h] * 4).reshape(2, 2, 6, 3)):
+            with pytest.raises(InvalidInputError, match="shape mismatch"):
+                kronecker_correlate(stack, np.eye(6), np.eye(3))
+            with pytest.raises(InvalidInputError, match="shape mismatch"):
+                kronecker_correlate(np.swapaxes(stack, 0, -1), np.eye(3), np.eye(6))
+        with pytest.raises(InvalidInputError, match="shape mismatch"):
+            kronecker_correlate(h[:, 0], np.eye(3), np.eye(6))
 
 
 class TestLargeScale:
@@ -262,3 +279,42 @@ class TestAwgn:
     def test_empirical_variance(self):
         n = gen_awgn(RngSeed(17), 0.25, 100_000)
         assert abs(np.mean(np.abs(n) ** 2) - 0.25) <= 0.005
+
+
+class TestPublicFormulas:
+    """The public generators' bytes, pinned to their formulas written out from the
+    stream's own generator: real parts, then imaginary parts, times one scale."""
+
+    @staticmethod
+    def parts(seed, shape):
+        rng = seed.generator()
+        return rng.standard_normal(shape), rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("n_r,m", [(1, 1), (7, 3), (64, 4)])
+    def test_iid_channel(self, n_r, m):
+        re, im = self.parts(RngSeed(21, 5 + m), (n_r, m))
+        want = np.sqrt(0.5) * (re + 1j * im)
+        assert gen_iid_channel(RngSeed(21, 5 + m), n_r, m).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sigma_e2", [0.01, 2.5])
+    def test_perturb_channel(self, sigma_e2):
+        h = gen_iid_channel(RngSeed(22), 9, 2)
+        re, im = self.parts(RngSeed(23, 1), (9, 2))
+        want = h + np.sqrt(sigma_e2 / 2.0) * (re + 1j * im)
+        got = perturb_channel(h, CeErrorParams(sigma_e2), RngSeed(23, 1))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sigma_n2,n", [(0.3, 1), (1.0, 17), (4.0, 0)])
+    def test_awgn(self, sigma_n2, n):
+        re, im = self.parts(RngSeed(24, n), n)
+        want = np.sqrt(sigma_n2 / 2.0) * (re + 1j * im)
+        assert gen_awgn(RngSeed(24, n), sigma_n2, n).tobytes() == want.tobytes()
+
+    def test_zero_variance_values(self):
+        # values, not bytes: the sign of a zero part is not part of the formula
+        h = gen_iid_channel(RngSeed(25), 6, 3)
+        re, im = self.parts(RngSeed(26), (6, 3))
+        assert np.array_equal(perturb_channel(h, CeErrorParams(0.0), RngSeed(26)),
+                              h + 0.0 * (re + 1j * im))
+        re, im = self.parts(RngSeed(27), 12)
+        assert np.array_equal(gen_awgn(RngSeed(27), 0.0, 12), 0.0 * (re + 1j * im))

@@ -8,7 +8,7 @@ from decoupsim.channels import (
     CeErrorParams, KroneckerParams, LargeScaleParams, correlation_matrix, matrix_sqrt_psd,
 )
 from decoupsim.errors import (
-    InfeasibleSystemError, InvalidInputError, ShapeError, SingularMatrixError,
+    InfeasibleSystemError, InvalidInputError, SingularMatrixError,
 )
 from decoupsim.kernels import SubspaceBasis, left_nullspace_basis, subspace_distance
 from decoupsim.decouplers import (
@@ -285,8 +285,9 @@ class TestStackedWalk:
     def test_bit_identical_to_per_system_builds(self, n_r, m_list, b):
         rng = np.random.default_rng(90 + b)
         systems = [random_system(rng, n_r, len(m_list), list(m_list)) for _ in range(b)]
+        local = np.stack([sys.stacked() for sys in systems])
         with flops.counting() as tally:
-            stacked = decouplers._sequential_decouplers(systems)
+            stacked = decouplers._sd_sets(local, m_list)
         # every stacked node is charged as in its own system's build
         assert tally.total == b * flops.estimate_flops("SD", n_r, m_list).total
         for sys, dec in zip(systems, stacked, strict=True):
@@ -310,7 +311,7 @@ class TestStackedWalk:
         alone = sequential_decoupler(systems[1])
         alone_folds = folds[:]
         folds.clear()
-        stacked = decouplers._sequential_decouplers(systems)
+        stacked = decouplers._sd_sets(np.stack([sys.stacked() for sys in systems]), (2,) * 8)
         # system 1's rank-losing nodes take the block-by-block fold, with the
         # same inputs as in its own build; the other systems stay stacked
         assert len(alone_folds) == 3 and folds == alone_folds
@@ -319,12 +320,6 @@ class TestStackedWalk:
         for sys, dec in zip(systems[::2], stacked[::2]):
             for w, w_alone in zip(dec.w, sequential_decoupler(sys).w, strict=True):
                 assert w.tobytes() == w_alone.tobytes()
-
-    def test_unequal_widths_rejected(self):
-        rng = np.random.default_rng(95)
-        systems = [random_system(rng, 12, 3, 2), random_system(rng, 12, 3, [2, 2, 1])]
-        with pytest.raises(ShapeError):
-            decouplers._sequential_decouplers(systems)
 
 
 class TestPartitionTree:

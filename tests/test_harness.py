@@ -331,6 +331,11 @@ class TestBlockChannels:
                       for u, h in enumerate(true)]
 
     @staticmethod
+    def users(cfg, h):
+        """One system's user channels: column slices of its side-by-side channels."""
+        return np.split(h, np.cumsum(cfg.m_i)[:-1], axis=1)
+
+    @staticmethod
     def assert_same(got, want):
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -341,12 +346,12 @@ class TestBlockChannels:
         cfg, roots = self.CFG, harness._kronecker_roots(self.CFG)
         entries = [(trial, sc) for trial in range(4090, 4102) for sc in range(3)]
         reader = _StreamReader(cfg.seed)
-        true = harness._true_stacks(cfg, entries, roots, reader)
-        used = harness._perturbed_stacks(cfg, entries, true, reader)
+        true = harness._true_stack(cfg, entries, roots, reader)
+        used = true + harness._ce_error(cfg, entries, reader)
         for e, (trial, sc) in enumerate(entries):
             want_true, want_used = self.reference(cfg, trial, sc)
-            self.assert_same(harness._users(cfg, true, e), want_true)
-            self.assert_same(harness._users(cfg, used, e), want_used)
+            self.assert_same(self.users(cfg, true[e]), want_true)
+            self.assert_same(self.users(cfg, used[e]), want_used)
             # the per-trial functions are the one-system case
             one_true = harness._build_true_channels(cfg, trial, sc, roots)
             self.assert_same(one_true, want_true)
@@ -354,30 +359,38 @@ class TestBlockChannels:
 
     @pytest.mark.parametrize("factory", [False, True], ids=["built_in", "channel_factory"])
     def test_sweep_blocks_draw_the_public_channels(self, factory, monkeypatch):
-        cfg, blocks, perturb = self.CFG, [], harness._perturbed_stacks
+        cfg, blocks, ce_error, sd_sets = self.CFG, [], harness._ce_error, harness._sd_sets
 
-        def spy(cfg, systems, true, reader):
-            used = perturb(cfg, systems, true, reader)
-            blocks.append((systems, true, used))
-            return used
+        def spy(cfg, systems, reader):
+            error = ce_error(cfg, systems, reader)
+            blocks.append((systems, error))
+            return error
+
+        def spy_sd(local, widths):  # SD decouples the used channels, true plus error
+            blocks[-1] += (local,)
+            return sd_sets(local, widths)
 
         def channels(trial, sc):  # a factory's own channels, kept as they are
             rng = RngSeed(500 + trial, sc).generator()
             return [rng.standard_normal((cfg.n_r, m)) + 1j * rng.standard_normal((cfg.n_r, m))
                     for m in cfg.m_i]
 
-        monkeypatch.setattr(harness, "_perturbed_stacks", spy)
+        monkeypatch.setattr(harness, "_ce_error", spy)
+        monkeypatch.setattr(harness, "_sd_sets", spy_sd)
         run_paired_ber(cfg, channel_factory=channels if factory else None)
         # two full blocks and a short one of 3 trials, 3 subcarriers each
         assert [len(systems) for systems, _, _ in blocks] == [3 * harness._BLOCK] * 2 + [9]
         assert [entry for systems, _, _ in blocks for entry in systems] == [
             (trial, sc) for trial in range(cfg.trials) for sc in range(3)]
-        for systems, true, used in blocks:
+        for systems, error, used in blocks:
             for e, (trial, sc) in enumerate(systems):
                 want_true, want_used = self.reference(
                     cfg, trial, sc, channels(trial, sc) if factory else None)
-                self.assert_same(harness._users(cfg, true, e), want_true)
-                self.assert_same(harness._users(cfg, used, e), want_used)
+                # perturb_channel of zero channels draws the bare error
+                zeros = [np.zeros_like(h) for h in want_true]
+                _, want_error = self.reference(cfg, trial, sc, zeros)
+                self.assert_same(self.users(cfg, error[e]), want_error)
+                self.assert_same(self.users(cfg, used[e]), want_used)
 
 
 class TestTrialBlocks:
