@@ -2,7 +2,10 @@
 
 Every generator is a pure function of its seed, so identical seeds
 reproduce identical realizations bit for bit and parallel Monte-Carlo
-trials can draw from disjoint streams without coordination.  Every
+trials can draw from disjoint streams without coordination.  A batch of
+``(seed, stream)`` streams is read by :func:`_read_streams`, a generator
+made per read whose states come from numpy's ``SeedSequence`` pool of
+the seed and one vectorised hash of the stream words.  Every
 complex Gaussian comes from one stacked draw, ``scale * (re + 1j * im)``
 per generator (its real parts, then its imaginary parts): a public
 generator is its batch of one, and a BER sweep block draws all its
@@ -58,62 +61,37 @@ def _pcg64_states(seed: int, streams) -> list[tuple[int, int]]:
     """PCG64 ``(state, inc)`` of ``RngSeed(seed, s).generator()`` for every stream s.
 
     SeedSequence's hash, vectorised over the streams: the entropy is the
-    seed's 32-bit words padded to 4, then the stream's one or two words
-    (streams must be below 2^64).  The pool after the seed's words is the
-    same for every stream, so it is hashed once on Python ints; each stream
-    word then goes into the 4 pool words as one uint32 array pass, which
-    wraps as the uint32 original does.  ``generate_state(4, uint64)`` gives
-    the seed and increment, and pcg64_set_seed's two LCG steps take Python
-    ints.
+    seed's 32-bit words, then the stream's one or two words (streams must
+    be below 2^64).  The pool after the seed's words is the same for every
+    stream, so numpy hashes it once (``SeedSequence(seed).pool``), in 4
+    hash steps per seed word and at least 16; each stream word then goes
+    into the 4 pool words as one uint32 array pass, which wraps as the
+    uint32 original does.  ``generate_state(4, uint64)`` gives the seed and
+    increment, and pcg64_set_seed's two LCG steps take Python ints.
     """
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    hash_const = _INIT_A
 
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _MULT_A & _M32
-        value = value * hash_const & _M32
-        return value ^ value >> 16
+    def constants(init: int, mult: int, first: int):
+        """The hash constant after steps first .. first + 8, as a uint32 column."""
+        return np.array([init * pow(mult, j, 1 << 32) & _M32 for j in range(first, first + 9)],
+                        dtype=np.uint32)[:, None]
 
-    def mix(x: int, y: int) -> int:
-        result = (_MIX_L * x - _MIX_R * y) & _M32
-        return result ^ result >> 16
-
-    def columns(const: int, mult: int, n: int):
-        """The hash constant before and after each of n steps, as uint32 columns."""
-        seq = [const]
-        for _ in range(n):
-            seq.append(seq[-1] * mult & _M32)
-        return (np.array(seq[:-1], dtype=np.uint32)[:, None],
-                np.array(seq[1:], dtype=np.uint32)[:, None], seq[-1])
-
-    def mix_in(pool, word):
-        """One entropy word of every stream into its 4 pool words: 4 hashmix-mix steps."""
-        nonlocal hash_const
-        xor, mul, hash_const = columns(hash_const, _MULT_A, 4)
-        value = (word.astype(np.uint32) ^ xor) * mul
+    def mix_in(pool, word, const):
+        """One entropy word of every stream into its 4 pool words: 4 hashmix-mix steps,
+        step i xoring the constant before it (``const[i]``) and multiplying the one after."""
+        value = (word.astype(np.uint32) ^ const[:-1]) * const[1:]
         mixed = _MIX_L * pool - _MIX_R * (value ^ value >> 16)
         return mixed ^ mixed >> 16
 
-    seed_words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    seed_words += [0] * (4 - len(seed_words))
-    pool = [hashmix(word) for word in seed_words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in seed_words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
+    const = constants(_INIT_A, _MULT_A, 4 * max(4, -(-seed.bit_length() // 32)))
     streams = np.asarray(streams, dtype=np.uint64).ravel()
-    pool = mix_in(np.array(pool, dtype=np.uint32)[:, None], streams & _M32)
+    pool = mix_in(np.random.SeedSequence(seed).pool[:, None], streams & _M32, const[:5])
     if (wide := streams >> 32 != 0).any():  # a stream of 2^32 or more has a second word
-        pool[:, wide] = mix_in(pool[:, wide], streams[wide] >> 32)
+        pool[:, wide] = mix_in(pool[:, wide], streams[wide] >> 32, const[4:])
     # generate_state(4, uint64): 8 words from the pool in turn, paired little end first
-    xor, mul, _ = columns(_INIT_B, _MULT_B, 8)
-    value = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ xor) * mul
+    const = constants(_INIT_B, _MULT_B, 0)
+    value = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ const[:-1]) * const[1:]
     value = (value ^ value >> 16).astype(np.uint64)
     out = []
     for s_hi, s_lo, i_hi, i_lo in zip(*(value[0::2] | value[1::2] << 32).tolist()):
@@ -122,26 +100,16 @@ def _pcg64_states(seed: int, streams) -> list[tuple[int, int]]:
     return out
 
 
-class _StreamReader:
-    """One PCG64 generator that reads many ``(seed, stream)`` streams in turn.
-
-    ``read(streams)`` hashes the batch at once (:func:`_pcg64_states`) and
-    yields the generator at the start of each stream, in order: it draws
-    what ``RngSeed(seed, stream).generator()`` would.  Every item is the
-    same generator, so a stream's draws must be finished before the next
-    item is taken; a reader belongs to one task.
-    """
-
-    def __init__(self, seed: int) -> None:
-        self.seed = seed
-        self._bitgen = np.random.PCG64(0)  # each read replaces this state
-        self._gen = np.random.Generator(self._bitgen)
-
-    def read(self, streams):
-        for state, inc in _pcg64_states(self.seed, streams):
-            self._bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                  "has_uint32": 0, "uinteger": 0}
-            yield self._gen
+def _read_streams(seed: int, streams):
+    """Yield, in order, a generator at the start of each ``(seed, stream)``
+    stream, which draws what ``RngSeed(seed, stream).generator()`` would.
+    Every item is this call's one generator: finish a stream's draws before
+    taking the next."""
+    gen = np.random.Generator(np.random.PCG64(0))  # each stream replaces its state
+    for state, inc in _pcg64_states(seed, streams):
+        gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield gen
 
 
 def _complex_normals(rngs, shape, scale) -> np.ndarray:

@@ -413,6 +413,16 @@ def include_users(
 # ---------------------------------------------------------------------------
 # Baselines.
 
+def _unit_columns(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``h`` with its nonzero columns scaled to unit norm, and the column norms.
+    An overflowing norm raises ``FloatingPointError`` (it would zero its column)."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(h, axis=0)
+    if not np.isfinite(norms).all():
+        raise FloatingPointError("a channel column norm is past the float range")
+    return h / np.where(norms > 0, norms, 1.0), norms
+
+
 def svd_decoupler(sys: SystemChannel) -> DecouplerSet:
     """Per-user decouplers from one factorization of each complementary channel.
 
@@ -422,11 +432,10 @@ def svd_decoupler(sys: SystemChannel) -> DecouplerSet:
     other users' channels, charged as one full SVD.
     Rows are orthonormal by construction and are not re-checked.  Nonzero
     columns are first scaled to unit norm (uncharged): this leaves every
-    nullspace unchanged and keeps a faint user above the rank cutoff.
+    nullspace unchanged and keeps a faint user above the rank cutoff.  A
+    column norm past the float range raises ``FloatingPointError``.
     """
-    h = sys.stacked()
-    norms = np.linalg.norm(h, axis=0)
-    h = h / np.where(norms > 0, norms, 1.0)
+    h = _unit_columns(sys.stacked())[0]
     offsets = (0, *itertools.accumulate(sys.m_per_user))
     tally = flops._tally.get()
     w = []
@@ -450,13 +459,13 @@ def pinv_decoupler(sys: SystemChannel) -> DecouplerSet:
     forming it (which would square the condition number).  The rank
     decision is the one rule (``kernels._rank_cutoff``) on R's diagonal,
     the Cholesky pivots; the inverse is ``solve(R, Q^H)`` with the column
-    scaling undone on its rows.
+    scaling undone on its rows.  A column norm past the float range raises
+    ``FloatingPointError``.
     """
-    h = sys.stacked()
-    norms = np.linalg.norm(h, axis=0)
+    h, norms = _unit_columns(sys.stacked())
     full_rank = sys.m_total <= sys.n_r and bool(norms.all())
     if full_rank:
-        q, r = np.linalg.qr(h / norms)
+        q, r = np.linalg.qr(h)
         pivots = np.sort(np.abs(np.diagonal(r)))[::-1]
         full_rank = pivots[-1] > _rank_cutoff(pivots, h.shape)
     if not full_rank:
@@ -499,7 +508,8 @@ def verify_decoupling(sys: SystemChannel, dec: DecouplerSet) -> DecouplingReport
     residual made scale-free, ``norm(W_i @ H_k) / (norm(W_i, 2) *
     norm(H_k))`` (a zero-forcing W_i grows as its user's channel fades,
     and the raw residual with it), and whether the effective own channel
-    ``W_i @ H_i`` keeps full stream rank.
+    ``W_i @ H_i`` keeps full stream rank.  A decoupler, channel or residual
+    norm past the float range raises ``FloatingPointError``.
     """
     if dec.k != sys.k:
         raise ShapeError(f"decoupler set covers {dec.k} users, system has {sys.k}")
@@ -513,7 +523,10 @@ def verify_decoupling(sys: SystemChannel, dec: DecouplerSet) -> DecouplingReport
         for kk, h in enumerate(sys.users):
             if kk == i:
                 continue
-            residual, h_norm = np.linalg.norm(w @ h), np.linalg.norm(h)
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual, h_norm = np.linalg.norm(w @ h), np.linalg.norm(h)
+            if not np.isfinite((w_norm, h_norm, residual)).all():
+                raise FloatingPointError(f"norm past the float range: decoupler {i}, user {kk}")
             if residual:  # else nothing leaks, and a zero H_k or W_i has no scale
                 cross = max(cross, float(residual / h_norm))
                 scale_free = max(scale_free, float(residual / (w_norm * h_norm)))

@@ -101,10 +101,7 @@ def _axis_positions(values: np.ndarray, cons: Constellation) -> np.ndarray:
 
 def slice_symbols(z, cons: Constellation) -> np.ndarray:
     """Map each entry of ``z`` to the nearest constellation point."""
-    z = np.asarray(z, dtype=np.complex128)
-    i_pos = _axis_positions(z.real, cons)
-    q_pos = _axis_positions(z.imag, cons)
-    return cons.levels[i_pos] + 1j * cons.levels[q_pos]
+    return cons.points[_symbol_indices(z, cons)]
 
 
 def _symbol_indices(z, cons: Constellation) -> np.ndarray:

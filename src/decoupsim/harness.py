@@ -15,17 +15,18 @@ byte-identical tables.  A sweep task runs a block of a constant number
 of consecutive trials (the last block may be shorter).  It holds the
 channels of all the block's (trial, subcarrier) systems in one layout, a
 (systems, n_r, sum(m_i)) stack of each system's users side by side, where
-a user is a column slice.  One generator reads the streams one after
-another, each with the bytes it draws on its own; the users of one width
-are drawn (``channels._complex_normals``) and correlated as one batch and
+a user is a column slice.  Each read of streams makes its own generator
+(``channels._read_streams``), which takes them one after another, each
+with the bytes it draws on its own; the users of one width are drawn
+(``channels._complex_normals``) and correlated as one batch and
 scattered into the stack, and the gains and estimation error apply to
 the whole stack.  It builds the SD decouplers of all the block's systems
 from that stack in one stacked partition-tree walk and detects
 equal-shape links of all of them together.  Each system's arithmetic is
 the same in any block, so results depend neither on the block split nor
-on the thread count.  Comparisons
-between decouplers or detectors re-use the same streams (common random
-numbers); the arms differ only in the algorithm under test.
+on the thread count.  Comparisons between decouplers or detectors re-use
+the same streams (common random numbers); the arms differ only in the
+algorithm under test.
 
 The signal-to-noise definition used throughout is recorded in every run
 manifest: with unit-energy symbols and unit-variance channel entries,
@@ -57,8 +58,8 @@ from .channels import (
     LargeScaleParams,
     RngSeed,
     _complex_normals,
+    _read_streams,
     _shadowing_gain,
-    _StreamReader,
     correlation_matrix,
     gen_iid_channel,
     kronecker_correlate,
@@ -337,7 +338,7 @@ def _user_streams(cfg: SimConfig, systems, purpose: int) -> list[int]:
             for trial, sc in systems for u in range(cfg.k)]
 
 
-def _draw_users(cfg: SimConfig, systems, purpose: int, reader, scale, roots=None) -> np.ndarray:
+def _draw_users(cfg: SimConfig, systems, purpose: int, scale, roots=None) -> np.ndarray:
     """The (systems, n_r, sum(m_i)) stack of every system's users side by side,
     in user order: each user's columns hold ``scale * (re + 1j * im)`` from its
     ``purpose`` stream, Kronecker-correlated by ``roots`` when given.  The
@@ -347,7 +348,7 @@ def _draw_users(cfg: SimConfig, systems, purpose: int, reader, scale, roots=None
     streams = np.reshape(_user_streams(cfg, systems, purpose), (len(systems), cfg.k))
     for m in set(cfg.m_i):
         users = [u for u, m_u in enumerate(cfg.m_i) if m_u == m]
-        h = _complex_normals(reader.read(streams[:, users].ravel()),
+        h = _complex_normals(_read_streams(cfg.seed, streams[:, users].ravel()),
                              (len(systems) * len(users), cfg.n_r, m), scale)
         if roots is not None:
             h = kronecker_correlate(h, roots[1][m], roots[0])
@@ -356,15 +357,15 @@ def _draw_users(cfg: SimConfig, systems, purpose: int, reader, scale, roots=None
     return out
 
 
-def _true_stack(cfg: SimConfig, systems, roots, reader) -> np.ndarray:
+def _true_stack(cfg: SimConfig, systems, roots) -> np.ndarray:
     """The true channels of the (trial, subcarrier) ``systems``, side by side.
 
     Every user has the bytes of ``gen_iid_channel``, then
     ``kronecker_correlate`` and ``apply_large_scale``, over its streams."""
-    h = _draw_users(cfg, systems, _IID, reader, np.sqrt(0.5), roots)
+    h = _draw_users(cfg, systems, _IID, np.sqrt(0.5), roots)
     if cfg.large_scale is not None:
         gains = [_shadowing_gain(cfg.large_scale, rng.standard_normal())
-                 for rng in reader.read(_user_streams(cfg, systems, _SHADOW))]
+                 for rng in _read_streams(cfg.seed, _user_streams(cfg, systems, _SHADOW))]
         # a real gain scales both parts, as the complex product with gain + 0j does
         parts = h.view(np.float64)
         gains = np.reshape(gains, (len(systems), 1, cfg.k))
@@ -372,21 +373,21 @@ def _true_stack(cfg: SimConfig, systems, roots, reader) -> np.ndarray:
     return h
 
 
-def _ce_error(cfg: SimConfig, systems, reader) -> np.ndarray | None:
+def _ce_error(cfg: SimConfig, systems) -> np.ndarray | None:
     """The estimation error of the (trial, subcarrier) ``systems``, side by side:
     each user's ``perturb_channel`` draw over its stream; None without one."""
     if cfg.ce_error is None or cfg.ce_error.sigma_e2 == 0.0:
         return None
-    return _draw_users(cfg, systems, _CE, reader, np.sqrt(cfg.ce_error.sigma_e2 / 2.0))
+    return _draw_users(cfg, systems, _CE, np.sqrt(cfg.ce_error.sigma_e2 / 2.0))
 
 
 def _build_true_channels(cfg: SimConfig, trial: int, subcarrier: int, roots) -> list[np.ndarray]:
-    h = _true_stack(cfg, [(trial, subcarrier)], roots, _StreamReader(cfg.seed))[0]
+    h = _true_stack(cfg, [(trial, subcarrier)], roots)[0]
     return np.split(h, np.cumsum(cfg.m_i)[:-1], axis=1)
 
 
 def _perturb_channels(cfg: SimConfig, trial: int, subcarrier: int, chans) -> list[np.ndarray]:
-    error = _ce_error(cfg, [(trial, subcarrier)], _StreamReader(cfg.seed))
+    error = _ce_error(cfg, [(trial, subcarrier)])
     h = np.concatenate(chans, axis=1)
     return np.split(h if error is None else h + error[0], np.cumsum(cfg.m_i)[:-1], axis=1)
 
@@ -494,18 +495,18 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
         errors = np.zeros((len(decouplers), len(detectors), cfg.k, n_snr), dtype=np.int64)
         block = range(first, min(first + _BLOCK, trials))
         entries = [(trial, sc) for trial in block for sc in range(cfg.n_subcarriers)]
-        reader = _StreamReader(cfg.seed)  # this task's generator, one stream at a time
+        first_streams = np.multiply(block, _STRIDE)  # stream 0 of each trial
         bits = np.stack([rng.integers(0, 2, size=(cfg.n_subcarriers, bits_per_vec))
-                         for rng in reader.read([trial * _STRIDE + _BITS for trial in block])])
+                         for rng in _read_streams(cfg.seed, first_streams + _BITS)])
         tx_labels = bits.reshape(len(entries), -1, cons.bits_per_symbol) @ bit_weights
-        unit = _complex_normals(reader.read([trial * _STRIDE + _NOISE for trial in block]),
+        unit = _complex_normals(_read_streams(cfg.seed, first_streams + _NOISE),
                                 (len(block), cfg.n_subcarriers, cfg.n_r), np.sqrt(0.5))
         # each trial's gen_awgn(1.0, n_subcarriers * n_r), a row per subcarrier
         unit = unit.reshape(len(entries), cfg.n_r)
-        true = (_true_stack(cfg, entries, roots, reader) if channel_factory is None
+        true = (_true_stack(cfg, entries, roots) if channel_factory is None
                 else np.stack([np.concatenate(factory_channels(*entry), axis=1)
                                for entry in entries]))
-        error = _ce_error(cfg, entries, reader)
+        error = _ce_error(cfg, entries)
         used = true if error is None else true + error
         # the signal crosses the true channels; SD and detection see the used ones
         y_clean = (true @ cons.points[tx_labels][..., None])[..., 0]

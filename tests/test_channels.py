@@ -9,7 +9,7 @@ from decoupsim.errors import InvalidInputError
 from decoupsim.channels import (
     _pcg64_states,
     _shadowing_gain,
-    _StreamReader,
+    _read_streams,
     CeErrorParams,
     KroneckerParams,
     LargeScaleParams,
@@ -41,12 +41,14 @@ class TestStreamHash:
 
     @staticmethod
     def keys():
-        # 40 seeds x 56 streams; seeds past 2^32, 2^64 and 2^128 take more
-        # words, streams of 2^32 and more (a trial index of 4096 and up) two
+        # 43 seeds x 56 streams; seeds past 2^32, 2^64 and 2^128 take more
+        # words (a word past the fourth costs 4 more hash steps, which the 6-,
+        # 8- and 32-word seeds pin), streams of 2^32 and more (a trial index
+        # of 4096 and up) two
         rnd = random.Random(17)
         seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 7, 2**128 - 1, 2**128,
                  2**130 + 5] + [rnd.getrandbits(rnd.choice((8, 31, 33, 63, 65, 100, 129, 140)))
-                                for _ in range(30)]
+                                for _ in range(30)] + [2**160, 2**255 - 19, 2**1000 + 1]
         fixed = [0, 1, 16, 2**20, 2**32 - 1, 2**32, 2**32 + 1, 5001 * 2**20 + 16, 2**63,
                  2**64 - 1]
         return [(seed, fixed + [rnd.getrandbits(rnd.choice((4, 20, 31, 32, 33, 40, 52, 64)))
@@ -62,8 +64,8 @@ class TestStreamHash:
 
     def test_reader_draws_what_each_stream_draws(self):
         for seed, streams in self.keys()[::8]:
-            reader = _StreamReader(seed)
-            got = [(rng.standard_normal(3), rng.integers(0, 2, 5)) for rng in reader.read(streams)]
+            got = [(rng.standard_normal(3), rng.integers(0, 2, 5))
+                   for rng in _read_streams(seed, streams)]
             for s, (normals, bits) in zip(streams, got, strict=True):
                 rng = RngSeed(seed, s).generator()
                 assert normals.tobytes() == rng.standard_normal(3).tobytes()

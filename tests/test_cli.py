@@ -139,6 +139,18 @@ class TestAuditCommand:
         lines = (out / "audit.csv").read_text().splitlines()
         assert len(lines) == 4  # header + SD, SVD, PINV
 
+    def test_overflowing_column_norm_exits_4(self, tmp_path, capsys):
+        # gains near 1e300 stay finite, but a column's sum of squares overflows;
+        # m_total > n_r, so no PINV arm reports it as rank-deficient instead
+        path = tmp_path / "ls.json"
+        path.write_text(json.dumps({"system": {"n_r": 7, "k": 4, "m_i": 2},
+                                    "bits_per_point": 80,
+                                    "channel": {"large_scale": {"mu_db": 1000.0}}}))
+        out = tmp_path / "a"
+        assert main(["audit", "--config", str(path), "--out", str(out), "--trials", "5"]) == 4
+        assert capsys.readouterr().err.startswith("error: numerical failure")
+        assert not (out / "audit.csv").exists()
+
 
 def _csv_rows(path):
     with open(path, newline="") as fh:

@@ -41,6 +41,14 @@ def kronecker_system(seed, n_r, k, m_i, rho):
     return SystemChannel(n_r, [rx @ crandn(rng, n_r, m_i) @ tx for _ in range(k)])
 
 
+def overflow_system():
+    """n_r=7, K=3, m=2 with user 1's entries near 1e300: finite entries whose
+    column norms (their sums of squares) overflow."""
+    rng = np.random.default_rng(34)
+    users = [crandn(rng, 7, 2) for _ in range(3)]
+    return SystemChannel(7, [users[0], users[1] * 1e300, users[2]])
+
+
 def basis_of(w, n_r):
     return SubspaceBasis(w, n_r)
 
@@ -435,6 +443,12 @@ class TestSvdDecoupler:
             assert w_svd.shape == w_sd.shape
             assert subspace_distance(basis_of(w_svd, 12), basis_of(w_sd, 12)) <= 1e-8
 
+    def test_overflowing_column_norm_raises(self):
+        # dividing by an infinite norm would zero user 1's columns, so the other
+        # users' decouplers would not annihilate it
+        with pytest.raises(FloatingPointError, match="column norm"):
+            svd_decoupler(overflow_system())
+
     def test_large_system_residuals(self):
         rng = np.random.default_rng(31)
         sys = random_system(rng, 32, 8, 2)
@@ -491,6 +505,11 @@ class TestPinvDecoupler:
         sys = random_system(rng, 5, 3, 2)
         with pytest.raises(SingularMatrixError):
             pinv_decoupler(sys)
+
+    def test_overflowing_column_norm_raises(self):
+        # a numerical failure, not a channel without full column rank
+        with pytest.raises(FloatingPointError, match="column norm"):
+            pinv_decoupler(overflow_system())
 
     def test_rank_deficient_system_rejected(self):
         rng = np.random.default_rng(42)
@@ -778,6 +797,17 @@ class TestVerifyDecoupling:
         sd = verify_decoupling(sys, sequential_decoupler(sys))
         for u in sd.per_user:
             assert u["scale_free_residual"] == pytest.approx(u["cross_residual"], rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["channel", "decoupler"])
+    def test_overflowing_norm_raises(self, case):
+        # an infinite norm makes the residual ratios NaN, which max() would drop
+        sys = overflow_system()
+        fine = SystemChannel(7, [sys.users[0], sys.users[1] * 1e-300, sys.users[2]])
+        dec = sequential_decoupler(fine)
+        if case == "decoupler":
+            sys, dec = fine, DecouplerSet((dec.w[0] * 1e300,) + dec.w[1:], "SD")
+        with pytest.raises(FloatingPointError, match="past the float range"):
+            verify_decoupling(sys, dec)
 
     def test_zero_user_channel_has_no_residual(self):
         rng = np.random.default_rng(62)

@@ -11,7 +11,6 @@ from decoupsim.channels import (
     KroneckerParams,
     LargeScaleParams,
     RngSeed,
-    _StreamReader,
     apply_large_scale,
     correlation_matrix,
     gen_iid_channel,
@@ -345,9 +344,8 @@ class TestBlockChannels:
         # trial 4096's streams start at 2^32, where a stream takes a second hash word
         cfg, roots = self.CFG, harness._kronecker_roots(self.CFG)
         entries = [(trial, sc) for trial in range(4090, 4102) for sc in range(3)]
-        reader = _StreamReader(cfg.seed)
-        true = harness._true_stack(cfg, entries, roots, reader)
-        used = true + harness._ce_error(cfg, entries, reader)
+        true = harness._true_stack(cfg, entries, roots)
+        used = true + harness._ce_error(cfg, entries)
         for e, (trial, sc) in enumerate(entries):
             want_true, want_used = self.reference(cfg, trial, sc)
             self.assert_same(self.users(cfg, true[e]), want_true)
@@ -361,8 +359,8 @@ class TestBlockChannels:
     def test_sweep_blocks_draw_the_public_channels(self, factory, monkeypatch):
         cfg, blocks, ce_error, sd_sets = self.CFG, [], harness._ce_error, harness._sd_sets
 
-        def spy(cfg, systems, reader):
-            error = ce_error(cfg, systems, reader)
+        def spy(cfg, systems):
+            error = ce_error(cfg, systems)
             blocks.append((systems, error))
             return error
 
