@@ -167,8 +167,8 @@ class LargeScaleParams:
 
     def __post_init__(self) -> None:
         _require_numbers(self)
-        if not math.isfinite(self.mu_db) or self.l_path <= 0 or self.d_rel <= 0 or self.tau < 0:
-            raise InvalidInputError("need a finite mu_db, l_path > 0, d_rel > 0, tau >= 0")
+        if self.l_path <= 0 or self.d_rel <= 0 or self.tau < 0:
+            raise InvalidInputError("need l_path > 0, d_rel > 0, tau >= 0")
         try:
             factor = _path_loss(self)
         except (OverflowError, ZeroDivisionError):  # d_rel ** tau out of range

@@ -166,7 +166,7 @@ def _annihilate(z: np.ndarray, blocks) -> np.ndarray:
         if tally is not None:
             tally.add(flops._node_charge(z.shape[0], [block.shape[1]], tally.model,
                                          span=z.shape[1]))
-        z = _nullspace_rows(z @ block) @ z
+        z = _nullspace_rows((z @ block)[None])[0] @ z
     return z
 
 
@@ -316,7 +316,7 @@ def sequential_decoupler(sys: SystemChannel) -> DecouplerSet:
     The result spans, per user, the same subspace as the per-user SVD
     baseline, and every matrix has orthonormal rows.
     """
-    return _sd_sets(np.concatenate(sys.users, axis=1)[None], sys.m_per_user)[0]
+    return _sd_sets(sys.stacked()[None], sys.m_per_user)[0]
 
 
 def partition_tree(sys: SystemChannel) -> list[list[PartitionNode]]:
@@ -338,7 +338,7 @@ def partition_tree(sys: SystemChannel) -> list[list[PartitionNode]]:
         ]
         for level, (specs, bases) in enumerate(zip(
             flops._sd_plan(sys.k),
-            _sd_levels(np.concatenate(sys.users, axis=1)[None], sys.m_per_user)))
+            _sd_levels(sys.stacked()[None], sys.m_per_user)))
     ]
 
 
@@ -414,13 +414,49 @@ def include_users(
 # Baselines.
 
 def _unit_columns(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``h`` with its nonzero columns scaled to unit norm, and the column norms.
-    An overflowing norm raises ``FloatingPointError`` (it would zero its column)."""
+    """A stack ``h`` of channels with their nonzero columns scaled to unit norm, and
+    the column norms.  An overflowing norm raises ``FloatingPointError`` (it
+    would zero its column)."""
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(h, axis=0)
+        norms = np.linalg.norm(h, axis=-2)
     if not np.isfinite(norms).all():
         raise FloatingPointError("a channel column norm is past the float range")
-    return h / np.where(norms > 0, norms, 1.0), norms
+    return h / np.where(norms > 0, norms, 1.0)[:, None], norms
+
+
+def _svd_sets(h: np.ndarray, widths) -> list[DecouplerSet]:
+    """:func:`svd_decoupler` of every system of a (B x n_r x sum(widths)) stack,
+    one stacked SVD per user; each set equals the system's own build bit for bit."""
+    h = _unit_columns(h)[0]
+    offsets = (0, *itertools.accumulate(widths))
+    tally = flops._tally.get()
+    w = []
+    for lo, hi in zip(offsets, offsets[1:]):
+        complement = np.concatenate((h[..., :lo], h[..., hi:]), axis=-1)
+        if tally is not None:
+            tally.add(len(h) * tally.model.svd_full(*complement.shape[1:]))
+        w.append(_nullspace_rows(complement))
+    return [DecouplerSet(w_b, "SVD") for w_b in zip(*w)]
+
+
+def _pinv_sets(h: np.ndarray, widths) -> list[DecouplerSet]:
+    """:func:`pinv_decoupler` of every system of a (B x n_r x sum(widths)) stack,
+    from one stacked QR and solve; each set equals the system's own build bit for
+    bit, and one rank-deficient system raises ``SingularMatrixError``."""
+    n_r, m_total = h.shape[1:]
+    h, norms = _unit_columns(h)
+    full_rank = m_total <= n_r and bool(norms.all())
+    if full_rank:
+        q, r = np.linalg.qr(h)
+        pivots = np.sort(np.abs(np.diagonal(r, axis1=1, axis2=2)))[:, ::-1]
+        full_rank = bool((pivots[:, -1] > _rank_cutoff(pivots, (n_r, m_total))).all())
+    if not full_rank:
+        raise SingularMatrixError(
+            f"stacked channel is not full column rank ({m_total} streams, n_r={n_r})")
+    if (tally := flops._tally.get()) is not None:
+        tally.add(len(h) * sum(c for _, c in flops._pinv_breakdown(n_r, m_total, tally.model)))
+    w_full = np.linalg.solve(r, np.conj(q.swapaxes(1, 2))) / norms[..., None]
+    return [DecouplerSet(tuple(np.split(w_b, np.cumsum(widths)[:-1])), "PINV") for w_b in w_full]
 
 
 def svd_decoupler(sys: SystemChannel) -> DecouplerSet:
@@ -435,16 +471,7 @@ def svd_decoupler(sys: SystemChannel) -> DecouplerSet:
     nullspace unchanged and keeps a faint user above the rank cutoff.  A
     column norm past the float range raises ``FloatingPointError``.
     """
-    h = _unit_columns(sys.stacked())[0]
-    offsets = (0, *itertools.accumulate(sys.m_per_user))
-    tally = flops._tally.get()
-    w = []
-    for i in range(sys.k):
-        complement = np.concatenate((h[:, :offsets[i]], h[:, offsets[i + 1]:]), axis=1)
-        if tally is not None:
-            tally.add(tally.model.svd_full(*complement.shape))
-        w.append(_nullspace_rows(complement))
-    return DecouplerSet(tuple(w), "SVD")
+    return _svd_sets(sys.stacked()[None], sys.m_per_user)[0]
 
 
 def pinv_decoupler(sys: SystemChannel) -> DecouplerSet:
@@ -462,23 +489,7 @@ def pinv_decoupler(sys: SystemChannel) -> DecouplerSet:
     scaling undone on its rows.  A column norm past the float range raises
     ``FloatingPointError``.
     """
-    h, norms = _unit_columns(sys.stacked())
-    full_rank = sys.m_total <= sys.n_r and bool(norms.all())
-    if full_rank:
-        q, r = np.linalg.qr(h)
-        pivots = np.sort(np.abs(np.diagonal(r)))[::-1]
-        full_rank = pivots[-1] > _rank_cutoff(pivots, h.shape)
-    if not full_rank:
-        raise SingularMatrixError(
-            f"stacked channel is not full column rank "
-            f"({sys.m_total} streams, n_r={sys.n_r})"
-        )
-    if (tally := flops._tally.get()) is not None:
-        tally.add(sum(c for _, c in flops._pinv_breakdown(sys.n_r, sys.m_total, tally.model)))
-    w_full = np.linalg.solve(r, q.conj().T) / norms[:, None]
-    offsets = (0, *itertools.accumulate(sys.m_per_user))
-    w = tuple(np.ascontiguousarray(w_full[a:b]) for a, b in zip(offsets, offsets[1:]))
-    return DecouplerSet(w, "PINV")
+    return _pinv_sets(sys.stacked()[None], sys.m_per_user)[0]
 
 
 # ---------------------------------------------------------------------------

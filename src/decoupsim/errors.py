@@ -5,6 +5,7 @@ the most specific class that applies.
 """
 
 import numbers
+import sys
 from dataclasses import fields
 
 __all__ = [
@@ -47,12 +48,14 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """A real number: numpy scalars are, a bool is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number within the float range: numpy scalars are; a bool, NaN, ±inf
+    or an int past the largest float is not."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _require_numbers(params) -> None:
-    """Reject a dataclass field that is not a real number."""
+    """Reject a dataclass field that is not a finite real number."""
     for f in fields(params):
         if not _is_number(value := getattr(params, f.name)):
-            raise InvalidInputError(f"{f.name} must be a number, got {value!r}")
+            raise InvalidInputError(f"{f.name} must be a finite number, got {value!r}")

@@ -13,9 +13,11 @@ Inside a :func:`counting` block, each charge site adds its model cost at
 the dimensions actually used to the block's own tally.  The charge sites
 are the decouplers: ``_annihilate``, ``_fold_group`` and
 ``include_users`` for the sequential family's recursion below,
-``svd_decoupler`` (a full SVD per user) and ``pinv_decoupler`` (the
-pseudo-inverse, priced by the estimate's :func:`_pinv_breakdown`).  No
-kernel is charged, and outside every block nothing is counted.  For the
+``_svd_sets`` (a full SVD per user) and ``_pinv_sets`` (the
+pseudo-inverse, priced by the estimate's :func:`_pinv_breakdown`), each
+of which charges every system of the stack it builds as that system's
+own build.  No kernel is charged, and outside every block nothing is
+counted.  A total past the float range raises ``FloatingPointError``.  For the
 sequential decoupler family the charged work is the recursion's own
 arithmetic: the projection products ``T = Z @ A`` and the nullspace
 factorizations of the small projected blocks, at the subspace dimensions
@@ -39,6 +41,7 @@ output manifest.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -139,7 +142,9 @@ _tally: ContextVar[_Tally | None] = ContextVar("decoupsim_flop_tally", default=N
 def counting(model: CostModel | None = None):
     """Count the FLOPs of the decoupler work run inside the block, priced by ``model``.
 
-    Yields a tally whose ``total`` (an int) is set when the block exits.
+    Yields a tally whose ``total`` (an int) is set when the block exits
+    normally; a total past the float range raises ``FloatingPointError``
+    there.  An exception raised inside the block propagates as it is.
 
     >>> with counting() as tally:
     ...     sequential_decoupler(sys)
@@ -157,7 +162,14 @@ def counting(model: CostModel | None = None):
         yield tally
     finally:
         _tally.reset(token)
-        tally.total = int(round(tally.flops))
+    tally.total = _rounded(tally.flops)
+
+
+def _rounded(flops: float) -> int:
+    """A FLOP total as an int; a total past the float range raises ``FloatingPointError``."""
+    if not math.isfinite(flops):
+        raise FloatingPointError(f"a FLOP total is past the float range ({flops})")
+    return int(round(flops))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +307,7 @@ def estimate_flops(algorithm: str, n_r: int, m_per_user, k: int | None = None,
         per_inc = _sd_ui_breakdown(n_r, [n_r - (total_m - m) for m in m_list], m_list[0],
                                    added, model)
         breakdown = tuple(
-            (f"inclusion {i + 1}", int(round(c))) for i, c in enumerate(per_inc)
+            (f"inclusion {i + 1}", _rounded(c)) for i, c in enumerate(per_inc)
         )
         return FlopReport("SD_UI", n_r, m_list + added, breakdown)
 
@@ -306,16 +318,16 @@ def estimate_flops(algorithm: str, n_r: int, m_per_user, k: int | None = None,
     if algorithm == "SD":
         per_level = _sd_breakdown(n_r, m_list, model)
         breakdown = tuple(
-            (f"level {l + 1}", int(round(c))) for l, c in enumerate(per_level)
+            (f"level {l + 1}", _rounded(c)) for l, c in enumerate(per_level)
         )
     elif algorithm == "SVD":
         breakdown = tuple(
-            (f"user {i}", int(round(model.svd_full(n_r, total_m - m))))
+            (f"user {i}", _rounded(model.svd_full(n_r, total_m - m)))
             for i, m in enumerate(m_list)
         )
     elif algorithm == "PINV":
         _check_pinv_feasible(n_r, total_m)
-        breakdown = tuple((name, int(round(c)))
+        breakdown = tuple((name, _rounded(c))
                           for name, c in _pinv_breakdown(n_r, total_m, model))
     else:
         raise InvalidInputError(f"unknown algorithm {algorithm!r}")

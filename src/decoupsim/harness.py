@@ -20,9 +20,11 @@ a user is a column slice.  Each read of streams makes its own generator
 with the bytes it draws on its own; the users of one width are drawn
 (``channels._complex_normals``) and correlated as one batch and
 scattered into the stack, and the gains and estimation error apply to
-the whole stack.  It builds the SD decouplers of all the block's systems
-from that stack in one stacked partition-tree walk and detects
-equal-shape links of all of them together.  Each system's arithmetic is
+the whole stack.  Every arm builds the decouplers of all the block's
+systems from that stack (``_DECOUPLERS``: SD in one stacked
+partition-tree walk, SVD and PINV in stacked factorizations), and the
+block detects equal-shape links of all of them together.  The
+equivalence audit draws and builds its trials in the same blocks.  Each system's arithmetic is
 the same in any block, so results depend neither on the block split nor
 on the thread count.  Comparisons between decouplers or detectors re-use
 the same streams (common random numbers); the arms differ only in the
@@ -67,11 +69,11 @@ from .channels import (
 )
 from .decouplers import (
     SystemChannel,
+    _pinv_sets,
     _sd_sets,
+    _svd_sets,
     include_users,
-    pinv_decoupler,
     sequential_decoupler,
-    svd_decoupler,
     verify_decoupling,
 )
 from .detectors import (
@@ -125,7 +127,8 @@ FLOP_CONVENTION = (
     "in a comparison"
 )
 
-_DECOUPLERS = ("SD", "SVD", "PINV")
+# each decoupler's sets of a (systems, n_r, sum(m_i)) stack, system by system
+_DECOUPLERS = {"SD": _sd_sets, "SVD": _svd_sets, "PINV": _pinv_sets}
 _DETECTORS = ("LMMSE", "SIC")
 
 # stream layout: trial * _STRIDE + purpose (see the module docstring)
@@ -169,7 +172,7 @@ class SimConfig:
         if len(self.m_i) != self.k or any(m < 1 for m in self.m_i):
             raise InvalidConfigError("m_i must give every one of the k users >= 1 stream")
         if self.decoupler not in _DECOUPLERS:
-            raise InvalidConfigError(f"decoupler must be one of {_DECOUPLERS}")
+            raise InvalidConfigError(f"decoupler must be one of {tuple(_DECOUPLERS)}")
         if self.detector not in _DETECTORS:
             raise InvalidConfigError(f"detector must be one of {_DETECTORS}")
         if not self.snr_db:
@@ -278,7 +281,7 @@ _FIELD_TYPES = {
     **dict.fromkeys(("n_r", "k", "bits_per_point", "seed", "threads", "n_subcarriers",
                      "audit_trials"), (_is_int, "an integer", int)),
     "m_i": (_list_of(_is_int), "an integer or a list of integers", lambda v: tuple(map(int, v))),
-    "snr_db": (_list_of(_is_number), "a list of numbers", lambda v: tuple(map(float, v))),
+    "snr_db": (_list_of(_is_number), "a list of finite numbers", lambda v: tuple(map(float, v))),
     "whiten": (lambda v: isinstance(v, bool), "true or false", bool),
     **dict.fromkeys(("decoupler", "detector", "constellation"),
                     (lambda v: isinstance(v, str), "a string", str)),
@@ -409,12 +412,6 @@ def _kronecker_roots(cfg: SimConfig):
             {m: _correlation_root(cfg.kronecker.rho_tx, m) for m in set(cfg.m_i)})
 
 
-_DECOUPLE_FN = {
-    "SD": sequential_decoupler,
-    "SVD": svd_decoupler,
-    "PINV": pinv_decoupler,
-}
-
 # trials per sweep task; a constant, so no trial's arithmetic depends on the thread count
 _BLOCK = 16
 
@@ -508,15 +505,11 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
                                for entry in entries]))
         error = _ce_error(cfg, entries)
         used = true if error is None else true + error
-        # the signal crosses the true channels; SD and detection see the used ones
+        # the signal crosses the true channels; decouplers and detection see the used ones
         y_clean = (true @ cons.points[tx_labels][..., None])[..., 0]
-        # SD builds the whole block in one stacked walk, the baselines system by system
-        systems = ([SystemChannel(cfg.n_r, np.split(h, offsets[1:-1], axis=1)) for h in used]
-                   if set(decouplers) - {"SD"} else [])
         # an arm's decoupler sets are freed once detected, before the next arm builds
         for di, dec_name in enumerate(decouplers):
-            detect(errors, di, _sd_sets(used, cfg.m_i) if dec_name == "SD"
-                   else [_DECOUPLE_FN[dec_name](sys) for sys in systems],
+            detect(errors, di, _DECOUPLERS[dec_name](used, cfg.m_i),
                    used, y_clean, unit, tx_labels)
         return errors
 
@@ -569,21 +562,21 @@ def run_equivalence_audit(cfg: SimConfig) -> AuditReport:
     worst = {m: 0.0 for m in methods}
     rank_fail = {m: 0 for m in methods}
     worst_dist = 0.0
-    for trial in range(cfg.audit_trials):
-        chans = _build_true_channels(cfg, trial, 0, roots)
-        chans = _perturb_channels(cfg, trial, 0, chans)
-        sys = SystemChannel(cfg.n_r, chans)
-        sets = {m: _DECOUPLE_FN[m](sys) for m in methods}
-        for m, dec in sets.items():
-            rep = verify_decoupling(sys, dec)
-            worst[m] = max(worst[m], rep.max_cross_residual)
-            rank_fail[m] += sum(0 if u["full_rank"] else 1 for u in rep.per_user)
-        for u in range(cfg.k):
-            d = subspace_distance(
-                SubspaceBasis(sets["SD"].w[u], cfg.n_r),
-                SubspaceBasis(sets["SVD"].w[u], cfg.n_r),
-            )
-            worst_dist = max(worst_dist, d)
+    for first in range(0, cfg.audit_trials, _BLOCK):
+        systems = [(trial, 0) for trial in range(first, min(first + _BLOCK, cfg.audit_trials))]
+        used, error = _true_stack(cfg, systems, roots), _ce_error(cfg, systems)
+        if error is not None:
+            used += error
+        sets = {m: _DECOUPLERS[m](used, cfg.m_i) for m in methods}
+        for b, h in enumerate(used):
+            sys = SystemChannel(cfg.n_r, np.split(h, np.cumsum(cfg.m_i)[:-1], axis=1))
+            for m in methods:
+                rep = verify_decoupling(sys, sets[m][b])
+                worst[m] = max(worst[m], rep.max_cross_residual)
+                rank_fail[m] += sum(0 if u["full_rank"] else 1 for u in rep.per_user)
+            for w_sd, w_svd in zip(sets["SD"][b].w, sets["SVD"][b].w):
+                d = subspace_distance(SubspaceBasis(w_sd, cfg.n_r), SubspaceBasis(w_svd, cfg.n_r))
+                worst_dist = max(worst_dist, d)
     return AuditReport(cfg.audit_trials, worst, rank_fail, worst_dist)
 
 
@@ -679,13 +672,12 @@ def run_flop_bench(sweep: FlopSweep, model: flops.CostModel | None = None) -> li
         instrumented = dict.fromkeys(estimates, "")
         if sweep.instrumented:
             sys = _bench_system(n_r, k, m_i, sweep.seed)
-            runs = {"SD_UI": lambda: include_users(base_sys, base_sd, new_chans[:added]),
-                    "SD": lambda: sequential_decoupler(sys),
-                    "SVD": lambda: svd_decoupler(sys),
-                    "PINV": lambda: pinv_decoupler(sys)}
             for alg in estimates:
                 with flops.counting(model) as tally:
-                    runs[alg]()
+                    if alg == "SD_UI":
+                        include_users(base_sys, base_sd, new_chans[:added])
+                    else:  # the batch of one that the public decoupler builds
+                        _DECOUPLERS[alg](sys.stacked()[None], sys.m_per_user)
                 instrumented[alg] = tally.total
         rows.extend({
             "sweep": sweep.mode,

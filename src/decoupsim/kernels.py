@@ -137,18 +137,17 @@ def numerical_rank(a) -> int:
     return int(np.sum(s > _rank_cutoff(s, m.shape)))
 
 
-def _nullspace_rows(t_mat: np.ndarray) -> np.ndarray:
-    """SVD kernel of :func:`left_nullspace_basis`: nullspace rows, no checks."""
-    t, m = t_mat.shape
-    if t == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    if m == 0:
-        return np.eye(t, dtype=np.complex128)
-    u, s, _ = np.linalg.svd(t_mat, full_matrices=True)
-    rank = int(np.sum(s > _rank_cutoff(s, t_mat.shape)))
-    if rank == 0:
-        return np.eye(t, dtype=np.complex128)
-    return np.ascontiguousarray(u[:, rank:].conj().T)
+def _nullspace_rows(t_mats: np.ndarray) -> list[np.ndarray]:
+    """SVD kernel of :func:`left_nullspace_basis` over a stack ``(B, t, m)``:
+    each member's nullspace rows from one stacked SVD, its rank by the one
+    rank rule; no checks."""
+    _, t, m = t_mats.shape
+    if t == 0 or m == 0:
+        return [np.eye(t, dtype=np.complex128) for _ in t_mats]
+    u, s, _ = np.linalg.svd(t_mats, full_matrices=True)
+    ranks = np.sum(s > _rank_cutoff(s, (t, m))[:, None], axis=1)
+    return [np.ascontiguousarray(u_b[:, rank:].conj().T) if rank else
+            np.eye(t, dtype=np.complex128) for u_b, rank in zip(u, ranks)]
 
 
 def left_nullspace_basis(t_mat) -> SubspaceBasis:
@@ -161,7 +160,7 @@ def left_nullspace_basis(t_mat) -> SubspaceBasis:
     yields the canonical identity basis.
     """
     t_mat = as_complex_matrix(t_mat, "t_mat")
-    return SubspaceBasis(_nullspace_rows(t_mat), t_mat.shape[0])
+    return SubspaceBasis(_nullspace_rows(t_mat[None])[0], t_mat.shape[0])
 
 
 def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:

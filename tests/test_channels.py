@@ -216,8 +216,10 @@ class TestLargeScale:
         assert np.std(log_factor) == pytest.approx(0.3, rel=0.05)
 
     def test_bad_params_rejected(self):
-        with pytest.raises(InvalidInputError):
-            LargeScaleParams(l_path=0.0)
+        for fields in (dict(l_path=0.0), dict(tau=float("nan")), dict(mu_db=-float("inf")),
+                       dict(d_rel=float("inf"))):
+            with pytest.raises(InvalidInputError):
+                LargeScaleParams(**fields)
 
     @pytest.mark.parametrize("fields", [
         dict(d_rel=1e-300, tau=3.0),              # d_rel ** tau underflows to 0
@@ -267,8 +269,9 @@ class TestCeError:
         assert abs(corr) <= 0.02
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(InvalidInputError):
-            CeErrorParams(-0.1)
+        for sigma_e2 in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError):
+                CeErrorParams(sigma_e2)
 
 
 class TestAwgn:

@@ -74,6 +74,11 @@ class TestBerCommand:
         ('snr_db="048"', "snr_db"),
         ('channel.large_scale.mu_db="3"', "mu_db"),
         ('cost_model.add="2"', "add"),
+        # NaN and the infinities parse as JSON numbers, but no run can use them
+        ("snr_db=[0, NaN]", "snr_db"),
+        ("snr_db=[-Infinity, 0]", "snr_db"),
+        ('channel.ce_error={"sigma_e2": NaN}', "sigma_e2"),
+        ('cost_model={"mul": Infinity}', "mul"),
     ])
     def test_value_of_wrong_type_is_config_error(self, ber_config, tmp_path, capsys,
                                                  override, key):
@@ -191,6 +196,15 @@ class TestFlopsCommand:
         assert int(ui2["flops_instrumented"]) == expected
         assert flops._tally.get() is None
         assert flops.CostModel().matmul(1, 1, 1) == 6
+
+
+    def test_overflowing_flop_total_exits_4(self, ber_config, tmp_path, capsys):
+        # a finite price whose FLOP total is past the float range
+        out = tmp_path / "f"
+        assert main(["flops", "--config", str(ber_config), "--out", str(out), "--sweep", "users",
+                     "--no-instrumented", "--override", 'cost_model={"mul": 1e308}']) == 4
+        assert "numerical failure: a FLOP total is past the float range" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestIncludeCommand:

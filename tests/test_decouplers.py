@@ -329,6 +329,57 @@ class TestStackedWalk:
             for w, w_alone in zip(dec.w, sequential_decoupler(sys).w, strict=True):
                 assert w.tobytes() == w_alone.tobytes()
 
+    @pytest.mark.parametrize("n_r,m_list,b", [
+        (16, (1, 2, 3, 1, 2, 3, 1), 5),
+        (64, (4,) * 15, 16),
+        (170, (2,) * 80, 3),
+    ])
+    @pytest.mark.parametrize("method,stacked_build,build", [
+        ("SVD", decouplers._svd_sets, svd_decoupler),
+        ("PINV", decouplers._pinv_sets, pinv_decoupler),
+    ], ids=["SVD", "PINV"])
+    def test_baselines_bit_identical_to_per_system_builds(self, method, stacked_build, build,
+                                                          n_r, m_list, b):
+        rng = np.random.default_rng(190 + b)
+        systems = [random_system(rng, n_r, len(m_list), list(m_list)) for _ in range(b)]
+        with flops.counting() as tally:
+            stacked = stacked_build(np.stack([sys.stacked() for sys in systems]), m_list)
+        assert tally.total == b * flops.estimate_flops(method, n_r, m_list).total
+        for sys, dec in zip(systems, stacked, strict=True):
+            assert dec.method == method
+            for w, w_alone in zip(dec.w, build(sys).w, strict=True):
+                assert w.shape == w_alone.shape and w.tobytes() == w_alone.tobytes()
+
+    @staticmethod
+    def repeated_column_stack():
+        """Three 24-antenna systems of 8 two-stream users; in system 1, user 5's
+        second column repeats its first."""
+        rng = np.random.default_rng(75)
+        systems = [random_system(rng, 24, 8, 2) for _ in range(3)]
+        users = [h.copy() for h in systems[1].users]
+        users[5][:, 1] = users[5][:, 0]
+        systems[1] = SystemChannel(24, users)
+        return systems, np.stack([sys.stacked() for sys in systems])
+
+    def test_svd_members_keep_their_own_ranks(self):
+        systems, local = self.repeated_column_stack()
+        stacked = decouplers._svd_sets(local, (2,) * 8)
+        # the other users' complements hold user 5's repeated column: one rank
+        # less, so one nullspace row more, in system 1 only
+        assert [w.shape[0] for w in stacked[1].w] == [11] * 5 + [10] + [11] * 2
+        assert all(w.shape[0] == 10 for dec in stacked[::2] for w in dec.w)
+        for sys, dec in zip(systems, stacked, strict=True):
+            for w, w_alone in zip(dec.w, svd_decoupler(sys).w, strict=True):
+                assert w.shape == w_alone.shape and w.tobytes() == w_alone.tobytes()
+
+    def test_pinv_stack_with_a_rank_deficient_member_raises(self):
+        systems, local = self.repeated_column_stack()
+        with pytest.raises(SingularMatrixError, match="not full column rank"):
+            decouplers._pinv_sets(local, (2,) * 8)
+        with pytest.raises(SingularMatrixError):
+            pinv_decoupler(systems[1])
+        decouplers._pinv_sets(local[::2], (2,) * 8)  # the full-rank members build
+
 
 class TestPartitionTree:
     def test_root_shape(self):

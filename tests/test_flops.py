@@ -51,8 +51,10 @@ class TestCostModel:
         assert model.inverse(4) < model.inverse(5)
 
     def test_negative_field_rejected(self):
-        with pytest.raises(InvalidInputError):
-            CostModel(mul=-1.0)
+        for fields in (dict(mul=-1.0), dict(mul=float("nan")), dict(add=float("inf")),
+                       dict(svd_scale=float("-inf"))):
+            with pytest.raises(InvalidInputError):
+                CostModel(**fields)
 
 
 # the probe charge site of the tally tests: one 3 x 1 block folded out of C^3,
@@ -112,6 +114,19 @@ class TestInstrumentation:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert totals == [round(200 * PROBE)] * 4
+
+    def test_overflowing_total_raises_without_masking_the_blocks_error(self):
+        model = CostModel(mul=1e308)  # one probe charge is past the float range
+        with pytest.raises(FloatingPointError, match="FLOP total is past the float range"):
+            with flops.counting(model):
+                probe()
+        with pytest.raises(KeyError, match="inside"):  # the block's own error
+            with flops.counting(model):
+                probe()
+                raise KeyError("inside")
+        assert flops._tally.get() is None
+        with pytest.raises(FloatingPointError, match="FLOP total is past the float range"):
+            estimate_flops("SD", 32, 2, k=8, model=model)
 
     def test_nested_block_counts_only_its_own_work(self):
         inner_model = CostModel(svd_scale=8.0)

@@ -33,6 +33,7 @@ from decoupsim.harness import (
     run_flop_bench,
     run_paired_ber,
 )
+from decoupsim.kernels import SubspaceBasis, subspace_distance
 
 
 def small_cfg(**kw):
@@ -70,6 +71,9 @@ class TestSimConfig:
         ("snr_db", "048"), ("constellation", 4),
         ("kronecker", {"rho_tx": 0.2, "rho_rx": 0.1}), ("large_scale", 3.0),
         ("ce_error", {"sigma_e2": 0.01}), ("cost_model", {"add": 2}),
+        # non-finite numbers are not numbers a run can use
+        ("snr_db", (0.0, float("nan"))), ("snr_db", (0.0, float("inf"))),
+        ("snr_db", (float("-inf"), 0.0)),
     ])
     def test_direct_construction_is_type_checked(self, field, value):
         with pytest.raises(InvalidConfigError, match=f"{field} must be"):
@@ -179,12 +183,14 @@ class TestRunBerSweep:
         # with whiten off neither side whitens, even for PINV's colored noise
         import numpy as np
         from decoupsim.channels import RngSeed
-        from decoupsim.decouplers import SystemChannel
+        from decoupsim.decouplers import (
+            SystemChannel, pinv_decoupler, sequential_decoupler, svd_decoupler,
+        )
         from decoupsim.detectors import (
             Constellation, build_link, demodulate_symbols, lmmse_detect,
             modulate_bits, sic_detect,
         )
-        from decoupsim.harness import _DECOUPLE_FN, _STRIDE, _build_true_channels
+        from decoupsim.harness import _STRIDE, _build_true_channels
 
         cfg = small_cfg(snr_db=(2.0, 9.0), bits_per_point=600, seed=31)
         res = run_paired_ber(cfg, (arm,), ("LMMSE", "SIC"))
@@ -198,7 +204,8 @@ class TestRunBerSweep:
                                    + 1j * rng_n.standard_normal((1, 12)))
             chans = _build_true_channels(cfg, trial, 0, None)
             sys = SystemChannel(12, chans)
-            dec = _DECOUPLE_FN[arm](sys)
+            dec = {"SD": sequential_decoupler, "SVD": svd_decoupler,
+                   "PINV": pinv_decoupler}[arm](sys)
             x = modulate_bits(bits[0], cons)
             y_clean = np.concatenate(chans, axis=1) @ x
             for si, snr in enumerate(cfg.snr_db):
@@ -357,7 +364,8 @@ class TestBlockChannels:
 
     @pytest.mark.parametrize("factory", [False, True], ids=["built_in", "channel_factory"])
     def test_sweep_blocks_draw_the_public_channels(self, factory, monkeypatch):
-        cfg, blocks, ce_error, sd_sets = self.CFG, [], harness._ce_error, harness._sd_sets
+        cfg, blocks, ce_error = self.CFG, [], harness._ce_error
+        sd_sets = harness._DECOUPLERS["SD"]
 
         def spy(cfg, systems):
             error = ce_error(cfg, systems)
@@ -374,7 +382,7 @@ class TestBlockChannels:
                     for m in cfg.m_i]
 
         monkeypatch.setattr(harness, "_ce_error", spy)
-        monkeypatch.setattr(harness, "_sd_sets", spy_sd)
+        monkeypatch.setitem(harness._DECOUPLERS, "SD", spy_sd)
         run_paired_ber(cfg, channel_factory=channels if factory else None)
         # two full blocks and a short one of 3 trials, 3 subcarriers each
         assert [len(systems) for systems, _, _ in blocks] == [3 * harness._BLOCK] * 2 + [9]
@@ -444,6 +452,31 @@ class TestAudit:
                         audit_trials=5, seed=1)
         report = run_equivalence_audit(cfg)
         assert set(report.max_cross_residual) == {"SD", "SVD"}
+
+    def test_report_matches_a_per_trial_reference(self):
+        # mixed widths and every channel section; 20 trials make a full block and
+        # a short one, each system drawn, built and verified on its own here
+        cfg = SimConfig(n_r=20, k=5, m_i=(1, 2, 3, 2, 4), snr_db=(0.0,), bits_per_point=48,
+                        seed=11, audit_trials=20,
+                        kronecker=KroneckerParams(rho_tx=0.4, rho_rx=0.3),
+                        large_scale=LargeScaleParams(mu_db=3.0, l_path=0.65, d_rel=0.65),
+                        ce_error=CeErrorParams(sigma_e2=0.01))
+        roots = harness._kronecker_roots(cfg)
+        builds = {"SD": decouplers.sequential_decoupler, "SVD": decouplers.svd_decoupler,
+                  "PINV": decouplers.pinv_decoupler}
+        worst, fails, dist = dict.fromkeys(builds, 0.0), dict.fromkeys(builds, 0), 0.0
+        for trial in range(20):
+            true = harness._build_true_channels(cfg, trial, 0, roots)
+            sys = decouplers.SystemChannel(20, harness._perturb_channels(cfg, trial, 0, true))
+            sets = {m: build(sys) for m, build in builds.items()}
+            for m, dec in sets.items():
+                rep = decouplers.verify_decoupling(sys, dec)
+                worst[m] = max(worst[m], rep.max_cross_residual)
+                fails[m] += sum(not u["full_rank"] for u in rep.per_user)
+            for w_sd, w_svd in zip(sets["SD"].w, sets["SVD"].w, strict=True):
+                dist = max(dist, subspace_distance(SubspaceBasis(w_sd, 20),
+                                                   SubspaceBasis(w_svd, 20)))
+        assert run_equivalence_audit(cfg) == harness.AuditReport(20, worst, fails, dist)
 
 
 class TestFlopBench:
