@@ -428,10 +428,9 @@ def _svd_sets(h: np.ndarray, widths) -> list[DecouplerSet]:
     """:func:`svd_decoupler` of every system of a (B x n_r x sum(widths)) stack,
     one stacked SVD per user; each set equals the system's own build bit for bit."""
     h = _unit_columns(h)[0]
-    offsets = (0, *itertools.accumulate(widths))
     tally = flops._tally.get()
     w = []
-    for lo, hi in zip(offsets, offsets[1:]):
+    for lo, hi in itertools.pairwise((0, *itertools.accumulate(widths))):
         complement = np.concatenate((h[..., :lo], h[..., hi:]), axis=-1)
         if tally is not None:
             tally.add(len(h) * tally.model.svd_full(*complement.shape[1:]))
@@ -456,7 +455,8 @@ def _pinv_sets(h: np.ndarray, widths) -> list[DecouplerSet]:
     if (tally := flops._tally.get()) is not None:
         tally.add(len(h) * sum(c for _, c in flops._pinv_breakdown(n_r, m_total, tally.model)))
     w_full = np.linalg.solve(r, np.conj(q.swapaxes(1, 2))) / norms[..., None]
-    return [DecouplerSet(tuple(np.split(w_b, np.cumsum(widths)[:-1])), "PINV") for w_b in w_full]
+    users = [slice(lo, hi) for lo, hi in itertools.pairwise((0, *itertools.accumulate(widths)))]
+    return [DecouplerSet(tuple(w_b[u] for u in users), "PINV") for w_b in w_full]
 
 
 def svd_decoupler(sys: SystemChannel) -> DecouplerSet:
