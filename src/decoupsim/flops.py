@@ -17,8 +17,8 @@ are the decouplers: ``_annihilate``, ``_fold_group`` and
 pseudo-inverse, priced by the estimate's :func:`_pinv_breakdown`), each
 of which charges every system of the stack it builds as that system's
 own build.  No kernel is charged, and outside every block nothing is
-counted.  A total past the float range raises ``FloatingPointError``.  For the
-sequential decoupler family the charged work is the recursion's own
+counted.  A total past the float range raises ``FloatingPointError``.
+For the sequential decoupler family the charged work is the recursion's own
 arithmetic: the projection products ``T = Z @ A`` and the nullspace
 factorizations of the small projected blocks, at the subspace dimensions
 where they execute.  Re-expressing orthonormal bases (products of

@@ -24,9 +24,9 @@ the whole stack.  Every arm builds the decouplers of all the block's
 systems from that stack (``_DECOUPLERS``: SD in one stacked
 partition-tree walk, SVD and PINV in stacked factorizations), and the
 block detects equal-shape links of all of them together.  The
-equivalence audit draws and builds its trials in the same blocks.  Each system's arithmetic is
-the same in any block, so results depend neither on the block split nor
-on the thread count.  Comparisons between decouplers or detectors re-use
+equivalence audit draws and builds its trials in the same blocks.  Each
+system's arithmetic is the same in any block, so results depend neither
+on the block split nor on the thread count.  Comparisons between decouplers or detectors re-use
 the same streams (common random numbers); the arms differ only in the
 algorithm under test.
 
