@@ -8,15 +8,18 @@ made per read whose states come from numpy's ``SeedSequence`` pool of
 the seed and one vectorised hash of the stream words.  Every
 complex Gaussian comes from one stacked draw, ``scale * (re + 1j * im)``
 per generator (its real parts, then its imaginary parts): a public
-generator is its batch of one, and a BER sweep block draws all its
-systems' users of one width as one batch.  :func:`kronecker_correlate`
-takes such a stack as it takes one matrix.
+generator is its batch of one.  This module owns channel synthesis:
+:func:`gen_channel_stack` draws a BER sweep block's channels, all its
+systems' users of one width as one batch, and the harness owns only the
+layout of the streams it reads.  :func:`kronecker_correlate` takes such
+a stack as it takes one matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +37,7 @@ __all__ = [
     "apply_large_scale",
     "perturb_channel",
     "gen_awgn",
+    "gen_channel_stack",
 ]
 
 
@@ -248,6 +252,15 @@ def kronecker_correlate(h_iid, tx_root, rx_root) -> np.ndarray:
     return rx_root @ h @ tx_root
 
 
+@lru_cache
+def _correlation_root(rho: float, n: int) -> np.ndarray:
+    """``matrix_sqrt_psd(correlation_matrix(rho, n))``, factored once per
+    process and read-only, so no caller can change what the next run sees."""
+    root = matrix_sqrt_psd(correlation_matrix(rho, n))
+    root.flags.writeable = False
+    return root
+
+
 def apply_large_scale(h, params: LargeScaleParams, seed) -> np.ndarray:
     """Scale a channel by one lognormal shadowing / path-loss gain draw."""
     gain = _shadowing_gain(params, _as_rng(seed).standard_normal())
@@ -286,3 +299,49 @@ def gen_awgn(seed, sigma_n2: float, n: int) -> np.ndarray:
     if n < 0:
         raise InvalidInputError("n must be >= 0")
     return _complex_normals([_as_rng(seed)], (1, n), np.sqrt(sigma_n2 / 2.0))[0]
+
+
+def gen_channel_stack(seed: int, streams, n_r: int, widths,
+                      kronecker: KroneckerParams | None = None,
+                      large_scale: LargeScaleParams | None = None,
+                      ce_error: CeErrorParams | None = None, true=None):
+    """``(true, used)`` channel stacks of a block of systems, ``(systems, n_r,
+    sum(widths))`` each, with every system's users side by side as column slices.
+
+    User u of system s draws its i.i.d. channel, estimation error and shadowing
+    gain from the streams ``streams[s, u]`` (a ``(systems, users, 3)`` array), with
+    the bytes of ``gen_iid_channel``, ``kronecker_correlate``, ``apply_large_scale``
+    and ``perturb_channel``; the users of one width are drawn and correlated as one
+    stack.  A given complex ``true`` stack is only perturbed.  Without estimation
+    error ``used`` is ``true`` itself.
+    """
+    streams = np.asarray(streams)
+    if streams.shape[1:] != (len(widths), 3):
+        raise InvalidInputError(f"streams must be (systems, {len(widths)}, 3), got {streams.shape}")
+    offsets = np.cumsum((0, *widths))
+
+    def draw(purpose: int, scale) -> np.ndarray:
+        out = np.empty((len(streams), n_r, offsets[-1]), dtype=np.complex128)
+        for m in set(widths):
+            users = [u for u, m_u in enumerate(widths) if m_u == m]
+            h = _complex_normals(_read_streams(seed, streams[:, users, purpose].ravel()),
+                                 (len(streams) * len(users), n_r, m), scale)
+            if purpose == 0 and kronecker is not None:
+                h = kronecker_correlate(h, _correlation_root(kronecker.rho_tx, m),
+                                        _correlation_root(kronecker.rho_rx, n_r))
+            for j, u in enumerate(users):
+                out[:, :, offsets[u]:offsets[u + 1]] = h[j::len(users)]
+        return out
+
+    if true is None:
+        true = draw(0, np.sqrt(0.5))
+        if large_scale is not None:
+            gains = [_shadowing_gain(large_scale, rng.standard_normal())
+                     for rng in _read_streams(seed, streams[..., 2].ravel())]
+            # a real gain scales both parts, as the complex product with gain + 0j does
+            parts = true.view(np.float64)
+            parts *= np.repeat(np.reshape(gains, (len(streams), 1, len(widths))),
+                               np.multiply(2, widths), axis=2)
+    if ce_error is None or ce_error.sigma_e2 == 0.0:
+        return true, true
+    return true, true + draw(1, np.sqrt(ce_error.sigma_e2 / 2.0))

@@ -12,23 +12,21 @@ trial's, so a configuration needs ``16 + 3 * k * n_subcarriers <= 2^20``.
 Results are therefore independent of execution order and worker count:
 re-running the same configuration at any parallelism degree produces
 byte-identical tables.  A sweep task runs a block of a constant number
-of consecutive trials (the last block may be shorter).  It holds the
-channels of all the block's (trial, subcarrier) systems in one layout, a
-(systems, n_r, sum(m_i)) stack of each system's users side by side, where
-a user is a column slice.  Each read of streams makes its own generator
-(``channels._read_streams``), which takes them one after another, each
-with the bytes it draws on its own; the users of one width are drawn
-(``channels._complex_normals``) and correlated as one batch and
-scattered into the stack, and the gains and estimation error apply to
-the whole stack.  Every arm builds the decouplers of all the block's
-systems from that stack (``_DECOUPLERS``: SD in one stacked
-partition-tree walk, SVD and PINV in stacked factorizations), and the
-block detects equal-shape links of all of them together.  The
-equivalence audit draws and builds its trials in the same blocks.  Each
-system's arithmetic is the same in any block, so results depend neither
-on the block split nor on the thread count.  Comparisons between decouplers or detectors re-use
-the same streams (common random numbers); the arms differ only in the
-algorithm under test.
+of consecutive trials (the last block may be shorter).  This module owns
+only the stream layout: it hands the (systems, k, 3) array of each user's
+three streams in the block's (trial, subcarrier) systems to
+``channels.gen_channel_stack``, which owns channel synthesis and returns
+the true and used channels, each a (systems, n_r, sum(m_i)) stack of each
+system's users side by side, where a user is a column slice.  Every arm
+builds the decouplers of all the block's systems from that stack
+(``_DECOUPLERS``: SD in one stacked partition-tree walk, SVD and PINV in
+stacked factorizations), and the block detects equal-shape links of all
+of them together.  The equivalence audit draws and builds its trials in
+the same blocks.  Each system's arithmetic is the same in any block, so
+results depend neither on the block split nor on the thread count.
+Comparisons between decouplers or detectors re-use the same streams
+(common random numbers); the arms differ only in the algorithm under
+test.
 
 The signal-to-noise definition used throughout is recorded in every run
 manifest: with unit-energy symbols and unit-variance channel entries,
@@ -48,7 +46,6 @@ import pathlib
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -60,12 +57,10 @@ from .channels import (
     LargeScaleParams,
     RngSeed,
     _complex_normals,
+    _correlation_root,
     _read_streams,
-    _shadowing_gain,
-    correlation_matrix,
+    gen_channel_stack,
     gen_iid_channel,
-    kronecker_correlate,
-    matrix_sqrt_psd,
 )
 from .decouplers import (
     SystemChannel,
@@ -134,8 +129,7 @@ _DETECTORS = ("LMMSE", "SIC")
 # stream layout: trial * _STRIDE + purpose (see the module docstring)
 _STRIDE = 1 << 20
 _BITS, _NOISE = 0, 1
-_PER_USER_BASE = 16
-_IID, _CE, _SHADOW = 0, 1, 2   # per-user purposes, 3 streams per (subcarrier, user)
+_PER_USER_BASE = 16  # then 3 streams per (subcarrier, user): i.i.d. channel, CE, shadowing
 
 
 @dataclass(frozen=True)
@@ -179,6 +173,13 @@ class SimConfig:
             raise InvalidConfigError("snr_db grid must not be empty")
         if list(self.snr_db) != sorted(self.snr_db):
             raise InvalidConfigError("snr_db grid must be sorted ascending")
+        try:
+            noise = self.sigma_n2(self.snr_db[0])  # the lowest point has the most noise
+        except OverflowError:
+            noise = np.inf
+        if noise == np.inf:  # a noise variance that underflows to 0 is the noiseless limit
+            raise InvalidConfigError(
+                f"snr_db must be high enough for a finite noise variance, got {self.snr_db[0]}")
         if self.threads < 1 or self.n_subcarriers < 1 or self.audit_trials < 1:
             raise InvalidConfigError("threads, n_subcarriers and audit_trials must be >= 1")
         if self.seed < 0:
@@ -334,74 +335,25 @@ class BerResult:
 # ---------------------------------------------------------------------------
 # BER sweep core.
 
-def _user_streams(cfg: SimConfig, systems, purpose: int) -> list[int]:
-    """The ``purpose`` stream (``_IID``, ``_CE`` or ``_SHADOW``) of every user of
-    every (trial, subcarrier) system, system by system in user order."""
-    return [trial * _STRIDE + _PER_USER_BASE + 3 * (cfg.k * sc + u) + purpose
-            for trial, sc in systems for u in range(cfg.k)]
+def _channels(cfg: SimConfig, systems, true=None, perturb: bool = True):
+    """``gen_channel_stack`` of the (trial, subcarrier) ``systems``: the
+    ``(systems, k, 3)`` layout of each user's i.i.d.-channel, CE and shadowing
+    streams, and estimation error unless ``perturb`` is false."""
+    trial, sc = np.array(systems).T[..., None, None]
+    streams = trial * _STRIDE + _PER_USER_BASE + 3 * (cfg.k * sc + np.arange(cfg.k)[:, None])
+    return gen_channel_stack(cfg.seed, streams + np.arange(3), cfg.n_r, cfg.m_i, cfg.kronecker,
+                             cfg.large_scale, cfg.ce_error if perturb else None, true)
 
 
-def _draw_users(cfg: SimConfig, systems, purpose: int, scale, roots=None) -> np.ndarray:
-    """The (systems, n_r, sum(m_i)) stack of every system's users side by side,
-    in user order: each user's columns hold ``scale * (re + 1j * im)`` from its
-    ``purpose`` stream, Kronecker-correlated by ``roots`` when given.  The
-    users of one width are drawn, and correlated, as one stack."""
-    out = np.empty((len(systems), cfg.n_r, cfg.m_total), dtype=np.complex128)
-    offsets = np.cumsum((0,) + cfg.m_i)
-    streams = np.reshape(_user_streams(cfg, systems, purpose), (len(systems), cfg.k))
-    for m in set(cfg.m_i):
-        users = [u for u, m_u in enumerate(cfg.m_i) if m_u == m]
-        h = _complex_normals(_read_streams(cfg.seed, streams[:, users].ravel()),
-                             (len(systems) * len(users), cfg.n_r, m), scale)
-        if roots is not None:
-            h = kronecker_correlate(h, roots[1][m], roots[0])
-        for j, u in enumerate(users):
-            out[:, :, offsets[u]:offsets[u + 1]] = h[j::len(users)]
-    return out
-
-
-def _true_stack(cfg: SimConfig, systems, roots) -> np.ndarray:
-    """The true channels of the (trial, subcarrier) ``systems``, side by side.
-
-    Every user has the bytes of ``gen_iid_channel``, then
-    ``kronecker_correlate`` and ``apply_large_scale``, over its streams."""
-    h = _draw_users(cfg, systems, _IID, np.sqrt(0.5), roots)
-    if cfg.large_scale is not None:
-        gains = [_shadowing_gain(cfg.large_scale, rng.standard_normal())
-                 for rng in _read_streams(cfg.seed, _user_streams(cfg, systems, _SHADOW))]
-        # a real gain scales both parts, as the complex product with gain + 0j does
-        parts = h.view(np.float64)
-        gains = np.reshape(gains, (len(systems), 1, cfg.k))
-        parts *= np.repeat(gains, np.multiply(2, cfg.m_i), axis=2)
-    return h
-
-
-def _ce_error(cfg: SimConfig, systems) -> np.ndarray | None:
-    """The estimation error of the (trial, subcarrier) ``systems``, side by side:
-    each user's ``perturb_channel`` draw over its stream; None without one."""
-    if cfg.ce_error is None or cfg.ce_error.sigma_e2 == 0.0:
-        return None
-    return _draw_users(cfg, systems, _CE, np.sqrt(cfg.ce_error.sigma_e2 / 2.0))
-
-
+# roots is unused, as gen_channel_stack caches its own; perfbench's replay still passes it
 def _build_true_channels(cfg: SimConfig, trial: int, subcarrier: int, roots) -> list[np.ndarray]:
-    h = _true_stack(cfg, [(trial, subcarrier)], roots)[0]
-    return np.split(h, np.cumsum(cfg.m_i)[:-1], axis=1)
+    true, _ = _channels(cfg, [(trial, subcarrier)], perturb=False)
+    return np.split(true[0], np.cumsum(cfg.m_i)[:-1], axis=1)
 
 
 def _perturb_channels(cfg: SimConfig, trial: int, subcarrier: int, chans) -> list[np.ndarray]:
-    error = _ce_error(cfg, [(trial, subcarrier)])
-    h = np.concatenate(chans, axis=1)
-    return np.split(h if error is None else h + error[0], np.cumsum(cfg.m_i)[:-1], axis=1)
-
-
-@lru_cache
-def _correlation_root(rho: float, n: int) -> np.ndarray:
-    """``matrix_sqrt_psd(correlation_matrix(rho, n))``, factored once per
-    process and read-only, so no caller can change what the next run sees."""
-    root = matrix_sqrt_psd(correlation_matrix(rho, n))
-    root.flags.writeable = False
-    return root
+    _, used = _channels(cfg, [(trial, subcarrier)], np.concatenate(chans, axis=1)[None])
+    return np.split(used[0], np.cumsum(cfg.m_i)[:-1], axis=1)
 
 
 def _kronecker_roots(cfg: SimConfig):
@@ -439,7 +391,6 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
         if d not in _DETECTORS:
             raise InvalidConfigError(f"unknown detector {d!r}")
     cons = Constellation.from_name(cfg.constellation)
-    roots = _kronecker_roots(cfg)
     # fail fast on infeasible dimensions before spending any work
     flops._check_feasible(cfg.n_r, cfg.m_i)
     if "PINV" in decouplers:
@@ -500,11 +451,8 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
                                 (len(block), cfg.n_subcarriers, cfg.n_r), np.sqrt(0.5))
         # each trial's gen_awgn(1.0, n_subcarriers * n_r), a row per subcarrier
         unit = unit.reshape(len(entries), cfg.n_r)
-        true = (_true_stack(cfg, entries, roots) if channel_factory is None
-                else np.stack([np.concatenate(factory_channels(*entry), axis=1)
-                               for entry in entries]))
-        error = _ce_error(cfg, entries)
-        used = true if error is None else true + error
+        true, used = _channels(cfg, entries, None if channel_factory is None else np.stack(
+            [np.concatenate(factory_channels(*entry), axis=1) for entry in entries]))
         # the signal crosses the true channels; decouplers and detection see the used ones
         y_clean = (true @ cons.points[tx_labels][..., None])[..., 0]
         # an arm's decoupler sets are freed once detected, before the next arm builds
@@ -557,16 +505,13 @@ def run_equivalence_audit(cfg: SimConfig) -> AuditReport:
     subspace distance between the tree-built decouplers and the per-user
     factorization baseline.
     """
-    roots = _kronecker_roots(cfg)
     methods = ["SD", "SVD"] + (["PINV"] if cfg.m_total <= cfg.n_r else [])
     worst = {m: 0.0 for m in methods}
     rank_fail = {m: 0 for m in methods}
     worst_dist = 0.0
     for first in range(0, cfg.audit_trials, _BLOCK):
         systems = [(trial, 0) for trial in range(first, min(first + _BLOCK, cfg.audit_trials))]
-        used, error = _true_stack(cfg, systems, roots), _ce_error(cfg, systems)
-        if error is not None:
-            used += error
+        _, used = _channels(cfg, systems)
         sets = {m: _DECOUPLERS[m](used, cfg.m_i) for m in methods}
         for b, h in enumerate(used):
             sys = SystemChannel(cfg.n_r, np.split(h, np.cumsum(cfg.m_i)[:-1], axis=1))
@@ -655,8 +600,9 @@ def run_flop_bench(sweep: FlopSweep, model: flops.CostModel | None = None) -> li
         # every inclusion point updates this one base decoupler set
         base_sys = _bench_system(sweep.base_n_r, sweep.base_k, sweep.m_i, sweep.seed)
         base_sd = sequential_decoupler(base_sys)
-        new_chans = [gen_iid_channel(RngSeed(sweep.seed, 10_000 + i), sweep.base_n_r, sweep.m_i)
-                     for i in range(sweep.p_max)]
+        # newcomer i is user base_k + i of the systems that the rebuild rows build on
+        new_chans = [gen_iid_channel(RngSeed(sweep.seed, sweep.base_k + i), sweep.base_n_r,
+                                     sweep.m_i) for i in range(sweep.p_max)]
     rows: list[dict] = []
     for label, param, n_r, k, m_i, added in points:
         estimates = {}

@@ -17,6 +17,7 @@ from decoupsim.channels import (
     apply_large_scale,
     correlation_matrix,
     gen_awgn,
+    gen_channel_stack,
     gen_iid_channel,
     kronecker_correlate,
     matrix_sqrt_psd,
@@ -272,6 +273,23 @@ class TestCeError:
         for sigma_e2 in (-0.1, float("nan"), float("inf")):
             with pytest.raises(InvalidInputError):
                 CeErrorParams(sigma_e2)
+
+
+class TestChannelStack:
+    # the bytes of a block's draw are pinned by the harness's TestBlockChannels
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 3), (2, 3, 2), (1, 2, 3, 3)])
+    def test_streams_of_another_layout_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match="streams must be"):
+            gen_channel_stack(0, np.zeros(shape, dtype=int), 4, (1, 2, 1))
+
+    def test_without_estimation_error_used_is_true(self):
+        streams = np.arange(18).reshape(2, 3, 3)
+        true, used = gen_channel_stack(5, streams, 4, (1, 2, 1), ce_error=CeErrorParams(0.0))
+        assert used is true and true.shape == (2, 4, 4)
+        given = np.ones((2, 4, 4), dtype=complex)
+        true, used = gen_channel_stack(5, streams, 4, (1, 2, 1), true=given)
+        assert true is given and used is given
 
 
 class TestAwgn:

@@ -53,9 +53,24 @@ class TestBerCommand:
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["ber", "--config", str(tmp_path / "nope.json")]) == 2
 
-    def test_invalid_field_is_config_error(self, ber_config, tmp_path):
-        assert main(["ber", "--config", str(ber_config), "--out", str(tmp_path),
-                     "--override", "detector=\"ML\""]) == 2
+    @pytest.mark.parametrize("override", [
+        'detector="ML"',
+        "detector",  # no "="
+        "system.n_r=0",
+        "threads=0",
+        "snr_db=[]",
+        'decoupler="QR"',
+        'constellation="QAM8"',
+        "channel.kronecker.rho_tx=1.0",
+        "system.k.x=1",  # a path through a value
+        "channel=5",  # a section that is not an object
+    ])
+    def test_invalid_field_is_config_error(self, ber_config, tmp_path, capsys, override):
+        out = tmp_path / "o"
+        assert main(["ber", "--config", str(ber_config), "--out", str(out),
+                     "--override", override]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("override", ["decodpler=\"PINV\"", "sytem.k=8"])
     def test_misspelt_key_is_config_error(self, ber_config, tmp_path, override):
@@ -79,6 +94,10 @@ class TestBerCommand:
         ("snr_db=[-Infinity, 0]", "snr_db"),
         ('channel.ce_error={"sigma_e2": NaN}', "sigma_e2"),
         ('cost_model={"mul": Infinity}', "mul"),
+        # finite points whose noise variance is past the float range: 10^400 raises,
+        # and 2 x 10^308.2 (m_total / k = 2) overflows to inf without raising
+        ("snr_db=[-4000, 0]", "snr_db"),
+        ("snr_db=[-3082, 0]", "snr_db"),
     ])
     def test_value_of_wrong_type_is_config_error(self, ber_config, tmp_path, capsys,
                                                  override, key):

@@ -8,7 +8,7 @@ from decoupsim.channels import (
     CeErrorParams, KroneckerParams, LargeScaleParams, correlation_matrix, matrix_sqrt_psd,
 )
 from decoupsim.errors import (
-    InfeasibleSystemError, InvalidInputError, SingularMatrixError,
+    InfeasibleSystemError, InvalidInputError, ShapeError, SingularMatrixError,
 )
 from decoupsim.kernels import SubspaceBasis, left_nullspace_basis, subspace_distance
 from decoupsim.decouplers import (
@@ -863,3 +863,17 @@ class TestVerifyDecoupling:
             z = recursive_common_nullspace([a, b], SubspaceBasis(np.eye(n, dtype=complex), n))
             oracle = left_nullspace_basis(np.concatenate([a, b], axis=1))
             assert subspace_distance(z, oracle) <= 1e-9
+
+
+@pytest.mark.parametrize("mismatch,n_r,k", [("users", 12, 4), ("columns", 14, 3)])
+@pytest.mark.parametrize("call", ["include_users", "verify_decoupling"])
+def test_decoupler_set_of_another_system_rejected(call, mismatch, n_r, k):
+    # a set built for 4 users, or for 14 antennas, given a system of 3 users at 12
+    rng = np.random.default_rng(63)
+    sys, dec = random_system(rng, 12, 3, 2), sequential_decoupler(random_system(rng, n_r, k, 2))
+    error = InvalidInputError if (call, mismatch) == ("include_users", "users") else ShapeError
+    with pytest.raises(error, match="users, system has" if mismatch == "users" else "columns"):
+        if call == "include_users":
+            include_users(sys, dec, [crandn(rng, 12, 2)])
+        else:
+            verify_decoupling(sys, dec)

@@ -351,8 +351,7 @@ class TestBlockChannels:
         # trial 4096's streams start at 2^32, where a stream takes a second hash word
         cfg, roots = self.CFG, harness._kronecker_roots(self.CFG)
         entries = [(trial, sc) for trial in range(4090, 4102) for sc in range(3)]
-        true = harness._true_stack(cfg, entries, roots)
-        used = true + harness._ce_error(cfg, entries)
+        true, used = harness._channels(cfg, entries)
         for e, (trial, sc) in enumerate(entries):
             want_true, want_used = self.reference(cfg, trial, sc)
             self.assert_same(self.users(cfg, true[e]), want_true)
@@ -364,16 +363,19 @@ class TestBlockChannels:
 
     @pytest.mark.parametrize("factory", [False, True], ids=["built_in", "channel_factory"])
     def test_sweep_blocks_draw_the_public_channels(self, factory, monkeypatch):
-        cfg, blocks, ce_error = self.CFG, [], harness._ce_error
+        cfg, blocks, stack = self.CFG, [], harness.gen_channel_stack
         sd_sets = harness._DECOUPLERS["SD"]
 
-        def spy(cfg, systems):
-            error = ce_error(cfg, systems)
-            blocks.append((systems, error))
-            return error
+        def spy(seed, streams, n_r, widths, kronecker=None, large_scale=None, ce_error=None,
+                true=None):  # the public draw, under the name the harness calls
+            given = true
+            true, used = stack(seed, streams, n_r, widths, kronecker, large_scale, ce_error, given)
+            assert (true is given) == factory  # a factory's channels are only perturbed
+            blocks.append((len(streams), true, used))
+            return true, used
 
         def spy_sd(local, widths):  # SD decouples the used channels, true plus error
-            blocks[-1] += (local,)
+            assert local is blocks[-1][2]
             return sd_sets(local, widths)
 
         def channels(trial, sc):  # a factory's own channels, kept as they are
@@ -381,22 +383,20 @@ class TestBlockChannels:
             return [rng.standard_normal((cfg.n_r, m)) + 1j * rng.standard_normal((cfg.n_r, m))
                     for m in cfg.m_i]
 
-        monkeypatch.setattr(harness, "_ce_error", spy)
+        monkeypatch.setattr(harness, "gen_channel_stack", spy)
         monkeypatch.setitem(harness._DECOUPLERS, "SD", spy_sd)
         run_paired_ber(cfg, channel_factory=channels if factory else None)
         # two full blocks and a short one of 3 trials, 3 subcarriers each
-        assert [len(systems) for systems, _, _ in blocks] == [3 * harness._BLOCK] * 2 + [9]
-        assert [entry for systems, _, _ in blocks for entry in systems] == [
-            (trial, sc) for trial in range(cfg.trials) for sc in range(3)]
-        for systems, error, used in blocks:
-            for e, (trial, sc) in enumerate(systems):
+        assert [n for n, _, _ in blocks] == [3 * harness._BLOCK] * 2 + [9]
+        systems = iter((trial, sc) for trial in range(cfg.trials) for sc in range(3))
+        for _, true, used in blocks:
+            for h_true, h_used in zip(true, used, strict=True):
+                trial, sc = next(systems)
                 want_true, want_used = self.reference(
                     cfg, trial, sc, channels(trial, sc) if factory else None)
-                # perturb_channel of zero channels draws the bare error
-                zeros = [np.zeros_like(h) for h in want_true]
-                _, want_error = self.reference(cfg, trial, sc, zeros)
-                self.assert_same(self.users(cfg, error[e]), want_error)
-                self.assert_same(self.users(cfg, used[e]), want_used)
+                self.assert_same(self.users(cfg, h_true), want_true)
+                self.assert_same(self.users(cfg, h_used), want_used)
+        assert next(systems, None) is None
 
 
 class TestTrialBlocks:
@@ -506,6 +506,30 @@ class TestFlopBench:
             assert by_alg["SD_UI"]["flops_estimate"] < by_alg["SD"]["flops_estimate"]
             assert by_alg["SD"]["flops_estimate"] < by_alg["PINV"]["flops_estimate"]
             assert by_alg["SD_UI"]["flops_instrumented"] == by_alg["SD_UI"]["flops_estimate"]
+
+    def test_inclusion_and_rebuild_rows_share_one_system(self, monkeypatch):
+        # each point's SD_UI row includes the newcomers that its rebuild rows build on
+        included, rebuilt = [], {alg: [] for alg in ("SD", "SVD", "PINV")}
+        include = harness.include_users
+
+        def spy_include(*args):
+            out = include(*args)
+            included.append(out[0].stacked())
+            return out
+
+        def spy(alg, build):
+            def built(stack, widths):
+                rebuilt[alg].append(stack[0])
+                return build(stack, widths)
+            return built
+
+        monkeypatch.setattr(harness, "include_users", spy_include)
+        for alg in rebuilt:
+            monkeypatch.setitem(harness._DECOUPLERS, alg, spy(alg, harness._DECOUPLERS[alg]))
+        run_flop_bench(FlopSweep(mode="inclusion", base_k=5, base_n_r=20, m_i=2, p_max=3))
+        assert len(included) == 3
+        for stacks in rebuilt.values():
+            assert [h.tobytes() for h in stacks] == [h.tobytes() for h in included]
 
     def test_infeasible_entries_skipped_with_warning(self):
         with pytest.warns(UserWarning):
