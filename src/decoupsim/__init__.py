@@ -61,7 +61,6 @@ from .kernels import (
     SubspaceBasis,
     left_nullspace_basis,
     numerical_rank,
-    qr_decompose,
     subspace_distance,
 )
 

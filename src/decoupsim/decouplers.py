@@ -39,6 +39,7 @@ from .errors import InvalidInputError, ShapeError, SingularMatrixError
 from .kernels import (
     SubspaceBasis,
     _certified_full_rank,
+    _full_rank_r,
     _nullspace_rows,
     _rank_cutoff,
     as_complex_matrix,
@@ -447,8 +448,7 @@ def _pinv_sets(h: np.ndarray, widths) -> list[DecouplerSet]:
     full_rank = m_total <= n_r and bool(norms.all())
     if full_rank:
         q, r = np.linalg.qr(h)
-        pivots = np.sort(np.abs(np.diagonal(r, axis1=1, axis2=2)))[:, ::-1]
-        full_rank = bool((pivots[:, -1] > _rank_cutoff(pivots, (n_r, m_total))).all())
+        full_rank = bool(_full_rank_r(r, (n_r, m_total)).all())
     if not full_rank:
         raise SingularMatrixError(
             f"stacked channel is not full column rank ({m_total} streams, n_r={n_r})")
@@ -484,10 +484,10 @@ def pinv_decoupler(sys: SystemChannel) -> DecouplerSet:
     by one thin QR; ``R^H R`` is the scaled Gram matrix that the FLOP model
     prices, so R is its Cholesky factor up to row phases, found without
     forming it (which would square the condition number).  The rank
-    decision is the one rule (``kernels._rank_cutoff``) on R's diagonal,
-    the Cholesky pivots; the inverse is ``solve(R, Q^H)`` with the column
-    scaling undone on its rows.  A column norm past the float range raises
-    ``FloatingPointError``.
+    decision is ``kernels._full_rank_r``, the one rule on R's diagonal
+    (the Cholesky pivots) that SIC applies too; the inverse is
+    ``solve(R, Q^H)`` with the column scaling undone on its rows.  A
+    column norm past the float range raises ``FloatingPointError``.
     """
     return _pinv_sets(sys.stacked()[None], sys.m_per_user)[0]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ShapeError, SingularMatrixError
-from .kernels import as_complex_matrix, qr_decompose
+from .kernels import _full_rank_r, as_complex_matrix
 
 __all__ = [
     "Constellation",
@@ -236,33 +236,37 @@ def sic_stack(h, a, b, sigmas, cons: Constellation) -> np.ndarray:
     """QR-based SIC decisions of G links over a grid of S noise levels.
 
     Links and observations are as in :func:`lmmse_stack`.  Each ``h[g]``
-    is factored once (stacked :func:`qr_decompose`), ``v = Q^H y`` is
+    is factored once (numpy's stacked reduced QR), ``v = Q^H y`` is
     formed for every noise level, and symbols are detected from the last
     stream to the first, subtracting each sliced decision from the
     streams still to come:
 
         x_hat[j] = slice((v[j] - sum_{p>j} R[j,p] x_hat[p]) / R[j,j])
 
-    The loop runs over the m streams only, vectorized over links and
-    noise levels.  Returns ``(G, S, m)`` constellation points.  Requires
-    full-column-rank effective channels (t >= m and every R[j,j] != 0);
-    a channel whose Gram trace ``norm(R)**2`` overflows raises
-    ``FloatingPointError``.
+    LAPACK leaves R's diagonal real but of either sign; a negative R[j,j]
+    negates v[j] and row j of R exactly, so no decision depends on the
+    signs.  The loop runs over the m streams only, vectorized over links
+    and noise levels.  Returns ``(G, S, m)`` constellation points.  A link
+    with t < m raises ``ShapeError``; a non-finite channel, or one whose
+    Gram trace ``norm(R)**2`` overflows, ``FloatingPointError``; an R that
+    fails PINV's pivot rule (``kernels._full_rank_r``) ``SingularMatrixError``.
     """
-    q, r = qr_decompose(h)
-    qh = np.conj(np.swapaxes(q, -1, -2))
-    va = (qh @ np.asarray(a, dtype=np.complex128)[..., None])[..., 0]
-    vb = (qh @ np.asarray(b, dtype=np.complex128)[..., None])[..., 0]
-    v = va[:, None] + np.asarray(sigmas, dtype=np.float64)[:, None] * vb[:, None]
-    m = r.shape[-1]
-    pivots = np.diagonal(r, axis1=-2, axis2=-1).real
+    h = np.asarray(h, dtype=np.complex128)
+    t, m = h.shape[-2:]
+    if t < m:
+        raise ShapeError(f"SIC needs a link with at least as many rows as streams, got {t} x {m}")
+    q, r = np.linalg.qr(h)
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(r, axis=(-2, -1))  # sqrt of the Gram's trace
     if not np.all(np.isfinite(norm)):
         raise FloatingPointError("effective-channel Gram matrix overflows")
-    scale = np.maximum(norm, 1.0)
-    if np.any(np.abs(pivots) <= 1e-12 * scale[:, None]):
-        raise SingularMatrixError("zero pivot on the R diagonal in SIC back-substitution")
+    if m and not _full_rank_r(r, (t, m)).all():  # a link of no streams detects nothing
+        raise SingularMatrixError("effective channel is not full column rank for SIC")
+    qh = np.conj(np.swapaxes(q, -1, -2))
+    va = (qh @ np.asarray(a, dtype=np.complex128)[..., None])[..., 0]
+    vb = (qh @ np.asarray(b, dtype=np.complex128)[..., None])[..., 0]
+    v = va[:, None] + np.asarray(sigmas, dtype=np.float64)[:, None] * vb[:, None]
+    pivots = np.diagonal(r, axis1=-2, axis2=-1).real
     x_hat = np.zeros(v.shape, dtype=np.complex128)
     for j in range(m - 1, -1, -1):
         residual = v[..., j] - (r[:, None, j:j + 1, j + 1:] @ x_hat[..., j + 1:, None])[..., 0, 0]

@@ -200,12 +200,11 @@ def _check_feasible(n_r: int, m_list) -> None:
             )
 
 
-def _check_pinv_feasible(n_r: int, m_total: int) -> None:
-    """The pseudo-inverse's extra rule: total streams may not exceed n_r."""
+def _check_total_streams(n_r: int, m_total: int, who: str) -> None:
+    """The extra rule of the pseudo-inverse and of SIC: total streams may not
+    exceed n_r."""
     if m_total > n_r:
-        raise InfeasibleSystemError(
-            f"pseudo-inverse decoupler needs total streams {m_total} <= n_r={n_r}"
-        )
+        raise InfeasibleSystemError(f"{who} needs total streams {m_total} <= n_r={n_r}")
 
 
 _PlanNode = namedtuple("_PlanNode", "processed pending annihilate")
@@ -326,7 +325,7 @@ def estimate_flops(algorithm: str, n_r: int, m_per_user, k: int | None = None,
             for i, m in enumerate(m_list)
         )
     elif algorithm == "PINV":
-        _check_pinv_feasible(n_r, total_m)
+        _check_total_streams(n_r, total_m, "pseudo-inverse decoupler")
         breakdown = tuple((name, _rounded(c))
                           for name, c in _pinv_breakdown(n_r, total_m, model))
     else:

@@ -335,19 +335,19 @@ class BerResult:
 # ---------------------------------------------------------------------------
 # BER sweep core.
 
-def _channels(cfg: SimConfig, systems, true=None, perturb: bool = True):
+def _channels(cfg: SimConfig, systems, true=None):
     """``gen_channel_stack`` of the (trial, subcarrier) ``systems``: the
     ``(systems, k, 3)`` layout of each user's i.i.d.-channel, CE and shadowing
-    streams, and estimation error unless ``perturb`` is false."""
+    streams."""
     trial, sc = np.array(systems).T[..., None, None]
     streams = trial * _STRIDE + _PER_USER_BASE + 3 * (cfg.k * sc + np.arange(cfg.k)[:, None])
     return gen_channel_stack(cfg.seed, streams + np.arange(3), cfg.n_r, cfg.m_i, cfg.kronecker,
-                             cfg.large_scale, cfg.ce_error if perturb else None, true)
+                             cfg.large_scale, cfg.ce_error, true)
 
 
 # roots is unused, as gen_channel_stack caches its own; perfbench's replay still passes it
 def _build_true_channels(cfg: SimConfig, trial: int, subcarrier: int, roots) -> list[np.ndarray]:
-    true, _ = _channels(cfg, [(trial, subcarrier)], perturb=False)
+    true, _ = _channels(cfg, [(trial, subcarrier)])
     return np.split(true[0], np.cumsum(cfg.m_i)[:-1], axis=1)
 
 
@@ -394,7 +394,9 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
     # fail fast on infeasible dimensions before spending any work
     flops._check_feasible(cfg.n_r, cfg.m_i)
     if "PINV" in decouplers:
-        flops._check_pinv_feasible(cfg.n_r, cfg.m_total)
+        flops._check_total_streams(cfg.n_r, cfg.m_total, "pseudo-inverse decoupler")
+    if "SIC" in detectors:
+        flops._check_total_streams(cfg.n_r, cfg.m_total, "SIC detector")
 
     trials, n_snr = cfg.trials, len(cfg.snr_db)
     sigmas = np.sqrt([cfg.sigma_n2(s) for s in cfg.snr_db])
@@ -589,8 +591,9 @@ def run_flop_bench(sweep: FlopSweep, model: flops.CostModel | None = None) -> li
 
     Returns ``FLOP_COLUMNS`` rows, one per (sweep point, algorithm), with
     ratios of each algorithm's estimate to the SVD and pseudo-inverse
-    baselines; an inclusion point's ``SD_UI`` row (updating the base
-    decoupler set) comes first.  Everything is priced by ``model``
+    baselines (an empty cell where the baseline costs 0 FLOPs); an
+    inclusion point's ``SD_UI`` row (updating the base decoupler set)
+    comes first.  Everything is priced by ``model``
     (default: ``CostModel()``).  Infeasible sweep entries are skipped
     with a warning.
     """
@@ -632,8 +635,8 @@ def run_flop_bench(sweep: FlopSweep, model: flops.CostModel | None = None) -> li
             "algorithm": alg,
             "flops_estimate": est,
             "flops_instrumented": instrumented[alg],
-            "ratio_to_svd": est / estimates["SVD"],
-            "ratio_to_pinv": est / estimates["PINV"],
+            "ratio_to_svd": est / estimates["SVD"] if estimates["SVD"] else "",
+            "ratio_to_pinv": est / estimates["PINV"] if estimates["PINV"] else "",
         } for alg, est in estimates.items())
     return rows
 

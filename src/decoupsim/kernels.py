@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeError
+from .errors import InvalidInputError
 
 __all__ = [
     "SubspaceBasis",
     "as_complex_matrix",
     "numerical_rank",
     "left_nullspace_basis",
-    "qr_decompose",
     "subspace_distance",
 ]
 
@@ -87,6 +86,14 @@ def _rank_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float | np.ndarray:
     :func:`_certified_full_rank` proves full rank under this rule without
     the singular values; callers fall back to them when it cannot."""
     return (max(shape) * _EPS) * s[..., 0]
+
+
+def _full_rank_r(r: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Whether each R of a stack ``(..., m, m)`` of QR factors of ``shape``
+    matrices is full rank under the one rank rule, judged on ``|diag R|``
+    (the Cholesky pivots of the Gram ``R^H R``) sorted as singular values."""
+    pivots = np.sort(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1)[..., ::-1]
+    return pivots[..., -1] > _rank_cutoff(pivots, shape)
 
 
 # Shift of the full-rank certificate: a certified matrix has
@@ -161,36 +168,6 @@ def left_nullspace_basis(t_mat) -> SubspaceBasis:
     """
     t_mat = as_complex_matrix(t_mat, "t_mat")
     return SubspaceBasis(_nullspace_rows(t_mat[None])[0], t_mat.shape[0])
-
-
-def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR factorization ``(q, r)`` with a fixed sign convention.
-
-    ``a`` is one n x m matrix or a stack ``(..., n, m)`` of them, factored
-    matrix by matrix; requires n >= m.  Q has orthonormal columns and R is
-    upper-triangular, stacked alike.  The diagonal of each R is forced
-    to be real and non-negative (column phases are absorbed into Q),
-    which makes the factorization deterministic across runs and
-    backends.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim < 3:
-        a = as_complex_matrix(a, "a")
-    elif a.size and not np.all(np.isfinite(a)):
-        raise InvalidInputError("a contains non-finite entries")
-    n, m = a.shape[-2:]
-    if n < m:
-        raise ShapeError(f"qr_decompose needs n >= m, got {n} x {m}")
-    q, r = np.linalg.qr(a, mode="reduced")
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    mag = np.abs(diag)
-    phases = np.where(mag > 0, diag / np.where(mag > 0, mag, 1.0), 1.0)
-    q = q * phases[..., None, :]
-    r = phases.conj()[..., :, None] * r
-    # the diagonal is now real up to rounding noise; make it exactly real
-    idx = np.arange(m)
-    r[..., idx, idx] = r[..., idx, idx].real
-    return q, r
 
 
 def subspace_distance(b1: SubspaceBasis, b2: SubspaceBasis) -> float:

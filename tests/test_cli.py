@@ -140,6 +140,17 @@ class TestBerCommand:
         assert main(["ber", "--config", str(ber_config), "--out", str(tmp_path),
                      "--override", "system.n_r=4"]) == 3
 
+    def test_sic_overload_exits_3_without_output(self, tmp_path, capsys):
+        # each user is decouplable (6 < 8), but its link has 2 rows for 3 streams
+        path = tmp_path / "over.json"
+        path.write_text(json.dumps({"system": {"n_r": 8, "k": 3, "m_i": 3},
+                                    "bits_per_point": 180, "detector": "SIC"}))
+        for decoupler in ("SD", "SVD"):
+            assert main(["ber", "--config", str(path), "--override", f"decoupler={decoupler}",
+                         "--out", str(tmp_path / "o")]) == 3
+            assert "SIC detector needs total streams 9 <= n_r=8" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("large_scale,code", [
         ({"mu_db": 4000.0}, 4),               # a shadowing draw overflows
         ({"d_rel": 1e-300, "tau": 3.0}, 2),   # the path loss is out of range
@@ -216,6 +227,17 @@ class TestFlopsCommand:
         assert flops._tally.get() is None
         assert flops.CostModel().matmul(1, 1, 1) == 6
 
+    @pytest.mark.parametrize("command,prices,column", [
+        (["flops", "--sweep", "users"], {"svd_scale": 0}, "ratio_to_svd"),
+        (["include"], {"inv_scale": 0, "mul": 0, "add": 0}, "ratio_to_pinv"),
+    ], ids=["flops", "include"])
+    def test_zero_cost_baseline_gives_empty_ratio_cells(self, ber_config, tmp_path, command,
+                                                        prices, column):
+        out = tmp_path / "f"
+        assert main(command + ["--no-instrumented", "--config", str(ber_config), "--out",
+                               str(out), "--override", f"cost_model={json.dumps(prices)}"]) == 0
+        rows = _csv_rows(next(out.glob("*.csv")))
+        assert rows and all(r[column] == "" for r in rows)
 
     def test_overflowing_flop_total_exits_4(self, ber_config, tmp_path, capsys):
         # a finite price whose FLOP total is past the float range

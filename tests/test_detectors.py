@@ -269,6 +269,30 @@ class TestStackedDetectors:
         with pytest.raises(SingularMatrixError):
             sic_stack(h, a, b, sigmas, Constellation.qpsk())
 
+    def test_sic_stack_is_scale_free(self, links):
+        # a power-of-two scale is exact, so the decisions keep their bits
+        h, a, b, sigmas = links
+        cons = Constellation.square_qam(16)
+        scale = 2.0 ** -50
+        assert np.array_equal(sic_stack(h * scale, a * scale, b * scale, sigmas, cons),
+                              sic_stack(h, a, b, sigmas, cons))
+
+    def test_links_of_no_streams_detect_nothing(self, links):
+        _, a, b, sigmas = links
+        assert sic_stack(np.zeros((4, 5, 0)), a, b, sigmas, Constellation.qpsk()).shape == (4, 3, 0)
+
+    def test_sic_stack_rejects_fewer_rows_than_streams(self, links):
+        h, a, b, sigmas = links
+        with pytest.raises(ShapeError):
+            sic_stack(h[:, :2], a[:, :2], b[:, :2], sigmas, Constellation.qpsk())
+
+    def test_sic_stack_rejects_non_finite_channel(self, links):
+        h, a, b, sigmas = links
+        h = h.copy()
+        h[3, 0, 0] = np.nan
+        with pytest.raises(FloatingPointError):
+            sic_stack(h, a, b, sigmas, Constellation.qpsk())
+
     @pytest.mark.parametrize("detector", ["LMMSE", "SIC"])
     def test_overflowing_gram_raises_floating_point_error(self, links, detector):
         # one link's channel at 1e200: its Gram passes the float range

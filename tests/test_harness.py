@@ -177,6 +177,22 @@ class TestRunBerSweep:
         with pytest.raises(InfeasibleSystemError, match=message):
             flops.estimate_flops("PINV", 5, 2, k=3)
 
+    def test_sic_overload_rejected_like_pinv(self):
+        # every user is decouplable, but each link keeps 5 - 4 = 1 row for 2 streams
+        cfg = SimConfig(n_r=5, k=3, m_i=2, snr_db=(0.0,), bits_per_point=12, seed=0)
+        with pytest.raises(InfeasibleSystemError,
+                           match="SIC detector needs total streams 6 <= n_r=5"):
+            run_paired_ber(cfg, ("SD",), ("SIC",))
+
+    def test_sic_runs_on_faint_users(self):
+        # a 120 dB shadowing spread leaves some of R's pivots far below any absolute floor
+        cfg = SimConfig.from_dict({"system": {"n_r": 16, "k": 3, "m_i": 2},
+                                   "bits_per_point": 240, "detector": "SIC",
+                                   "snr_db": [0, 200],
+                                   "channel": {"large_scale": {"mu_db": 120}}})
+        res = run_paired_ber(cfg, ("SD", "SVD"))
+        assert [r.aggregate.bits_sent for r in res.values()] == [(240, 240)] * 2
+
     @pytest.mark.parametrize("arm", ["SD", "SVD", "PINV"])
     def test_sweep_decisions_match_public_detectors(self, arm):
         # replay one sweep trial by hand through the public per-link API;
@@ -530,6 +546,14 @@ class TestFlopBench:
         assert len(included) == 3
         for stacks in rebuilt.values():
             assert [h.tobytes() for h in stacks] == [h.tobytes() for h in included]
+
+    @pytest.mark.parametrize("instrumented", [False, True])
+    def test_zero_cost_baseline_gives_empty_ratio(self, instrumented):
+        # a single user's complement is empty: its SVD baseline costs 0 FLOPs
+        rows = run_flop_bench(FlopSweep(mode="users", k_values=(1, 2),
+                                        instrumented=instrumented))
+        assert [r["ratio_to_svd"] == "" for r in rows] == [True] * 3 + [False] * 3
+        assert rows[2]["ratio_to_pinv"] == 1.0
 
     def test_infeasible_entries_skipped_with_warning(self):
         with pytest.warns(UserWarning):

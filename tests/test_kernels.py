@@ -1,17 +1,17 @@
-"""Matrix-kernel primitives: nullspace bases, QR, subspace distance."""
+"""Matrix-kernel primitives: nullspace bases, rank rules, subspace distance."""
 
 import numpy as np
 import pytest
 
 from decoupsim.channels import correlation_matrix, matrix_sqrt_psd
-from decoupsim.errors import InvalidInputError, ShapeError
+from decoupsim.errors import InvalidInputError
 from decoupsim.kernels import (
     SubspaceBasis,
     _certified_full_rank,
+    _full_rank_r,
     _rank_cutoff,
     left_nullspace_basis,
     numerical_rank,
-    qr_decompose,
     subspace_distance,
 )
 
@@ -76,52 +76,6 @@ class TestLeftNullspaceBasis:
     def test_default_rule_keeps_small_directions(self):
         a = np.diag([1.0, 1e-6]).astype(complex)
         assert left_nullspace_basis(a).dim == 0
-
-
-class TestQrDecompose:
-    def test_identity(self):
-        q, r = qr_decompose(np.eye(2))
-        assert np.allclose(q, np.eye(2))
-        assert np.allclose(r, np.eye(2))
-
-    def test_single_column_phase_convention(self):
-        q, r = qr_decompose(np.array([[0.0], [3.0j]]))
-        assert np.allclose(q, np.array([[0.0], [1.0j]]))
-        assert np.allclose(r, np.array([[3.0]]))
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(31)
-        a = crandn(rng, 4, 2)
-        q, r = qr_decompose(a)
-        assert np.linalg.norm(q @ r - a) <= 1e-10 * np.linalg.norm(a)
-        assert np.linalg.norm(q.conj().T @ q - np.eye(2)) <= 1e-10
-
-    def test_diagonal_real_non_negative_and_triangular(self):
-        rng = np.random.default_rng(32)
-        for _ in range(10):
-            a = crandn(rng, 6, 4)
-            _, r = qr_decompose(a)
-            d = np.diagonal(r)
-            assert np.all(d.imag == 0.0)
-            assert np.all(d.real >= 0.0)
-            assert np.allclose(np.tril(r, -1), 0.0)
-
-    def test_wide_matrix_rejected(self):
-        with pytest.raises(ShapeError):
-            qr_decompose(np.ones((2, 3)))
-        with pytest.raises(ShapeError):
-            qr_decompose(np.ones((4, 2, 3)))
-
-    def test_stack_equals_per_matrix_calls(self):
-        rng = np.random.default_rng(33)
-        stack = crandn(rng, 5, 7, 3)
-        stack[2, :, 1] = 0.0  # a zero column keeps its unit phase
-        q, r = qr_decompose(stack)
-        assert q.shape == (5, 7, 3) and r.shape == (5, 3, 3)
-        for g in range(5):
-            q_g, r_g = qr_decompose(stack[g])
-            assert np.array_equal(q[g], q_g)
-            assert np.array_equal(r[g], r_g)
 
 
 class TestSubspaceDistance:
@@ -269,3 +223,15 @@ class TestFullRankCertificate:
         assert not _certified_full_rank(r)
         r[1, 0, 0] = np.inf
         assert not _certified_full_rank(r)
+
+
+class TestFullRankR:
+    """The one pivot rule that PINV and SIC apply to R's diagonal."""
+
+    @pytest.mark.parametrize("name,a", certificate_cases().items())
+    def test_verdict_is_scale_free(self, name, a):
+        r = np.linalg.qr(a)[1]
+        full = _full_rank_r(r, a.shape[-2:])
+        assert full.shape == (a.shape[0],)
+        for scale in (2.0 ** -50, 2.0 ** 50):
+            assert np.array_equal(_full_rank_r(np.linalg.qr(a * scale)[1], a.shape[-2:]), full)

@@ -17,7 +17,7 @@ def test_public_names_are_pinned():
         "include_users", "kernels", "kronecker_correlate", "left_nullspace_basis",
         "lmmse_detect", "lmmse_filter", "lmmse_stack", "matrix_sqrt_psd", "modulate_bits",
         "numerical_rank", "partition_tree", "perturb_channel", "pinv_decoupler",
-        "qr_decompose", "recursive_common_nullspace", "sequential_decoupler", "sic_detect",
+        "recursive_common_nullspace", "sequential_decoupler", "sic_detect",
         "sic_stack", "slice_symbols", "subspace_distance", "svd_decoupler",
         "verify_decoupling",
     ]
