@@ -99,15 +99,19 @@ def _manifest(command: str, cfg: SimConfig | None) -> dict:
     return manifest
 
 
-def _cmd_ber(args) -> int:
-    cfg = _load_config(args)
-    # fail before the sweep, creating nothing, if --out cannot become a directory
-    ancestor = os.path.abspath(args.out)
+def _check_out(out: str) -> None:
+    """Fail before any work, creating nothing, if ``out`` cannot become a directory."""
+    ancestor = os.path.abspath(out)
     while not os.path.exists(ancestor):
         ancestor = os.path.dirname(ancestor)
     if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK)):
         raise InvalidConfigError(
-            f"cannot write outputs to {args.out}: {ancestor} is not a writable directory")
+            f"cannot write outputs to {out}: {ancestor} is not a writable directory")
+
+
+def _cmd_ber(args) -> int:
+    cfg = _load_config(args)
+    _check_out(args.out)
     results = run_paired_ber(cfg, (cfg.decoupler,), (cfg.detector,))
     emit_outputs({"ber": (BER_COLUMNS, ber_rows(results))}, args.out,
                  _manifest("ber", cfg))
@@ -119,6 +123,7 @@ def _cmd_audit(args) -> int:
     cfg = _load_config(args)
     if args.trials is not None:
         cfg = cfg.with_overrides({"audit_trials": args.trials})
+    _check_out(args.out)
     report = run_equivalence_audit(cfg)
     emit_outputs({"audit": (AUDIT_COLUMNS, audit_rows(report))}, args.out,
                  _manifest("audit", cfg))
@@ -131,6 +136,7 @@ def _cmd_audit(args) -> int:
 def _cmd_flops(args) -> int:
     """``flops`` writes one table per swept mode, ``include`` the inclusion table."""
     cfg = _load_config(args)
+    _check_out(args.out)
     seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
     instrumented = not args.no_instrumented
     if args.command == "include":

@@ -33,12 +33,9 @@ __all__ = [
 ]
 
 
-def _gray_inverse(g: int) -> int:
-    n = 0
-    while g:
-        n ^= g
-        g >>= 1
-    return n
+def _gray(pos):
+    """Gray code of each level position: adjacent positions differ in one bit."""
+    return pos ^ (pos >> 1)
 
 
 @dataclass(frozen=True)
@@ -69,11 +66,10 @@ class Constellation:
         n_levels = 2 ** half
         scale = np.sqrt(3.0 / (2.0 * (n_levels ** 2 - 1)))
         levels = scale * (2 * np.arange(n_levels) - n_levels + 1).astype(float)
+        labels = _gray(np.arange(n_levels))
         points = np.empty(order, dtype=np.complex128)
-        for s in range(order):
-            i_bits = s >> half
-            q_bits = s & (n_levels - 1)
-            points[s] = levels[_gray_inverse(i_bits)] + 1j * levels[_gray_inverse(q_bits)]
+        # level pair (i, q) takes the label slot gray(i) << half | gray(q)
+        points[(labels[:, None] << half) | labels] = levels[:, None] + 1j * levels
         return cls(name or f"QAM{order}", points, k, levels)
 
     @classmethod
@@ -89,11 +85,16 @@ class Constellation:
     def order(self) -> int:
         return self.points.size
 
+    @property
+    def bit_weights(self) -> np.ndarray:
+        """Weight of each bit of a label, most significant first."""
+        return 1 << np.arange(self.bits_per_symbol - 1, -1, -1)
+
 
 def _axis_positions(values: np.ndarray, cons: Constellation) -> np.ndarray:
     """Index of the nearest per-axis level for each real value."""
     # levels are uniformly spaced: round to the grid, then clip
-    step = cons.levels[1] - cons.levels[0] if cons.levels.size > 1 else 1.0
+    step = cons.levels[1] - cons.levels[0]
     pos = np.rint((values - cons.levels[0]) / step)
     # clip before the integer cast; fmax/fmin send NaN to level 0
     return np.fmin(np.fmax(pos, 0.0), cons.levels.size - 1).astype(np.intp)
@@ -108,11 +109,7 @@ def _symbol_indices(z, cons: Constellation) -> np.ndarray:
     """Bit-label index of the nearest constellation point for each entry."""
     z = np.asarray(z, dtype=np.complex128)
     half = cons.bits_per_symbol // 2
-    i_pos = _axis_positions(z.real, cons)
-    q_pos = _axis_positions(z.imag, cons)
-    i_lab = i_pos ^ (i_pos >> 1)
-    q_lab = q_pos ^ (q_pos >> 1)
-    return (i_lab << half) | q_lab
+    return (_gray(_axis_positions(z.real, cons)) << half) | _gray(_axis_positions(z.imag, cons))
 
 
 def modulate_bits(bits, cons: Constellation) -> np.ndarray:
@@ -123,17 +120,13 @@ def modulate_bits(bits, cons: Constellation) -> np.ndarray:
     k = cons.bits_per_symbol
     if bits.size % k:
         raise InvalidInputError(f"bit count {bits.size} not divisible by {k}")
-    groups = bits.reshape(-1, k)
-    weights = 1 << np.arange(k - 1, -1, -1)
-    return cons.points[groups @ weights]
+    return cons.points[bits.reshape(-1, k) @ cons.bit_weights]
 
 
 def demodulate_symbols(symbols, cons: Constellation) -> np.ndarray:
     """Slice symbols to the constellation and return their bit labels."""
     idx = _symbol_indices(symbols, cons)
-    k = cons.bits_per_symbol
-    weights = 1 << np.arange(k - 1, -1, -1)
-    return ((idx[:, None] & weights) > 0).astype(np.int64).ravel()
+    return ((idx[:, None] & cons.bit_weights) > 0).astype(np.int64).ravel()
 
 
 @dataclass(frozen=True)

@@ -64,13 +64,13 @@ class CostModel:
 
     ``add``/``mul`` price one complex addition and multiplication, and
     ``svd_scale``/``inv_scale`` lead the closed-form polynomials below.
-    ``div`` and ``qr_scale`` are config keys that price no operation.
+    ``div`` prices no operation; it stays a config key because existing
+    configs set it.
     """
 
     add: float = 2.0
     mul: float = 6.0
     div: float = 11.0
-    qr_scale: float = 16.0
     svd_scale: float = 4.0   # complex scaling of the real bidiagonal-SVD counts
     inv_scale: float = 8.0   # complex Gauss-Jordan: n^3 multiplies + n^3 adds
 

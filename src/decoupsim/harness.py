@@ -113,8 +113,8 @@ SNR_DEFINITION = (
 )
 
 FLOP_CONVENTION = (
-    "complex add/mul/div = 2/6/11 real FLOPs; factorizations use standard "
-    "dense operation counts scaled x4 for complex arithmetic; for the "
+    "real FLOPs priced by this manifest's cost_model (add and mul per complex "
+    "operation, svd_scale and inv_scale leading dense factorization counts); for the "
     "sequential decoupler family the tally covers the recursion's projection "
     "products and nullspace factorizations at the dimensions where they "
     "execute, while re-expressions of already-orthonormal bases are treated "
@@ -401,8 +401,6 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
     trials, n_snr = cfg.trials, len(cfg.snr_db)
     sigmas = np.sqrt([cfg.sigma_n2(s) for s in cfg.snr_db])
     bits_per_vec = cons.bits_per_symbol * cfg.m_total
-    bit_weights = 1 << np.arange(cons.bits_per_symbol - 1, -1, -1)
-    popcount = np.array([bin(i).count("1") for i in range(cons.order)], dtype=np.int64)
     offsets = np.cumsum((0,) + cfg.m_i)
     shapes = [(cfg.n_r, m_u) for m_u in cfg.m_i]
 
@@ -437,8 +435,8 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
             for ti, det in enumerate(detectors):
                 z = (lmmse_stack(ht, a, b, sigmas) if det == "LMMSE"
                      else sic_stack(ht, a, b, sigmas, cons))
-                np.add.at(errors[di, ti], users,
-                          popcount[tx ^ _symbol_indices(z, cons)].sum(axis=-1))
+                np.add.at(errors[di, ti], users, np.bitwise_count(
+                    tx ^ _symbol_indices(z, cons)).sum(axis=-1, dtype=np.int64))
 
     def one_block(first: int) -> np.ndarray:
         """Error counts of trials ``first .. first + _BLOCK - 1`` (fewer at the end)."""
@@ -448,7 +446,7 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
         first_streams = np.multiply(block, _STRIDE)  # stream 0 of each trial
         bits = np.stack([rng.integers(0, 2, size=(cfg.n_subcarriers, bits_per_vec))
                          for rng in _read_streams(cfg.seed, first_streams + _BITS)])
-        tx_labels = bits.reshape(len(entries), -1, cons.bits_per_symbol) @ bit_weights
+        tx_labels = bits.reshape(len(entries), -1, cons.bits_per_symbol) @ cons.bit_weights
         unit = _complex_normals(_read_streams(cfg.seed, first_streams + _NOISE),
                                 (len(block), cfg.n_subcarriers, cfg.n_r), np.sqrt(0.5))
         # each trial's gen_awgn(1.0, n_subcarriers * n_r), a row per subcarrier

@@ -94,6 +94,15 @@ class TestIidChannel:
         with pytest.raises(InvalidInputError):
             gen_iid_channel(RngSeed(0), 0, 3)
 
+    def test_generator_seed_is_drawn_from(self):
+        rng = RngSeed(3).generator()
+        first = gen_iid_channel(rng, 4, 2)
+        assert np.array_equal(first, gen_iid_channel(RngSeed(3), 4, 2))
+        assert not np.array_equal(gen_iid_channel(rng, 4, 2), first)  # the generator moved on
+
+    def test_int_seed_equals_rng_seed(self):
+        assert np.array_equal(gen_iid_channel(9, 4, 2), gen_iid_channel(RngSeed(9), 4, 2))
+
 
 class TestCorrelationMatrix:
     def test_rho_zero_is_identity(self):
@@ -118,6 +127,10 @@ class TestCorrelationMatrix:
             with pytest.raises(InvalidInputError):
                 correlation_matrix(rho, 4)
 
+    def test_zero_size_rejected(self):
+        with pytest.raises(InvalidInputError, match="n must be >= 1"):
+            correlation_matrix(0.5, 0)
+
 
 class TestMatrixSqrt:
     def test_square_root_squares_back(self):
@@ -133,6 +146,14 @@ class TestMatrixSqrt:
     def test_indefinite_rejected(self):
         with pytest.raises(InvalidInputError):
             matrix_sqrt_psd(np.diag([1.0, -1.0]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(InvalidInputError, match="square"):
+            matrix_sqrt_psd(np.ones((2, 3)))
+
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(InvalidInputError, match="Hermitian"):
+            matrix_sqrt_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestKronecker:
@@ -302,6 +323,14 @@ class TestAwgn:
     def test_empirical_variance(self):
         n = gen_awgn(RngSeed(17), 0.25, 100_000)
         assert abs(np.mean(np.abs(n) ** 2) - 0.25) <= 0.005
+
+    def test_negative_variance_rejected(self):
+        with pytest.raises(InvalidInputError, match="sigma_n2"):
+            gen_awgn(RngSeed(18), -1.0, 4)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(InvalidInputError, match="n must be >= 0"):
+            gen_awgn(RngSeed(18), 1.0, -1)
 
 
 class TestPublicFormulas:

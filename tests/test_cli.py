@@ -122,6 +122,24 @@ class TestBerCommand:
             assert f"invalid configuration: cannot write outputs to {out}" in err
         assert taken.read_text() == "a file, not a directory"
 
+    @pytest.mark.parametrize("command,runner,extra", [
+        ("audit", "run_equivalence_audit", ["--trials", "200"]),
+        ("flops", "run_flop_bench", []),
+        ("include", "run_flop_bench", []),
+    ])
+    def test_every_subcommand_checks_out_before_work(self, command, runner, extra, ber_config,
+                                                     tmp_path, capsys, monkeypatch):
+        def run(*args, **kwargs):
+            raise AssertionError(f"{command} ran before checking --out")
+
+        monkeypatch.setattr(f"decoupsim.cli.{runner}", run)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory")
+        out = taken / "x"
+        assert main([command, "--config", str(ber_config), "--out", str(out), *extra]) == 2
+        assert f"invalid configuration: cannot write outputs to {out}" in capsys.readouterr().err
+        assert taken.read_text() == "a file, not a directory"
+
     def test_misspelt_key_in_config_file_is_config_error(self, ber_config, tmp_path):
         cfg = json.loads(ber_config.read_text())
         cfg["decodpler"] = cfg.pop("decoupler")
@@ -201,7 +219,7 @@ class TestFlopsCommand:
         assert len(lines) == 1 + 6 * 3  # six K points x three algorithms
 
     def test_config_cost_model_prices_the_tables(self, ber_config, tmp_path):
-        prices = {"add": 1, "mul": 3, "div": 5, "qr_scale": 10}
+        prices = {"add": 1, "mul": 3, "div": 5}
         model = flops.CostModel(**prices)
         cfg = json.loads(ber_config.read_text())
         cfg["cost_model"] = prices
@@ -226,6 +244,22 @@ class TestFlopsCommand:
         assert int(ui2["flops_instrumented"]) == expected
         assert flops._tally.get() is None
         assert flops.CostModel().matmul(1, 1, 1) == 6
+
+    def test_qr_scale_is_an_unknown_cost_model_key(self, ber_config, tmp_path, capsys):
+        out = tmp_path / "f"
+        assert main(["flops", "--config", str(ber_config), "--out", str(out), "--no-instrumented",
+                     "--override", 'cost_model={"qr_scale": 10}']) == 2
+        assert "qr_scale" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_states_no_price_outside_cost_model(self, ber_config, tmp_path):
+        out = tmp_path / "f"
+        assert main(["flops", "--config", str(ber_config), "--out", str(out), "--sweep", "users",
+                     "--no-instrumented", "--override", 'cost_model={"add": 1, "mul": 1}']) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["cost_model"]["add"] == manifest["cost_model"]["mul"] == 1
+        assert "cost_model" in manifest["flop_convention"]
+        assert not any(c.isdigit() for c in manifest["flop_convention"])
 
     @pytest.mark.parametrize("command,prices,column", [
         (["flops", "--sweep", "users"], {"svd_scale": 0}, "ratio_to_svd"),

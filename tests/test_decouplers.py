@@ -71,6 +71,18 @@ class TestSystemChannel:
         with pytest.raises(Exception):
             SystemChannel(4, [np.ones((3, 1))])
 
+    def test_no_receive_antennas_rejected(self):
+        with pytest.raises(InvalidInputError, match="n_r"):
+            SystemChannel(0, [np.ones((0, 1))])
+
+    def test_user_without_streams_rejected(self):
+        with pytest.raises(InvalidInputError, match="user 1 has no streams"):
+            SystemChannel(4, [np.ones((4, 1)), np.ones((4, 0))])
+
+    def test_no_users_rejected(self):
+        with pytest.raises(InvalidInputError, match="at least one user"):
+            SystemChannel(4, [])
+
 
 class TestRecursiveCommonNullspace:
     def test_empty_block_list_returns_start(self):

@@ -8,6 +8,7 @@ import pytest
 from decoupsim.errors import InvalidInputError, ShapeError, SingularMatrixError
 from decoupsim.detectors import (
     Constellation,
+    _whiten,
     build_link,
     demodulate_symbols,
     lmmse_detect,
@@ -63,6 +64,21 @@ class TestConstellation:
         assert np.array_equal(slice_symbols(once, cons), once)
         assert np.array_equal(slice_symbols(cons.points, cons), cons.points)
 
+    def test_unknown_name_rejected(self):
+        with pytest.raises(InvalidInputError, match="8PSK"):
+            Constellation.from_name("8PSK")
+
+    @pytest.mark.parametrize("order", [4, 16, 64, 256, 1024])
+    def test_each_point_slices_to_its_own_label(self, order):
+        cons = Constellation.square_qam(order)
+        bits = np.array([int(b) for s in range(order)
+                         for b in format(s, f"0{cons.bits_per_symbol}b")])
+        assert np.array_equal(demodulate_symbols(cons.points, cons), bits)
+        assert np.array_equal(modulate_bits(bits, cons), cons.points)
+
+    def test_bit_weights_are_msb_first(self):
+        assert Constellation.square_qam(16).bit_weights.tolist() == [8, 4, 2, 1]
+
 
 class TestModulationRoundTrip:
     def test_all_zero_bits_give_constant_stream(self):
@@ -80,6 +96,10 @@ class TestModulationRoundTrip:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             modulate_bits([0, 1, 1], Constellation.qpsk())
+
+    def test_non_binary_bits_rejected(self):
+        with pytest.raises(InvalidInputError, match="0 or 1"):
+            modulate_bits([0, 2], Constellation.qpsk())
 
 
 class TestBuildLink:
@@ -109,6 +129,10 @@ class TestBuildLink:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             build_link(np.eye(3), np.eye(4), np.zeros(4), 1.0)
+
+    def test_negative_noise_variance_rejected(self):
+        with pytest.raises(InvalidInputError, match="sigma_n2"):
+            build_link(np.eye(2), np.eye(2), np.zeros(2), -1)
 
 
 class TestLmmse:
@@ -305,3 +329,10 @@ class TestStackedDetectors:
                 lmmse_stack(h, a, b, sigmas)
             else:
                 sic_stack(h, a, b, sigmas, Constellation.qpsk())
+
+
+class TestWhiten:
+    def test_singular_covariance_rejected(self):
+        h, a = np.ones((1, 2, 1), dtype=complex), np.ones((1, 2), dtype=complex)
+        with pytest.raises(SingularMatrixError, match="not positive definite"):
+            _whiten(np.zeros((1, 2, 2), dtype=complex), h, a)

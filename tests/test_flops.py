@@ -218,3 +218,19 @@ class TestEstimates:
         default = estimate_flops("SVD", 32, 2, k=8).total
         scaled = estimate_flops("SVD", 32, 2, k=8, model=cheap).total
         assert scaled == pytest.approx(default / 4, rel=1e-12)
+
+    def test_missing_stream_counts_rejected(self):
+        with pytest.raises(InvalidInputError, match="m_per_user is required"):
+            estimate_flops("SD", 16, None, k=2)
+
+    def test_scalar_streams_need_k(self):
+        with pytest.raises(InvalidInputError, match="k is required"):
+            estimate_flops("SD", 16, 2)
+
+    def test_user_without_streams_rejected(self):
+        with pytest.raises(InvalidInputError, match="at least one stream"):
+            estimate_flops("SD", 16, [2, 0])
+
+    def test_added_users_only_for_inclusion(self):
+        with pytest.raises(InvalidInputError, match="SD_UI"):
+            estimate_flops("SD", 16, 2, k=2, added=[2])

@@ -106,6 +106,10 @@ class TestSimConfig:
         assert cfg.sigma_n2(0.0) == pytest.approx(cfg.m_total / cfg.k)
         assert cfg.sigma_n2(10.0) == pytest.approx(cfg.m_total / cfg.k / 10.0)
 
+    def test_stream_list_must_match_k(self):
+        with pytest.raises(InvalidConfigError, match="m_i must give every one of the k users"):
+            small_cfg(m_i=(2, 2))
+
 
 class TestRunBerSweep:
     def test_noiseless_limit_is_error_free(self):
@@ -298,6 +302,14 @@ class TestRunBerSweep:
         with pytest.raises(ShapeError, match=r"channel_factory\(0, 0\) returned shapes"):
             run_paired_ber(small_cfg(), channel_factory=factory)
         assert folds == []
+
+    def test_unknown_decoupler_rejected(self):
+        with pytest.raises(InvalidConfigError, match="unknown decoupler 'QR'"):
+            run_paired_ber(small_cfg(), ("QR",), ("LMMSE",))
+
+    def test_unknown_detector_rejected(self):
+        with pytest.raises(InvalidConfigError, match="unknown detector 'ML'"):
+            run_paired_ber(small_cfg(), ("SD",), ("ML",))
 
 
 class TestKroneckerRoots:
@@ -561,6 +573,10 @@ class TestFlopBench:
                                             instrumented=False))
         assert rows == []
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(InvalidConfigError, match="bogus"):
+            run_flop_bench(FlopSweep(mode="bogus", instrumented=False))
+
 
 class TestOutputs:
     def test_csv_round_trip(self, tmp_path):
@@ -631,3 +647,10 @@ class TestOutputs:
         assert lines[3].startswith("SD,SIC,all,0.0,80,")
         agg_errors = int(lines[3].split(",")[5])
         assert agg_errors == int(lines[1].split(",")[5]) + int(lines[2].split(",")[5])
+
+    def test_output_below_a_file_is_config_error(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        with pytest.raises(InvalidConfigError, match="cannot write outputs"):
+            emit_outputs({"empty": (FLOP_COLUMNS, [])}, taken / "sub", {"command": "test"})
+        assert taken.read_text() == "a file"

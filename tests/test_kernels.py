@@ -10,6 +10,7 @@ from decoupsim.kernels import (
     _certified_full_rank,
     _full_rank_r,
     _rank_cutoff,
+    as_complex_matrix,
     left_nullspace_basis,
     numerical_rank,
     subspace_distance,
@@ -130,6 +131,16 @@ class TestSubspaceBasisInvariants:
         b = SubspaceBasis(np.eye(5, dtype=complex), 5)
         assert b.dim == 5
         assert np.allclose(b.projector(), np.eye(5))
+
+
+
+class TestInputCoercion:
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(InvalidInputError, match="ndim=3"):
+            as_complex_matrix(np.zeros((2, 2, 2)))
+
+    def test_empty_matrix_has_rank_zero(self):
+        assert numerical_rank(np.zeros((0, 3))) == 0
 
 
 def r_stack(a):
