@@ -16,8 +16,11 @@ The config file is JSON mirroring :class:`decoupsim.harness.SimConfig`
 values are parsed as JSON when possible (``system.k=8``,
 ``snr_db=[0,8,16]``).  A config's ``cost_model`` prices that run's FLOP
 tables and is recorded in its manifest; nothing is installed
-process-wide.  Exit codes: 0 success, 2 invalid configuration,
-3 infeasible system, 4 numerical failure.
+process-wide.  ``main`` does set up the process once: glibc's heap keeps
+its freed memory (``_runtime.keep_heap``), and every manifest records
+that, the BLAS library and its thread count in sweeps in a ``runtime``
+block.  Exit codes: 0 success, 2 invalid configuration, 3 infeasible
+system, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import _runtime
 from .errors import InfeasibleSystemError, InvalidConfigError, SingularMatrixError
 from .harness import (
     AUDIT_COLUMNS,
@@ -89,7 +93,7 @@ def _load_config(args) -> SimConfig | None:
 
 
 def _manifest(command: str, cfg: SimConfig | None) -> dict:
-    manifest = {"command": command}
+    manifest = {"command": command, "runtime": _runtime.record()}
     if cfg is not None:
         manifest["config"] = cfg.to_dict()
         manifest["seed"] = cfg.seed
@@ -204,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _runtime.keep_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

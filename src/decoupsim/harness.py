@@ -45,12 +45,12 @@ import json
 import pathlib
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import __version__ as _pkg_version
-from . import flops
+from . import _runtime, flops
 from .channels import (
     CeErrorParams,
     KroneckerParams,
@@ -234,9 +234,9 @@ class SimConfig:
             cm = d.get("cost_model")
             return cls(
                 **system,
-                cost_model=flops.CostModel(**cm) if cm else None,
+                cost_model=_section("cost_model.", cm, flops.CostModel) if cm else None,
                 **{name: d[name] for name in _SCALAR_FIELDS if name in d},
-                **{name: params(**channel[name])
+                **{name: _section(f"channel.{name}.", channel[name], params)
                    for name, params in _CHANNEL_PARAMS.items() if channel.get(name)},
             )
         except InvalidConfigError:
@@ -304,6 +304,12 @@ def _reject_unknown(prefix: str, section, known) -> None:
         raise InvalidConfigError(f"unknown config key(s) {', '.join(prefix + k for k in unknown)}")
 
 
+def _section(prefix: str, section, params):
+    """``params(**section)``, with any key ``params`` lacks named by its dotted path."""
+    _reject_unknown(prefix, section, [f.name for f in fields(params)])
+    return params(**section)
+
+
 @dataclass(frozen=True)
 class BerCurve:
     """Error counts and rates along one SNR grid."""
@@ -368,6 +374,7 @@ def _kronecker_roots(cfg: SimConfig):
 _BLOCK = 16
 
 
+@_runtime.one_blas_thread()
 def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
                    channel_factory=None) -> dict[tuple[str, str], BerResult]:
     """Run one Monte-Carlo sweep for several (decoupler, detector) arms at once.
@@ -380,7 +387,9 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
     This is the plug-in point for externally defined (e.g. standardized
     frequency-selective) fading models; the harness still applies the
     configured estimation error on top and loops over ``n_subcarriers``
-    flat subproblems per trial.
+    flat subproblems per trial.  The sweep runs with numpy's bundled
+    OpenBLAS at one thread (see ``_runtime.one_blas_thread``), so its
+    bytes do not depend on the BLAS thread setting.
     """
     decouplers = tuple(decouplers or (cfg.decoupler,))
     detectors = tuple(detectors or (cfg.detector,))
@@ -496,6 +505,7 @@ class AuditReport:
     max_subspace_distance_vs_svd: float
 
 
+@_runtime.one_blas_thread()
 def run_equivalence_audit(cfg: SimConfig) -> AuditReport:
     """Check decoupling exactness and baseline equivalence over many seeds.
 
@@ -503,7 +513,7 @@ def run_equivalence_audit(cfg: SimConfig) -> AuditReport:
     every applicable decoupler, records the worst cross-user residual and
     any effective-channel rank loss, and measures the worst per-user
     subspace distance between the tree-built decouplers and the per-user
-    factorization baseline.
+    factorization baseline.  It runs on one OpenBLAS thread, as a sweep does.
     """
     methods = ["SD", "SVD"] + (["PINV"] if cfg.m_total <= cfg.n_r else [])
     worst = {m: 0.0 for m in methods}

@@ -7,6 +7,7 @@ reproducible bit for bit.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,8 +88,9 @@ def ber_regimes(request):
     if cache is None:
         cache = {}
         start = time.time()
+        # two worker threads; criterion 9 holds the counts to those of one
         for name, cfg in REGIMES.items():
-            cache[name] = run_paired_ber(cfg, ("SD", "SVD"), ("LMMSE", "SIC"))
+            cache[name] = run_paired_ber(replace(cfg, threads=2), ("SD", "SVD"), ("LMMSE", "SIC"))
         cache["elapsed"] = time.time() - start
         request.config._decoupsim_ber_cache = cache
     return cache

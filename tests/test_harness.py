@@ -1,6 +1,7 @@
 """Monte-Carlo harness: configuration, sweeps, audits, benches, output files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,15 @@ class TestSimConfig:
     def test_direct_construction_is_type_checked(self, field, value):
         with pytest.raises(InvalidConfigError, match=f"{field} must be"):
             small_cfg(**{field: value})
+
+    @pytest.mark.parametrize("section,unknown", [
+        ("cost_model", "qr_scale"), ("channel.kronecker", "rho"),
+        ("channel.large_scale", "sigma_db"), ("channel.ce_error", "sigma2"),
+    ])
+    def test_unknown_section_key_is_named_by_its_dotted_path(self, section, unknown):
+        with pytest.raises(InvalidConfigError,
+                           match=rf"^unknown config key\(s\) {re.escape(section)}\.{unknown}$"):
+            small_cfg().with_overrides({section: {unknown: 1.0}})
 
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
