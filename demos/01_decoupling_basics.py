@@ -43,7 +43,7 @@ sd = sequential_decoupler(system)
 sv = svd_decoupler(system)
 print("\nper-user subspace distance, sequential vs baseline:")
 for u in range(K):
-    d = subspace_distance(SubspaceBasis(sd.w[u], N_R), SubspaceBasis(sv.w[u], N_R))
+    d = subspace_distance(SubspaceBasis(sd.w[u]), SubspaceBasis(sv.w[u]))
     print(f"  user {u}: {d:.2e}")
 
 pv = pinv_decoupler(system)

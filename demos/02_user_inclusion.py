@@ -32,8 +32,7 @@ for i, h_new in enumerate(newcomers, start=1):
     sys_cur, dec_cur = include_users(sys_cur, dec_cur, [h_new])
     fresh = sequential_decoupler(sys_cur)
     worst = max(
-        subspace_distance(SubspaceBasis(dec_cur.w[u], N_R),
-                          SubspaceBasis(fresh.w[u], N_R))
+        subspace_distance(SubspaceBasis(dec_cur.w[u]), SubspaceBasis(fresh.w[u]))
         for u in range(sys_cur.k)
     )
     residual = verify_decoupling(sys_cur, dec_cur).max_cross_residual

@@ -60,13 +60,14 @@ __all__ = [
     "DecouplingReport",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemChannel:
     """Ordered per-user channel blocks observed at a common receiver.
 
     ``users[i]`` is the n_r x m_i channel of user i.  Construction
     checks decoupling feasibility: the combined streams of the other
     users must stay below the receiver dimension for every user.
+    Systems compare by identity.
     """
 
     n_r: int
@@ -112,13 +113,13 @@ class SystemChannel:
         return np.concatenate(self.users, axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecouplerSet:
     """Per-user decoupling matrices plus provenance.
 
     ``w[i]`` has n_r columns; for generic channels its row count is
     ``n_r - m_bar(i)``.  ``method`` records which algorithm produced the
-    set ("SD", "SVD" or "PINV").
+    set ("SD", "SVD" or "PINV").  Sets compare by identity.
     """
 
     w: tuple[np.ndarray, ...]
@@ -191,7 +192,7 @@ def recursive_common_nullspace(blocks, z0: SubspaceBasis) -> SubspaceBasis:
             )
     if not mats:
         return z0
-    return SubspaceBasis(_annihilate(z0.basis, mats), n)
+    return SubspaceBasis(_annihilate(z0.basis, mats))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +334,7 @@ def partition_tree(sys: SystemChannel) -> list[list[PartitionNode]]:
                 level=level,
                 processed=spec.processed,
                 pending=spec.pending,
-                z=SubspaceBasis(z, sys.n_r),
+                z=SubspaceBasis(z),
             )
             for spec, z in zip(specs, bases)
         ]
@@ -499,8 +500,12 @@ def pinv_decoupler(sys: SystemChannel) -> DecouplerSet:
 class DecouplingReport:
     """Residual interference summary for one decoupler set."""
 
-    max_cross_residual: float
     per_user: tuple[dict, ...]
+
+    @property
+    def max_cross_residual(self) -> float:
+        """The worst per-user ``cross_residual``."""
+        return max(u["cross_residual"] for u in self.per_user)
 
     @property
     def max_scale_free_residual(self) -> float:
@@ -525,17 +530,18 @@ def verify_decoupling(sys: SystemChannel, dec: DecouplerSet) -> DecouplingReport
     if dec.k != sys.k:
         raise ShapeError(f"decoupler set covers {dec.k} users, system has {sys.k}")
     per_user = []
-    worst = 0.0
+    with np.errstate(over="ignore"):
+        h_norms = [np.linalg.norm(h) for h in sys.users]
     for i, w in enumerate(dec.w):
         if w.shape[1] != sys.n_r:
             raise ShapeError(f"decoupler {i} has {w.shape[1]} columns, expected {sys.n_r}")
         w_norm = np.linalg.norm(w, 2)
         cross = scale_free = 0.0
-        for kk, h in enumerate(sys.users):
+        for kk, (h, h_norm) in enumerate(zip(sys.users, h_norms)):
             if kk == i:
                 continue
             with np.errstate(over="ignore", invalid="ignore"):
-                residual, h_norm = np.linalg.norm(w @ h), np.linalg.norm(h)
+                residual = np.linalg.norm(w @ h)
             if not np.isfinite((w_norm, h_norm, residual)).all():
                 raise FloatingPointError(f"norm past the float range: decoupler {i}, user {kk}")
             if residual:  # else nothing leaks, and a zero H_k or W_i has no scale
@@ -554,5 +560,4 @@ def verify_decoupling(sys: SystemChannel, dec: DecouplerSet) -> DecouplingReport
                 "full_rank": eff_rank == m_i,
             }
         )
-        worst = max(worst, cross)
-    return DecouplingReport(max_cross_residual=worst, per_user=tuple(per_user))
+    return DecouplingReport(tuple(per_user))

@@ -11,11 +11,12 @@ harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeError, SingularMatrixError
+from .errors import InvalidInputError, ShapeError, SingularMatrixError, _is_int
 from .kernels import _full_rank_r, as_complex_matrix
 
 __all__ = [
@@ -42,48 +43,57 @@ def _gray(pos):
 class Constellation:
     """Gray-mapped square constellation with unit average symbol energy.
 
-    ``points[s]`` is the symbol whose bit label is the binary expansion
-    of ``s`` (first half of the bits selects the in-phase level, second
-    half the quadrature level; adjacent levels differ in one bit).
+    A constellation is its ``order``, a power of 4 (4 is QPSK), and compares
+    and hashes by it.  Construction derives the rest with integer arithmetic:
+    ``name``, ``bits_per_symbol``, the ascending per-axis ``levels``, and
+    ``points``, where ``points[s]`` is the symbol whose bit label is the
+    binary expansion of ``s`` (first half of the bits selects the in-phase
+    level, second half the quadrature level; adjacent levels differ in one bit).
     """
 
-    name: str
-    points: np.ndarray
-    bits_per_symbol: int
-    levels: np.ndarray  # per-axis amplitude levels, ascending
+    order: int
+    name: str = field(init=False, compare=False)
+    bits_per_symbol: int = field(init=False, compare=False)
+    levels: np.ndarray = field(init=False, compare=False, repr=False)
+    points: np.ndarray = field(init=False, compare=False, repr=False)
 
-    @classmethod
-    def qpsk(cls) -> "Constellation":
-        return cls.square_qam(4, name="QPSK")
-
-    @classmethod
-    def square_qam(cls, order: int, name: str | None = None) -> "Constellation":
-        """Square QAM of the given order (4, 16, 64, ...)."""
-        k = int(round(np.log2(order)))
-        if 2 ** k != order or k % 2 != 0 or order < 4:
-            raise InvalidInputError(f"order {order} is not a square power of 4")
+    def __post_init__(self) -> None:
+        order = int(self.order) if _is_int(self.order) else 0
+        # a power of 4 has one bit set, at an even place: an odd bit length
+        if order < 4 or order & (order - 1) or order.bit_length() % 2 == 0:
+            raise InvalidInputError(f"constellation order must be a power of 4, got {self.order!r}")
+        k = order.bit_length() - 1
         half = k // 2
-        n_levels = 2 ** half
+        n_levels = 1 << half
         scale = np.sqrt(3.0 / (2.0 * (n_levels ** 2 - 1)))
         levels = scale * (2 * np.arange(n_levels) - n_levels + 1).astype(float)
         labels = _gray(np.arange(n_levels))
         points = np.empty(order, dtype=np.complex128)
         # level pair (i, q) takes the label slot gray(i) << half | gray(q)
         points[(labels[:, None] << half) | labels] = levels[:, None] + 1j * levels
-        return cls(name or f"QAM{order}", points, k, levels)
+        for name, value in {"order": order, "name": "QPSK" if order == 4 else f"QAM{order}",
+                            "bits_per_symbol": k, "levels": levels, "points": points}.items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def qpsk(cls) -> "Constellation":
+        return cls(4)
+
+    @classmethod
+    def square_qam(cls, order: int) -> "Constellation":
+        """Square QAM of the given order (4, 16, 64, ...)."""
+        return cls(order)
 
     @classmethod
     def from_name(cls, name: str) -> "Constellation":
+        """The constellation named ``QPSK`` or ``QAM<order>`` (any letter case)."""
         label = name.strip().upper()
-        if label == "QPSK":
-            return cls.qpsk()
-        if label.startswith("QAM"):
-            return cls.square_qam(int(label[3:]))
-        raise InvalidInputError(f"unknown constellation {name!r}")
-
-    @property
-    def order(self) -> int:
-        return self.points.size
+        digits = "4" if label == "QPSK" else label.removeprefix("QAM")
+        if digits != label and digits.isascii() and digits.isdecimal():
+            with contextlib.suppress(InvalidInputError):  # reported by name below
+                return cls(int(digits))
+        raise InvalidInputError(f"constellation must be QPSK or QAM<order>, the order a "
+                                f"power of 4 (4, 16, 64, ...), got {name!r}")
 
     @property
     def bit_weights(self) -> np.ndarray:
@@ -129,13 +139,13 @@ def demodulate_symbols(symbols, cons: Constellation) -> np.ndarray:
     return ((idx[:, None] & cons.bit_weights) > 0).astype(np.int64).ravel()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectiveLink:
     """A user's post-decoupling observation model.
 
     ``y_tilde = W y``, ``h_tilde = W H_i`` and the noise covariance
     ``sigma_n2 * W W^H`` (exactly ``sigma_n2 * I`` when W has
-    orthonormal rows).
+    orthonormal rows).  Links compare by identity.
     """
 
     y_tilde: np.ndarray

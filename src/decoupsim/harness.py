@@ -335,7 +335,14 @@ class BerResult:
     decoupler: str
     detector: str
     per_user: tuple[BerCurve, ...]
-    aggregate: BerCurve
+
+    @property
+    def aggregate(self) -> BerCurve:
+        """All users pooled: their error and bit counts summed at each SNR point."""
+        curves = self.per_user
+        return BerCurve(curves[0].snr_db,
+                        tuple(map(sum, zip(*(c.bit_errors for c in curves)))),
+                        tuple(map(sum, zip(*(c.bits_sent for c in curves)))))
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +494,7 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
         return BerCurve(cfg.snr_db, tuple(int(e) for e in errors), (bits,) * n_snr)
 
     return {(dec, det): BerResult(dec, det, tuple(curve(total[di, ti, u], bits)
-                                                  for u, bits in enumerate(per_user_bits)),
-                                  curve(total[di, ti].sum(axis=0), sum(per_user_bits)))
+                                                  for u, bits in enumerate(per_user_bits)))
             for di, dec in enumerate(decouplers) for ti, det in enumerate(detectors)}
 
 
@@ -530,7 +536,7 @@ def run_equivalence_audit(cfg: SimConfig) -> AuditReport:
                 worst[m] = max(worst[m], rep.max_cross_residual)
                 rank_fail[m] += sum(0 if u["full_rank"] else 1 for u in rep.per_user)
             for w_sd, w_svd in zip(sets["SD"][b].w, sets["SVD"][b].w):
-                d = subspace_distance(SubspaceBasis(w_sd, cfg.n_r), SubspaceBasis(w_svd, cfg.n_r))
+                d = subspace_distance(SubspaceBasis(w_sd), SubspaceBasis(w_svd))
                 worst_dist = max(worst_dist, d)
     return AuditReport(cfg.audit_trials, worst, rank_fail, worst_dist)
 
@@ -636,16 +642,10 @@ def run_flop_bench(sweep: FlopSweep, model: flops.CostModel | None = None) -> li
                     else:  # the batch of one that the public decoupler builds
                         _DECOUPLERS[alg](sys.stacked()[None], sys.m_per_user)
                 instrumented[alg] = tally.total
-        rows.extend({
-            "sweep": sweep.mode,
-            "param": param,
-            "n_r": n_r,
-            "algorithm": alg,
-            "flops_estimate": est,
-            "flops_instrumented": instrumented[alg],
-            "ratio_to_svd": est / estimates["SVD"] if estimates["SVD"] else "",
-            "ratio_to_pinv": est / estimates["PINV"] if estimates["PINV"] else "",
-        } for alg, est in estimates.items())
+        for alg, est in estimates.items():
+            ratios = [est / estimates[base] if estimates[base] else "" for base in ("SVD", "PINV")]
+            rows.append(dict(zip(FLOP_COLUMNS, (sweep.mode, param, n_r, alg, est,
+                                                instrumented[alg], *ratios))))
     return rows
 
 
@@ -661,37 +661,19 @@ FLOP_COLUMNS = ["sweep", "param", "n_r", "algorithm", "flops_estimate",
 
 
 def ber_rows(results: dict[tuple[str, str], BerResult]) -> list[dict]:
-    """Flatten sweep results into frozen-schema CSV rows."""
+    """Flatten sweep results into frozen-schema CSV rows, one per SNR point."""
     rows = []
     for (dec, det), res in sorted(results.items()):
         for label, curve in [(str(u), c) for u, c in enumerate(res.per_user)] + [("all", res.aggregate)]:
-            ber, stderr = curve.ber, curve.stderr  # each a property that builds a tuple
-            for i, snr in enumerate(curve.snr_db):
-                rows.append({
-                    "decoupler": dec,
-                    "detector": det,
-                    "user": label,
-                    "snr_db": snr,
-                    "bits_sent": curve.bits_sent[i],
-                    "bit_errors": curve.bit_errors[i],
-                    "ber": ber[i],
-                    "stderr": stderr[i],
-                })
+            points = zip(curve.snr_db, curve.bits_sent, curve.bit_errors, curve.ber, curve.stderr)
+            rows += [dict(zip(BER_COLUMNS, (dec, det, label, *point))) for point in points]
     return rows
 
 
 def audit_rows(report: AuditReport) -> list[dict]:
-    rows = []
-    for method in report.max_cross_residual:
-        rows.append({
-            "decoupler": method,
-            "trials": report.trials,
-            "max_cross_residual": report.max_cross_residual[method],
-            "rank_failures": report.rank_failures[method],
-            "max_subspace_distance_vs_svd":
-                report.max_subspace_distance_vs_svd if method == "SD" else "",
-        })
-    return rows
+    return [dict(zip(AUDIT_COLUMNS, (method, report.trials, residual, report.rank_failures[method],
+                                     report.max_subspace_distance_vs_svd if method == "SD" else "")))
+            for method, residual in report.max_cross_residual.items()]
 
 
 def _format_cell(value) -> str:

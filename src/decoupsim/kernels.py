@@ -42,32 +42,29 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
-    """Row-orthonormal basis of a subspace of C^ambient_dim.
+    """Row-orthonormal basis of a subspace of C^n.
 
-    ``basis`` is t x n with the t basis vectors as rows.
+    ``basis`` is t x n with the t basis vectors as rows; its column count
+    n is the ambient dimension.  Bases compare by identity.
     """
 
     basis: np.ndarray
-    ambient_dim: int
 
     def __post_init__(self) -> None:
         b = self.basis
-        if b.ndim != 2 or b.shape[1] != self.ambient_dim:
-            raise InvalidInputError(
-                f"basis shape {b.shape} does not match ambient dim {self.ambient_dim}"
-            )
-        t = b.shape[0]
-        if t > self.ambient_dim:
-            raise InvalidInputError("more basis rows than ambient dimensions")
-        if t:
-            gram = b @ b.conj().T
-            err = np.linalg.norm(gram - np.eye(t))
-            if err > 1e-10 * max(1.0, np.sqrt(t)):
-                raise InvalidInputError(
-                    f"basis rows are not orthonormal (defect {err:.3e})"
-                )
+        if b.ndim != 2:
+            raise InvalidInputError(f"basis must be 2-D, got ndim={b.ndim}")
+        # rows past the column count are never orthonormal: this check covers them
+        err = np.linalg.norm(b @ b.conj().T - np.eye(len(b)))
+        if err > 1e-10 * max(1.0, np.sqrt(len(b))):
+            raise InvalidInputError(f"basis rows are not orthonormal (defect {err:.3e})")
+
+    @property
+    def ambient_dim(self) -> int:
+        """Dimension of the space the basis lives in: its column count."""
+        return self.basis.shape[1]
 
     @property
     def dim(self) -> int:
@@ -167,7 +164,7 @@ def left_nullspace_basis(t_mat) -> SubspaceBasis:
     yields the canonical identity basis.
     """
     t_mat = as_complex_matrix(t_mat, "t_mat")
-    return SubspaceBasis(_nullspace_rows(t_mat[None])[0], t_mat.shape[0])
+    return SubspaceBasis(_nullspace_rows(t_mat[None])[0])
 
 
 def subspace_distance(b1: SubspaceBasis, b2: SubspaceBasis) -> float:

@@ -126,7 +126,7 @@ def test_criterion_2_recursion_matches_direct_factorization(capsys):
         a, b = crandn(rng, n, m), crandn(rng, n, p)
         direct = left_nullspace_basis(np.concatenate([a, b], axis=1))
         for blocks in ([a, b], [b, a]):
-            z = recursive_common_nullspace(blocks, SubspaceBasis(np.eye(n, dtype=complex), n))
+            z = recursive_common_nullspace(blocks, SubspaceBasis(np.eye(n, dtype=complex)))
             worst = max(worst, subspace_distance(z, direct))
         checked += 1
     ok = worst <= 1e-9
@@ -153,8 +153,7 @@ def test_criterion_3_tree_equals_per_user_baseline(capsys, mixed_systems):
     for sys in mixed_systems:
         sd, sv = sequential_decoupler(sys), svd_decoupler(sys)
         for i in range(sys.k):
-            d = subspace_distance(SubspaceBasis(sd.w[i], sys.n_r),
-                                  SubspaceBasis(sv.w[i], sys.n_r))
+            d = subspace_distance(SubspaceBasis(sd.w[i]), SubspaceBasis(sv.w[i]))
             worst = max(worst, d)
     ok = worst <= 1e-8
     announce(capsys, 3, ok,
@@ -186,7 +185,7 @@ def test_criterion_5_user_inclusion(capsys):
         fresh = sequential_decoupler(sys_cur)
         for i in range(sys_cur.k):
             worst_dist = max(worst_dist, subspace_distance(
-                SubspaceBasis(dec_cur.w[i], n_r), SubspaceBasis(fresh.w[i], n_r)))
+                SubspaceBasis(dec_cur.w[i]), SubspaceBasis(fresh.w[i])))
 
     ordering_ok = True
     details = []
@@ -290,6 +289,17 @@ def test_criterion_8_detector_ordering(capsys, ber_regimes):
     checks.append(f"pooled >=12dB: SIC {pooled_sic} <= LMMSE {pooled_lmmse}")
     announce(capsys, 8, ok,
              "paired-seed SIC at or below LMMSE at high SNR (" + "; ".join(checks) + ")")
+
+
+def test_sd_and_svd_error_counts_are_paired(ber_regimes):
+    # SD's and SVD's decouplers span the same subspaces, so each is the other up to a
+    # unitary rotation of its rows, to which LMMSE and SIC on row-orthonormal W are
+    # invariant: on shared draws every user's error count agrees at every SNR point.
+    # Criterion 7's 3-stderr bound is the release criterion; this pins the pairing.
+    for name in REGIMES:
+        for det in ("LMMSE", "SIC"):
+            sd, sv = (ber_regimes[name][(dec, det)].per_user for dec in ("SD", "SVD"))
+            assert [c.bit_errors for c in sd] == [c.bit_errors for c in sv], (name, det)
 
 
 def test_criterion_9_cli_determinism(capsys, tmp_path):

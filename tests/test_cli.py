@@ -98,6 +98,11 @@ class TestBerCommand:
         # and 2 x 10^308.2 (m_total / k = 2) overflows to inf without raising
         ("snr_db=[-4000, 0]", "snr_db"),
         ("snr_db=[-3082, 0]", "snr_db"),
+        # a constellation name that is no power-of-4 order, read without a log2
+        ("constellation=QAM0", "constellation"),
+        ("constellation=QAM", "constellation"),
+        ("constellation=QAM-16", "constellation"),
+        ("constellation=QAM1e3", "constellation"),
     ])
     def test_value_of_wrong_type_is_config_error(self, ber_config, tmp_path, capsys,
                                                  override, key):

@@ -49,10 +49,6 @@ def overflow_system():
     return SystemChannel(7, [users[0], users[1] * 1e300, users[2]])
 
 
-def basis_of(w, n_r):
-    return SubspaceBasis(w, n_r)
-
-
 class TestSystemChannel:
     def test_dimensions_and_derived_quantities(self):
         rng = np.random.default_rng(0)
@@ -86,21 +82,21 @@ class TestSystemChannel:
 
 class TestRecursiveCommonNullspace:
     def test_empty_block_list_returns_start(self):
-        z0 = SubspaceBasis(np.eye(4, dtype=complex), 4)
+        z0 = SubspaceBasis(np.eye(4, dtype=complex))
         assert recursive_common_nullspace([], z0) is z0
 
     def test_annihilate_one_coordinate(self):
         e2 = np.zeros((4, 1), complex)
         e2[1, 0] = 1.0
-        z = recursive_common_nullspace([e2], SubspaceBasis(np.eye(4, dtype=complex), 4))
-        expected = SubspaceBasis(np.eye(4)[[0, 2, 3]].astype(complex), 4)
+        z = recursive_common_nullspace([e2], SubspaceBasis(np.eye(4, dtype=complex)))
+        expected = SubspaceBasis(np.eye(4)[[0, 2, 3]].astype(complex))
         assert z.dim == 3
         assert subspace_distance(z, expected) <= 1e-10
 
     def test_matches_concatenated_svd_oracle(self):
         rng = np.random.default_rng(5)
         a, b = crandn(rng, 6, 2), crandn(rng, 6, 2)
-        z = recursive_common_nullspace([a, b], SubspaceBasis(np.eye(6, dtype=complex), 6))
+        z = recursive_common_nullspace([a, b], SubspaceBasis(np.eye(6, dtype=complex)))
         oracle = left_nullspace_basis(np.concatenate([a, b], axis=1))
         assert z.dim == 2
         assert subspace_distance(z, oracle) <= 1e-9
@@ -108,14 +104,14 @@ class TestRecursiveCommonNullspace:
     def test_order_insensitive(self):
         rng = np.random.default_rng(6)
         a, b = crandn(rng, 8, 3), crandn(rng, 8, 2)
-        z_ab = recursive_common_nullspace([a, b], SubspaceBasis(np.eye(8, dtype=complex), 8))
-        z_ba = recursive_common_nullspace([b, a], SubspaceBasis(np.eye(8, dtype=complex), 8))
+        z_ab = recursive_common_nullspace([a, b], SubspaceBasis(np.eye(8, dtype=complex)))
+        z_ba = recursive_common_nullspace([b, a], SubspaceBasis(np.eye(8, dtype=complex)))
         assert subspace_distance(z_ab, z_ba) <= 1e-9
 
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             recursive_common_nullspace([np.ones((3, 1))],
-                                       SubspaceBasis(np.eye(4, dtype=complex), 4))
+                                       SubspaceBasis(np.eye(4, dtype=complex)))
 
     def test_tally_is_the_node_charge(self):
         # the fold is charged per block, like a sequential-decoupler node
@@ -123,7 +119,7 @@ class TestRecursiveCommonNullspace:
         for n, m_a, m_b in ((6, 2, 1), (14, 3, 4)):
             blocks = [crandn(rng, n, m_a), crandn(rng, n, m_b)]
             with flops.counting() as tally:
-                recursive_common_nullspace(blocks, SubspaceBasis(np.eye(n, dtype=complex), n))
+                recursive_common_nullspace(blocks, SubspaceBasis(np.eye(n, dtype=complex)))
             expected = flops._node_charge(n, [m_a, m_b], flops.CostModel())
             assert tally.total == round(expected)
 
@@ -148,11 +144,11 @@ class TestSequentialDecoupler:
         e2 = np.zeros((3, 1), complex); e2[1, 0] = 1.0
         sys = SystemChannel(3, [e1, e2])
         dec = sequential_decoupler(sys)
-        span_w1 = SubspaceBasis(np.eye(3)[[0, 2]].astype(complex), 3)
-        span_w2 = SubspaceBasis(np.eye(3)[[1, 2]].astype(complex), 3)
+        span_w1 = SubspaceBasis(np.eye(3)[[0, 2]].astype(complex))
+        span_w2 = SubspaceBasis(np.eye(3)[[1, 2]].astype(complex))
         assert dec.w[0].shape == (2, 3) and dec.w[1].shape == (2, 3)
-        assert subspace_distance(basis_of(dec.w[0], 3), span_w1) <= 1e-10
-        assert subspace_distance(basis_of(dec.w[1], 3), span_w2) <= 1e-10
+        assert subspace_distance(SubspaceBasis(dec.w[0]), span_w1) <= 1e-10
+        assert subspace_distance(SubspaceBasis(dec.w[1]), span_w2) <= 1e-10
 
     def test_matches_per_user_svd_oracle(self):
         rng = np.random.default_rng(11)
@@ -161,7 +157,7 @@ class TestSequentialDecoupler:
         for i in range(4):
             assert dec.w[i].shape == (6, 12)
             oracle = left_nullspace_basis(np.concatenate(sys.users[:i] + sys.users[i + 1:], axis=1))
-            assert subspace_distance(basis_of(dec.w[i], 12), oracle) <= 1e-9
+            assert subspace_distance(SubspaceBasis(dec.w[i]), oracle) <= 1e-9
 
     def test_non_power_of_two_users(self):
         rng = np.random.default_rng(12)
@@ -173,7 +169,7 @@ class TestSequentialDecoupler:
         assert sum(1 for leaf in leaves if not leaf.pending) == 3
         for i in range(5):
             oracle = left_nullspace_basis(np.concatenate(sys.users[:i] + sys.users[i + 1:], axis=1))
-            assert subspace_distance(basis_of(dec.w[i], 12), oracle) <= 1e-9
+            assert subspace_distance(SubspaceBasis(dec.w[i]), oracle) <= 1e-9
 
     def test_row_orthonormality(self):
         rng = np.random.default_rng(13)
@@ -191,7 +187,7 @@ class TestSequentialDecoupler:
         for i in range(5):
             assert dec.w[i].shape[0] == 20 - sys.m_bar(i)
             oracle = left_nullspace_basis(np.concatenate(sys.users[:i] + sys.users[i + 1:], axis=1))
-            assert subspace_distance(basis_of(dec.w[i], 20), oracle) <= 1e-9
+            assert subspace_distance(SubspaceBasis(dec.w[i]), oracle) <= 1e-9
 
     def test_order_of_magnitude_sweep_of_sizes(self):
         rng = np.random.default_rng(15)
@@ -223,7 +219,7 @@ class TestNodeUpdate:
     def assert_matches_svd(sd, oracle, n_r):
         for w_sd, w_svd in zip(sd.w, oracle.w, strict=True):
             assert w_sd.shape == w_svd.shape
-            assert subspace_distance(basis_of(w_sd, n_r), basis_of(w_svd, n_r)) <= 1e-8
+            assert subspace_distance(SubspaceBasis(w_sd), SubspaceBasis(w_svd)) <= 1e-8
 
     def test_collinear_user_takes_the_fold_and_keeps_its_tally(self, fold_calls):
         rng = np.random.default_rng(70)
@@ -433,7 +429,7 @@ class TestPartitionTree:
         assert tally.total == flops.estimate_flops("SD", n_r, m_list).total
         for w_sd, w_svd in zip(sd.w, svd_decoupler(sys).w, strict=True):
             assert w_sd.shape == w_svd.shape
-            assert subspace_distance(basis_of(w_sd, n_r), basis_of(w_svd, n_r)) <= 1e-8
+            assert subspace_distance(SubspaceBasis(w_sd), SubspaceBasis(w_svd)) <= 1e-8
         for a, b in zip(sd.w, sequential_decoupler(sys).w, strict=True):
             assert a.tobytes() == b.tobytes()
         plan = flops._sd_plan(len(m_list))
@@ -462,7 +458,7 @@ class TestSvdDecoupler:
         sys = SystemChannel(3, [e1, e2])
         sd, sv = sequential_decoupler(sys), svd_decoupler(sys)
         for i in range(2):
-            assert subspace_distance(basis_of(sd.w[i], 3), basis_of(sv.w[i], 3)) <= 1e-10
+            assert subspace_distance(SubspaceBasis(sd.w[i]), SubspaceBasis(sv.w[i])) <= 1e-10
 
     @pytest.mark.parametrize("amplitude", [1e-8, 1e-12])
     def test_faint_user_matches_unit_amplitude(self, amplitude):
@@ -475,7 +471,7 @@ class TestSvdDecoupler:
         faint = svd_decoupler(faint_sys)
         for w_faint, w_unit in zip(faint.w, unit.w, strict=True):
             assert w_faint.shape == w_unit.shape
-            assert subspace_distance(basis_of(w_faint, 24), basis_of(w_unit, 24)) <= 1e-8
+            assert subspace_distance(SubspaceBasis(w_faint), SubspaceBasis(w_unit)) <= 1e-8
         assert verify_decoupling(faint_sys, faint).max_cross_residual <= 1e-10
 
     def test_zero_column_user_matches_sequential(self):
@@ -487,7 +483,7 @@ class TestSvdDecoupler:
         for w_svd, w_sd in zip(sv.w, sd.w, strict=True):
             assert np.all(np.isfinite(w_svd))
             assert w_svd.shape == w_sd.shape
-            assert subspace_distance(basis_of(w_svd, 12), basis_of(w_sd, 12)) <= 1e-8
+            assert subspace_distance(SubspaceBasis(w_svd), SubspaceBasis(w_sd)) <= 1e-8
 
     def test_overflowing_column_norm_raises(self):
         # dividing by an infinite norm would zero user 1's columns, so the other
@@ -643,7 +639,7 @@ class TestIncludeUsers:
         fresh = sequential_decoupler(aug)
         assert upd.k == 4
         for i in range(4):
-            assert subspace_distance(basis_of(upd.w[i], 12), basis_of(fresh.w[i], 12)) <= 1e-8
+            assert subspace_distance(SubspaceBasis(upd.w[i]), SubspaceBasis(fresh.w[i])) <= 1e-8
 
     def test_sequential_inclusions_keep_decoupling(self):
         rng = np.random.default_rng(52)
@@ -687,7 +683,7 @@ class TestIncludeUsers:
         for fresh in (sequential_decoupler(aug), svd_decoupler(aug)):
             for w_upd, w_fresh in zip(upd.w, fresh.w, strict=True):
                 assert w_upd.shape == w_fresh.shape
-                assert subspace_distance(basis_of(w_upd, 20), basis_of(w_fresh, 20)) <= 1e-8
+                assert subspace_distance(SubspaceBasis(w_upd), SubspaceBasis(w_fresh)) <= 1e-8
 
     @staticmethod
     def collinear_inclusion(rng):
@@ -872,7 +868,7 @@ class TestVerifyDecoupling:
             if m + p >= n:
                 continue
             a, b = crandn(rng, n, m), crandn(rng, n, p)
-            z = recursive_common_nullspace([a, b], SubspaceBasis(np.eye(n, dtype=complex), n))
+            z = recursive_common_nullspace([a, b], SubspaceBasis(np.eye(n, dtype=complex)))
             oracle = left_nullspace_basis(np.concatenate([a, b], axis=1))
             assert subspace_distance(z, oracle) <= 1e-9
 

@@ -1,6 +1,7 @@
 """Constellations, effective links, and the LMMSE / SIC detectors."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,21 @@ class TestConstellation:
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidInputError, match="8PSK"):
             Constellation.from_name("8PSK")
+
+    @pytest.mark.parametrize("name", ["QAM0", "QAM", "QAM-16", "QAM1e3"])
+    def test_malformed_name_rejected_without_warnings(self, name):
+        # the order is parsed and checked with integer arithmetic: no log2 of 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=f"constellation must be .*'{name}'"):
+                Constellation.from_name(name)
+
+    def test_constellation_is_its_order(self):
+        qpsk = Constellation.qpsk()
+        assert Constellation.from_name("QAM4") == qpsk
+        assert hash(Constellation.from_name("QAM4")) == hash(qpsk)
+        assert qpsk.name == "QPSK" and Constellation(16).name == "QAM16"
+        assert Constellation.square_qam(16) != Constellation.square_qam(64)
 
     @pytest.mark.parametrize("order", [4, 16, 64, 256, 1024])
     def test_each_point_slices_to_its_own_label(self, order):

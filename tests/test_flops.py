@@ -63,7 +63,7 @@ PROBE = flops._node_charge(3, [1], CostModel(), span=3)
 
 
 def probe():
-    recursive_common_nullspace([PROBE_BLOCK], SubspaceBasis(np.eye(3, dtype=complex), 3))
+    recursive_common_nullspace([PROBE_BLOCK], SubspaceBasis(np.eye(3, dtype=complex)))
 
 
 class TestInstrumentation:
@@ -82,7 +82,7 @@ class TestInstrumentation:
         sys = bench_system(12, 4, 2)
         sd, svd = sequential_decoupler(sys), svd_decoupler(sys)
         with flops.counting() as tally:
-            subspace_distance(SubspaceBasis(sd.w[0], 12), SubspaceBasis(svd.w[0], 12))
+            subspace_distance(SubspaceBasis(sd.w[0]), SubspaceBasis(svd.w[0]))
             left_nullspace_basis(a[0])
             numerical_rank(a[0])
         assert tally.total == 0

@@ -512,8 +512,7 @@ class TestAudit:
                 worst[m] = max(worst[m], rep.max_cross_residual)
                 fails[m] += sum(not u["full_rank"] for u in rep.per_user)
             for w_sd, w_svd in zip(sets["SD"].w, sets["SVD"].w, strict=True):
-                dist = max(dist, subspace_distance(SubspaceBasis(w_sd, 20),
-                                                   SubspaceBasis(w_svd, 20)))
+                dist = max(dist, subspace_distance(SubspaceBasis(w_sd), SubspaceBasis(w_svd)))
         assert run_equivalence_audit(cfg) == harness.AuditReport(20, worst, fails, dist)
 
 

@@ -81,12 +81,12 @@ class TestLeftNullspaceBasis:
 
 class TestSubspaceDistance:
     def test_identical_subspaces(self):
-        b = SubspaceBasis(np.eye(4)[:2].astype(complex), 4)
+        b = SubspaceBasis(np.eye(4)[:2].astype(complex))
         assert subspace_distance(b, b) == 0.0
 
     def test_orthogonal_lines_in_c2(self):
-        e1 = SubspaceBasis(np.eye(2)[:1].astype(complex), 2)
-        e2 = SubspaceBasis(np.eye(2)[1:].astype(complex), 2)
+        e1 = SubspaceBasis(np.eye(2)[:1].astype(complex))
+        e2 = SubspaceBasis(np.eye(2)[1:].astype(complex))
         assert subspace_distance(e1, e2) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_right_multiplication_preserves_left_nullspace(self):
@@ -114,21 +114,21 @@ class TestSubspaceDistance:
 
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
-            subspace_distance(SubspaceBasis(np.eye(3, dtype=complex), 3),
-                              SubspaceBasis(np.eye(4, dtype=complex), 4))
+            subspace_distance(SubspaceBasis(np.eye(3, dtype=complex)),
+                              SubspaceBasis(np.eye(4, dtype=complex)))
 
 
 class TestSubspaceBasisInvariants:
     def test_rejects_non_orthonormal_rows(self):
         with pytest.raises(InvalidInputError):
-            SubspaceBasis(np.array([[1.0, 1.0]], dtype=complex), 2)
+            SubspaceBasis(np.array([[1.0, 1.0]], dtype=complex))
 
     def test_rejects_more_rows_than_ambient_dims(self):
         with pytest.raises(InvalidInputError):
-            SubspaceBasis(np.eye(3, dtype=complex)[:, :2], 2)
+            SubspaceBasis(np.eye(3, dtype=complex)[:, :2])
 
     def test_identity_basis_spans_everything(self):
-        b = SubspaceBasis(np.eye(5, dtype=complex), 5)
+        b = SubspaceBasis(np.eye(5, dtype=complex))
         assert b.dim == 5
         assert np.allclose(b.projector(), np.eye(5))
 

@@ -1,5 +1,8 @@
 """The package's public surface."""
 
+import numpy as np
+import pytest
+
 import decoupsim
 import decoupsim.harness
 
@@ -43,3 +46,16 @@ def test_harness_public_names_are_pinned():
         "ber_rows", "emit_outputs", "run_equivalence_audit", "run_flop_bench",
         "run_paired_ber",
     ]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: decoupsim.SystemChannel(4, [np.ones((4, 1))]),
+    lambda: decoupsim.DecouplerSet((np.eye(4),), "SD"),
+    lambda: decoupsim.SubspaceBasis(np.eye(4)),
+    lambda: decoupsim.build_link(np.eye(4), np.ones((4, 1)), np.ones(4), 0.5),
+], ids=["SystemChannel", "DecouplerSet", "SubspaceBasis", "EffectiveLink"])
+def test_array_value_types_compare_by_identity(make):
+    # comparing array fields would raise; equal contents are still two values
+    a, b = make(), make()
+    assert (a == b) is False and a == a
+    assert len({a, b}) == 2
