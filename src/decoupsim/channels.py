@@ -61,6 +61,17 @@ _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
 
 
+@lru_cache
+def _hash_constants(init: int, mult: int, first: int) -> np.ndarray:
+    """The hash constant after steps first .. first + 8, as a read-only uint32
+    column, built once per process (``first`` depends on a seed only through
+    its word count)."""
+    const = np.array([init * pow(mult, j, 1 << 32) & _M32 for j in range(first, first + 9)],
+                     dtype=np.uint32)[:, None]
+    const.flags.writeable = False
+    return const
+
+
 def _pcg64_states(seed: int, streams) -> list[tuple[int, int]]:
     """PCG64 ``(state, inc)`` of ``RngSeed(seed, s).generator()`` for every stream s.
 
@@ -76,11 +87,6 @@ def _pcg64_states(seed: int, streams) -> list[tuple[int, int]]:
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
 
-    def constants(init: int, mult: int, first: int):
-        """The hash constant after steps first .. first + 8, as a uint32 column."""
-        return np.array([init * pow(mult, j, 1 << 32) & _M32 for j in range(first, first + 9)],
-                        dtype=np.uint32)[:, None]
-
     def mix_in(pool, word, const):
         """One entropy word of every stream into its 4 pool words: 4 hashmix-mix steps,
         step i xoring the constant before it (``const[i]``) and multiplying the one after."""
@@ -88,13 +94,13 @@ def _pcg64_states(seed: int, streams) -> list[tuple[int, int]]:
         mixed = _MIX_L * pool - _MIX_R * (value ^ value >> 16)
         return mixed ^ mixed >> 16
 
-    const = constants(_INIT_A, _MULT_A, 4 * max(4, -(-seed.bit_length() // 32)))
+    const = _hash_constants(_INIT_A, _MULT_A, 4 * max(4, -(-seed.bit_length() // 32)))
     streams = np.asarray(streams, dtype=np.uint64).ravel()
     pool = mix_in(np.random.SeedSequence(seed).pool[:, None], streams & _M32, const[:5])
     if (wide := streams >> 32 != 0).any():  # a stream of 2^32 or more has a second word
         pool[:, wide] = mix_in(pool[:, wide], streams[wide] >> 32, const[4:])
     # generate_state(4, uint64): 8 words from the pool in turn, paired little end first
-    const = constants(_INIT_B, _MULT_B, 0)
+    const = _hash_constants(_INIT_B, _MULT_B, 0)
     value = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ const[:-1]) * const[1:]
     value = (value ^ value >> 16).astype(np.uint64)
     out = []

@@ -16,16 +16,18 @@ The config file is JSON mirroring :class:`decoupsim.harness.SimConfig`
 values are parsed as JSON when possible (``system.k=8``,
 ``snr_db=[0,8,16]``).  A config's ``cost_model`` prices that run's FLOP
 tables and is recorded in its manifest; nothing is installed
-process-wide.  ``main`` does set up the process once: glibc's heap keeps
-its freed memory (``_runtime.keep_heap``), and every manifest records
-that, the BLAS library and its thread count in sweeps in a ``runtime``
-block.  Exit codes: 0 success, 2 invalid configuration, 3 infeasible
-system, 4 numerical failure.
+process-wide.  ``main`` does set up the process once: it builds one
+parser on its first call, glibc's heap keeps its freed memory
+(``_runtime.keep_heap``), and every manifest records that, the BLAS
+library and its thread count in sweeps in a ``runtime`` block.  Exit
+codes: 0 success, 2 invalid configuration, 3 infeasible system,
+4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -207,10 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call; it holds no run data."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     _runtime.keep_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidConfigError as exc:

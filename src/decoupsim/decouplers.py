@@ -76,8 +76,12 @@ class SystemChannel:
     def __init__(self, n_r: int, users) -> None:
         if n_r < 1:
             raise InvalidInputError("n_r must be >= 1")
-        mats = []
-        for i, h in enumerate(users):
+        self._init(int(n_r), (), users)
+
+    def _init(self, n_r: int, checked: tuple[np.ndarray, ...], users) -> None:
+        """Take the ``checked`` users as they are, then check and append ``users``."""
+        mats = list(checked)
+        for i, h in enumerate(users, len(mats)):
             h = as_complex_matrix(h, f"user {i} channel")
             if h.shape[0] != n_r:
                 raise ShapeError(
@@ -89,8 +93,14 @@ class SystemChannel:
         if not mats:
             raise InvalidInputError("at least one user is required")
         flops._check_feasible(n_r, [h.shape[1] for h in mats])
-        object.__setattr__(self, "n_r", int(n_r))
+        object.__setattr__(self, "n_r", n_r)
         object.__setattr__(self, "users", tuple(mats))
+
+    def _extended(self, new_channels) -> "SystemChannel":
+        """This system with ``new_channels`` as users k, k+1, ...; only they are checked."""
+        augmented = object.__new__(SystemChannel)
+        augmented._init(self.n_r, self.users, new_channels)
+        return augmented
 
     @property
     def k(self) -> int:
@@ -372,15 +382,14 @@ def include_users(
     for i, w in enumerate(existing.w):
         if w.shape[1] != sys.n_r:
             raise ShapeError(f"decoupler {i} has {w.shape[1]} columns, expected {sys.n_r}")
-    new_mats = [as_complex_matrix(h, f"new user {i} channel") for i, h in enumerate(new_channels)]
-    if not new_mats:
-        return sys, existing
-    augmented = SystemChannel(sys.n_r, list(sys.users) + new_mats)
+    augmented = sys._extended(new_channels)
     k, widths, h_0 = sys.k, augmented.m_per_user[sys.k:], sys.users[0]
+    if not widths:
+        return sys, existing
     if (tally := flops._tally.get()) is not None:
         tally.add(sum(flops._sd_ui_breakdown(sys.n_r, [w.shape[0] for w in existing.w],
                                              h_0.shape[1], widths, tally.model)))
-    h_new = np.concatenate(new_mats, axis=1)
+    h_new = np.concatenate(augmented.users[k:], axis=1)
     by_rows = {}  # existing users by row count
     for j, w_j in enumerate(existing.w):
         by_rows.setdefault(w_j.shape[0], []).append(j)

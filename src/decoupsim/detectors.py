@@ -12,6 +12,7 @@ harness.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,9 @@ __all__ = [
 ]
 
 
+_MAX_ORDER = 4 ** 8  # 65536-QAM: a larger point table is no constellation a link uses
+
+
 def _gray(pos):
     """Gray code of each level position: adjacent positions differ in one bit."""
     return pos ^ (pos >> 1)
@@ -43,12 +47,15 @@ def _gray(pos):
 class Constellation:
     """Gray-mapped square constellation with unit average symbol energy.
 
-    A constellation is its ``order``, a power of 4 (4 is QPSK), and compares
-    and hashes by it.  Construction derives the rest with integer arithmetic:
-    ``name``, ``bits_per_symbol``, the ascending per-axis ``levels``, and
-    ``points``, where ``points[s]`` is the symbol whose bit label is the
-    binary expansion of ``s`` (first half of the bits selects the in-phase
-    level, second half the quadrature level; adjacent levels differ in one bit).
+    A constellation is its ``order``, a power of 4 from 4 (QPSK) to 65536,
+    and compares and hashes by it.  Construction checks the order before it
+    builds anything, then derives the rest with integer arithmetic: ``name``,
+    ``bits_per_symbol``, the ascending per-axis ``levels``, and ``points``,
+    where ``points[s]`` is the symbol whose bit label is the binary expansion
+    of ``s`` (first half of the bits selects the in-phase level, second half
+    the quadrature level; adjacent levels differ in one bit).  ``levels`` and
+    ``points`` are read-only, so :meth:`from_name` can hand every caller one
+    shared constellation per order.
     """
 
     order: int
@@ -60,8 +67,10 @@ class Constellation:
     def __post_init__(self) -> None:
         order = int(self.order) if _is_int(self.order) else 0
         # a power of 4 has one bit set, at an even place: an odd bit length
-        if order < 4 or order & (order - 1) or order.bit_length() % 2 == 0:
-            raise InvalidInputError(f"constellation order must be a power of 4, got {self.order!r}")
+        if (order < 4 or order > _MAX_ORDER or order & (order - 1)
+                or order.bit_length() % 2 == 0):
+            raise InvalidInputError(f"constellation order must be a power of 4 from 4 to "
+                                    f"{_MAX_ORDER}, got {self.order!r}")
         k = order.bit_length() - 1
         half = k // 2
         n_levels = 1 << half
@@ -71,6 +80,7 @@ class Constellation:
         points = np.empty(order, dtype=np.complex128)
         # level pair (i, q) takes the label slot gray(i) << half | gray(q)
         points[(labels[:, None] << half) | labels] = levels[:, None] + 1j * levels
+        levels.flags.writeable = points.flags.writeable = False
         for name, value in {"order": order, "name": "QPSK" if order == 4 else f"QAM{order}",
                             "bits_per_symbol": k, "levels": levels, "points": points}.items():
             object.__setattr__(self, name, value)
@@ -86,19 +96,27 @@ class Constellation:
 
     @classmethod
     def from_name(cls, name: str) -> "Constellation":
-        """The constellation named ``QPSK`` or ``QAM<order>`` (any letter case)."""
+        """The constellation named ``QPSK`` or ``QAM<order>`` (any letter case),
+        built once per order and shared."""
         label = name.strip().upper()
         digits = "4" if label == "QPSK" else label.removeprefix("QAM")
         if digits != label and digits.isascii() and digits.isdecimal():
-            with contextlib.suppress(InvalidInputError):  # reported by name below
-                return cls(int(digits))
+            # reported by name below; int() raises ValueError past 4300 digits
+            with contextlib.suppress(InvalidInputError, ValueError):
+                return _shared_constellation(int(digits))
         raise InvalidInputError(f"constellation must be QPSK or QAM<order>, the order a "
-                                f"power of 4 (4, 16, 64, ...), got {name!r}")
+                                f"power of 4 from 4 to {_MAX_ORDER} (4, 16, 64, ...), "
+                                f"got {name!r}")
 
     @property
     def bit_weights(self) -> np.ndarray:
         """Weight of each bit of a label, most significant first."""
         return 1 << np.arange(self.bits_per_symbol - 1, -1, -1)
+
+
+@functools.lru_cache
+def _shared_constellation(order: int) -> Constellation:
+    return Constellation(order)
 
 
 def _axis_positions(values: np.ndarray, cons: Constellation) -> np.ndarray:

@@ -42,6 +42,7 @@ import csv
 import datetime
 import io
 import json
+import math
 import pathlib
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -325,7 +326,11 @@ class BerCurve:
     @property
     def stderr(self) -> tuple[float, ...]:
         """Binomial standard error of each BER estimate."""
-        return tuple(float(np.sqrt(p * (1.0 - p) / n)) for p, n in zip(self.ber, self.bits_sent))
+        return _binomial_stderr(self.ber, self.bits_sent)
+
+
+def _binomial_stderr(ber, bits_sent) -> tuple[float, ...]:
+    return tuple(math.sqrt(p * (1.0 - p) / n) for p, n in zip(ber, bits_sent))
 
 
 @dataclass(frozen=True)
@@ -665,7 +670,9 @@ def ber_rows(results: dict[tuple[str, str], BerResult]) -> list[dict]:
     rows = []
     for (dec, det), res in sorted(results.items()):
         for label, curve in [(str(u), c) for u, c in enumerate(res.per_user)] + [("all", res.aggregate)]:
-            points = zip(curve.snr_db, curve.bits_sent, curve.bit_errors, curve.ber, curve.stderr)
+            ber = curve.ber
+            points = zip(curve.snr_db, curve.bits_sent, curve.bit_errors, ber,
+                         _binomial_stderr(ber, curve.bits_sent))
             rows += [dict(zip(BER_COLUMNS, (dec, det, label, *point))) for point in points]
     return rows
 
@@ -676,20 +683,18 @@ def audit_rows(report: AuditReport) -> list[dict]:
             for method, residual in report.max_cross_residual.items()]
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def render_csv(columns: list[str], rows: list[dict]) -> str:
-    """Deterministic CSV text: header plus one record per row."""
+    """Deterministic CSV text: header plus one record per row.  The csv writer
+    formats each cell itself: a float by ``repr``, any other value by ``str``,
+    and a missing or ``None`` cell as empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(row.get(c, "")) for c in columns])
+    writer.writerows(map(row.get, columns) for row in rows)
     return buf.getvalue()
+
+
+_DEFAULT_COST_MODEL = asdict(flops.CostModel())
 
 
 def emit_outputs(tables: dict[str, tuple[list[str], list[dict]]], out_dir,
@@ -704,7 +709,7 @@ def emit_outputs(tables: dict[str, tuple[list[str], list[dict]]], out_dir,
     """
     out = pathlib.Path(out_dir)
     manifest = {"package_version": _pkg_version, "snr_definition": SNR_DEFINITION,
-                "flop_convention": FLOP_CONVENTION, "cost_model": asdict(flops.CostModel()),
+                "flop_convention": FLOP_CONVENTION, "cost_model": _DEFAULT_COST_MODEL,
                 "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
                 **manifest}
     files = {f"{name}.csv": render_csv(columns, rows) for name, (columns, rows) in tables.items()}

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import decoupsim
 from decoupsim import flops
-from decoupsim.cli import main
+from decoupsim.cli import build_parser, main
 
 
 @pytest.fixture
@@ -103,6 +107,9 @@ class TestBerCommand:
         ("constellation=QAM", "constellation"),
         ("constellation=QAM-16", "constellation"),
         ("constellation=QAM1e3", "constellation"),
+        # a power of 4 past 65536-QAM, rejected before any point table is built
+        ("constellation=QAM262144", "constellation"),
+        (f"constellation=QAM{4 ** 64}", "constellation"),
     ])
     def test_value_of_wrong_type_is_config_error(self, ber_config, tmp_path, capsys,
                                                  override, key):
@@ -352,3 +359,48 @@ def test_override_without_config_is_config_error(command, tmp_path):
     assert main([command, "--no-instrumented", "--out", str(out),
                  "--override", "seed=3"]) == 2
     assert not out.exists()
+
+
+# README's example configuration
+README_CONFIG = {
+    "system": {"n_r": 64, "k": 15, "m_i": 4}, "decoupler": "SD", "detector": "LMMSE",
+    "constellation": "QPSK", "snr_db": [0.0, 4.0, 8.0, 12.0, 16.0], "bits_per_point": 200040,
+    "seed": 1234, "whiten": False, "threads": 1, "n_subcarriers": 1,
+    "channel": {"kronecker": {"rho_tx": 0.25, "rho_rx": 0.05},
+                "large_scale": {"mu_db": 3.0, "l_path": 0.65, "d_rel": 0.65, "tau": 3.0},
+                "ce_error": {"sigma_e2": 0.01}},
+    "cost_model": {"add": 2, "mul": 6, "div": 11},
+}
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path):
+    # main reuses one parser and one constellation per order: no call may see another's run
+    cfg = tmp_path / "readme.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    six_trials = ["--override", "bits_per_point=720", "--threads", "2"]
+    runs = {"ber_1234": (["ber", "--seed", "1234", *six_trials], "ber.csv"),
+            "ber_7": (["ber", "--seed", "7", *six_trials], "ber.csv"),
+            "audit": (["audit", "--trials", "3"], "audit.csv")}
+
+    def run(name, out, call):
+        argv, csv_name = runs[name]
+        assert call([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+        return (out / csv_name).read_bytes()
+
+    order = ["ber_1234", "ber_7", "audit", "ber_1234"]
+    in_process = [run(name, tmp_path / f"in{i}", main) for i, name in enumerate(order)]
+    src = os.path.dirname(os.path.dirname(decoupsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def fresh_process(argv):
+        return subprocess.run([sys.executable, "-m", "decoupsim.cli", *argv], env=env,
+                              capture_output=True).returncode
+
+    fresh = {name: run(name, tmp_path / f"fresh_{name}", fresh_process) for name in runs}
+    assert in_process == [fresh[name] for name in order]
+    assert fresh["ber_1234"] != fresh["ber_7"]
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()

@@ -10,7 +10,9 @@ from decoupsim.channels import (
 from decoupsim.errors import (
     InfeasibleSystemError, InvalidInputError, ShapeError, SingularMatrixError,
 )
-from decoupsim.kernels import SubspaceBasis, left_nullspace_basis, subspace_distance
+from decoupsim.kernels import (
+    SubspaceBasis, as_complex_matrix, left_nullspace_basis, subspace_distance,
+)
 from decoupsim.decouplers import (
     DecouplerSet,
     SystemChannel,
@@ -657,6 +659,41 @@ class TestIncludeUsers:
         dec = sequential_decoupler(sys)
         with pytest.raises(InfeasibleSystemError):
             include_users(sys, dec, [crandn(rng, 6, 3), crandn(rng, 6, 3)])
+
+    @pytest.mark.parametrize("bad,error,match", [
+        ("nan", InvalidInputError, "user 4 channel contains non-finite"),
+        ("inf", InvalidInputError, "user 4 channel contains non-finite"),
+        ("rows", ShapeError, "user 4 channel has 11 rows"),
+        ("ndim", InvalidInputError, "user 4 channel must be 2-D"),
+    ])
+    def test_bad_newcomer_rejected(self, bad, error, match):
+        # only the newcomers are checked; the second of them is the bad one
+        rng = np.random.default_rng(58)
+        sys = random_system(rng, 12, 3, 2)
+        dec = sequential_decoupler(sys)
+        h = crandn(rng, 12, 2)
+        h = {"nan": np.where(np.eye(12, 2, dtype=bool), np.nan, h),
+             "inf": np.where(np.eye(12, 2, dtype=bool), np.inf, h),
+             "rows": h[:11], "ndim": h[None]}[bad]
+        with pytest.raises(error, match=match):
+            include_users(sys, dec, [crandn(rng, 12, 1), h])
+
+    def test_only_newcomers_are_checked(self, monkeypatch):
+        # the existing users were checked when their system was built
+        rng = np.random.default_rng(59)
+        sys = random_system(rng, 12, 3, 2)
+        dec = sequential_decoupler(sys)
+        checked = []
+
+        def check(h, name):
+            checked.append(name)
+            return as_complex_matrix(h, name)
+
+        monkeypatch.setattr(decouplers, "as_complex_matrix", check)
+        new = [crandn(rng, 12, 2), crandn(rng, 12, 1)]
+        aug, _ = include_users(sys, dec, new)
+        assert checked == ["user 3 channel", "user 4 channel"]
+        assert all(a is b for a, b in zip(aug.users, (*sys.users, *new), strict=True))
 
     def test_extended_set_keeps_its_method(self):
         rng = np.random.default_rng(55)

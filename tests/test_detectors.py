@@ -69,13 +69,29 @@ class TestConstellation:
         with pytest.raises(InvalidInputError, match="8PSK"):
             Constellation.from_name("8PSK")
 
-    @pytest.mark.parametrize("name", ["QAM0", "QAM", "QAM-16", "QAM1e3"])
+    @pytest.mark.parametrize("name", ["QAM0", "QAM", "QAM-16", "QAM1e3", "QAM262144",
+                                      f"QAM{4 ** 64}",
+                                      pytest.param("QAM" + "4" * 5000, id="QAM<5000 digits>")])
     def test_malformed_name_rejected_without_warnings(self, name):
-        # the order is parsed and checked with integer arithmetic: no log2 of 0
+        # the order is parsed and checked with integer arithmetic: no log2 of 0, and no
+        # point table past 65536-QAM is built
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match=f"constellation must be .*'{name}'"):
                 Constellation.from_name(name)
+
+    def test_largest_order_is_65536(self):
+        assert Constellation.from_name("QAM65536").bits_per_symbol == 16
+        with pytest.raises(InvalidInputError, match="from 4 to 65536"):
+            Constellation(4 ** 9)
+
+    def test_named_constellation_is_shared_and_read_only(self):
+        cons = Constellation.from_name("QAM16")
+        assert Constellation.from_name("qam16") is cons
+        for table in (cons.points, cons.levels):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+        assert np.array_equal(cons.points, Constellation.square_qam(16).points)
 
     def test_constellation_is_its_order(self):
         qpsk = Constellation.qpsk()
