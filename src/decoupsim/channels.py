@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, _require_numbers
+from .errors import InvalidInputError, _is_int, _is_number, _require_numbers
 
 __all__ = [
     "RngSeed",
@@ -216,8 +216,8 @@ def correlation_matrix(rho: float, n: int) -> np.ndarray:
     """
     if not 0.0 <= rho < 1.0:
         raise InvalidInputError(f"rho must be in [0, 1), got {rho}")
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
+    if not _is_int(n) or n < 1:
+        raise InvalidInputError(f"n must be >= 1 and an integer, got {n!r}")
     idx = np.arange(n)
     return rho ** ((idx[:, None] - idx[None, :]) ** 2).astype(float)
 
@@ -300,8 +300,8 @@ def perturb_channel(h, ce: CeErrorParams, seed) -> np.ndarray:
 
 def gen_awgn(seed, sigma_n2: float, n: int) -> np.ndarray:
     """Length-n circular complex Gaussian noise vector of variance sigma_n2."""
-    if sigma_n2 < 0:
-        raise InvalidInputError("sigma_n2 must be >= 0")
+    if not _is_number(sigma_n2) or sigma_n2 < 0:
+        raise InvalidInputError(f"sigma_n2 must be a finite number >= 0, got {sigma_n2!r}")
     if n < 0:
         raise InvalidInputError("n must be >= 0")
     return _complex_normals([_as_rng(seed)], (1, n), np.sqrt(sigma_n2 / 2.0))[0]

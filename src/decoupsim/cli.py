@@ -14,14 +14,16 @@ runs a thread pool, so only ``ber`` accepts ``--threads`` or a config
 The config file is JSON mirroring :class:`decoupsim.harness.SimConfig`
 (see README for the schema).  ``--override`` accepts dotted paths whose
 values are parsed as JSON when possible (``system.k=8``,
-``snr_db=[0,8,16]``).  A config's ``cost_model`` prices that run's FLOP
-tables and is recorded in its manifest; nothing is installed
-process-wide.  ``main`` does set up the process once: it builds one
-parser on its first call, glibc's heap keeps its freed memory
-(``_runtime.keep_heap``), and every manifest records that, the BLAS
-library and its thread count in sweeps in a ``runtime`` block.  Exit
-codes: 0 success, 2 invalid configuration, 3 infeasible system,
-4 numerical failure.
+``snr_db=[0,8,16]``).  Overrides, then ``--seed``, ``--threads`` and
+``--trials``, edit the file as written before its one validation, so
+``system.k=8`` on a file whose ``m_i`` is one integer gives 8 such users.
+A config's ``cost_model`` prices that run's FLOP tables and is recorded
+in its manifest; nothing is installed process-wide.  ``main`` does set
+up the process once: it builds one parser on its first call, glibc's
+heap keeps its freed memory (``_runtime.keep_heap``), and every manifest
+records that, the BLAS library and its thread count in sweeps in a
+``runtime`` block.  Exit codes: 0 success, 2 invalid configuration,
+3 infeasible system, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -68,9 +70,23 @@ def _parse_override(text: str) -> tuple[str, object]:
     return key.strip(), value
 
 
+def _set_path(data, path: str, value) -> None:
+    """Set the dotted config ``path`` of ``data`` to ``value``; an unset
+    (``null``) or absent section is given fields."""
+    *parents, leaf = path.split(".")
+    for part in parents:
+        if isinstance(data, dict) and data.get(part) is None:
+            data[part] = {}
+        data = data[part] if isinstance(data, dict) else None
+    if not isinstance(data, dict):
+        raise InvalidConfigError(f"config path {path!r} runs through a value")
+    data[leaf] = value
+
+
 def _load_config(args) -> SimConfig | None:
-    """The ``--config`` file with its overrides applied, or None without one;
-    a setting that would be ignored (an override without a config, or
+    """The ``--config`` file, edited as written by every ``--override``, then
+    ``--seed``, ``--threads`` and ``--trials``, and validated once; None without
+    one.  A setting that would be ignored (an override without a config, or
     ``threads`` other than 1 outside ``ber``) is an invalid configuration."""
     if not args.config:
         if args.override:
@@ -81,14 +97,13 @@ def _load_config(args) -> SimConfig | None:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidConfigError(f"cannot read config {args.config}: {exc}") from exc
+    overrides = [_parse_override(o) for o in args.override or []]
+    for path, flag in (("seed", "seed"), ("threads", "threads"), ("audit_trials", "trials")):
+        if (value := getattr(args, flag, None)) is not None:
+            overrides.append((path, value))
+    for path, value in overrides:
+        _set_path(data, path, value)
     cfg = SimConfig.from_dict(data)
-    overrides = dict(_parse_override(o) for o in args.override or [])
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = args.threads
-    if overrides:
-        cfg = cfg.with_overrides(overrides)
     if args.command != "ber" and cfg.threads != 1:
         raise InvalidConfigError(f"threads={cfg.threads}: only ber runs worker threads")
     return cfg
@@ -127,8 +142,6 @@ def _cmd_ber(args) -> int:
 
 def _cmd_audit(args) -> int:
     cfg = _load_config(args)
-    if args.trials is not None:
-        cfg = cfg.with_overrides({"audit_trials": args.trials})
     _check_out(args.out)
     report = run_equivalence_audit(cfg)
     emit_outputs({"audit": (AUDIT_COLUMNS, audit_rows(report))}, args.out,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeError, SingularMatrixError, _is_int
+from .errors import InvalidInputError, ShapeError, SingularMatrixError, _is_int, _is_number
 from .kernels import _full_rank_r, as_complex_matrix
 
 __all__ = [
@@ -86,15 +86,6 @@ class Constellation:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def qpsk(cls) -> "Constellation":
-        return cls(4)
-
-    @classmethod
-    def square_qam(cls, order: int) -> "Constellation":
-        """Square QAM of the given order (4, 16, 64, ...)."""
-        return cls(order)
-
-    @classmethod
     def from_name(cls, name: str) -> "Constellation":
         """The constellation named ``QPSK`` or ``QAM<order>`` (any letter case),
         built once per order and shared."""
@@ -142,9 +133,10 @@ def _symbol_indices(z, cons: Constellation) -> np.ndarray:
 
 def modulate_bits(bits, cons: Constellation) -> np.ndarray:
     """Map a 0/1 bit stream to symbols; length must divide into symbols."""
-    bits = np.asarray(bits, dtype=np.int64).ravel()
-    if np.any((bits != 0) & (bits != 1)):
+    bits = np.asarray(bits).ravel()
+    if np.any((bits != 0) & (bits != 1)):  # before the cast, which would truncate 0.7 to 0
         raise InvalidInputError("bits must be 0 or 1")
+    bits = bits.astype(np.int64)
     k = cons.bits_per_symbol
     if bits.size % k:
         raise InvalidInputError(f"bit count {bits.size} not divisible by {k}")
@@ -177,8 +169,8 @@ def build_link(w_i, h_i, y, sigma_n2: float) -> EffectiveLink:
     w_i = as_complex_matrix(w_i, "w_i")
     h_i = as_complex_matrix(h_i, "h_i")
     y = np.asarray(y, dtype=np.complex128).ravel()
-    if sigma_n2 < 0:
-        raise InvalidInputError("sigma_n2 must be >= 0")
+    if not _is_number(sigma_n2) or sigma_n2 < 0:
+        raise InvalidInputError(f"sigma_n2 must be a finite number >= 0, got {sigma_n2!r}")
     if w_i.shape[1] != h_i.shape[0] or w_i.shape[1] != y.size:
         raise ShapeError(
             f"incompatible shapes: W {w_i.shape}, H {h_i.shape}, y ({y.size},)"

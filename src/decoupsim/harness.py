@@ -83,7 +83,6 @@ from .errors import (
     InfeasibleSystemError,
     InvalidConfigError,
     InvalidInputError,
-    ShapeError,
     _is_int,
     _is_number,
 )
@@ -245,26 +244,6 @@ class SimConfig:
         except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
             raise InvalidConfigError(f"bad configuration: {exc}") from exc
 
-    def with_overrides(self, overrides: dict) -> "SimConfig":
-        """Apply dotted-path overrides (e.g. {"system.k": 8}) to a copy.
-
-        Every path must name a config key; an unset (``null``) section such
-        as ``channel.ce_error`` may be given fields."""
-        d = self.to_dict()
-        for path, value in overrides.items():
-            node = d
-            *parents, leaf = path.split(".")
-            for part in parents:
-                if part not in node:
-                    raise InvalidConfigError(f"unknown config path {path!r}")
-                if node[part] is None:
-                    node[part] = {}
-                node = node[part]
-                if not isinstance(node, dict):
-                    raise InvalidConfigError(f"config path {path!r} runs through a value")
-            node[leaf] = value
-        return SimConfig.from_dict(d)
-
 
 # top-level config keys of SimConfig's scalar fields
 _SCALAR_FIELDS = ("decoupler", "detector", "constellation", "snr_db", "bits_per_point",
@@ -387,21 +366,14 @@ _BLOCK = 16
 
 
 @_runtime.one_blas_thread()
-def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
-                   channel_factory=None) -> dict[tuple[str, str], BerResult]:
+def run_paired_ber(cfg: SimConfig, decouplers=None,
+                   detectors=None) -> dict[tuple[str, str], BerResult]:
     """Run one Monte-Carlo sweep for several (decoupler, detector) arms at once.
 
     All arms share every random draw (channels, bits, noise), so curve
-    differences isolate the algorithms.  ``channel_factory``, when given,
-    replaces the built-in channel generator: it is called as
-    ``factory(trial, subcarrier)`` and must return the per-user true
-    channel matrices, k of them, each n_r x m_i (else ``ShapeError``).
-    This is the plug-in point for externally defined (e.g. standardized
-    frequency-selective) fading models; the harness still applies the
-    configured estimation error on top and loops over ``n_subcarriers``
-    flat subproblems per trial.  The sweep runs with numpy's bundled
-    OpenBLAS at one thread (see ``_runtime.one_blas_thread``), so its
-    bytes do not depend on the BLAS thread setting.
+    differences isolate the algorithms.  The sweep runs with numpy's
+    bundled OpenBLAS at one thread (see ``_runtime.one_blas_thread``), so
+    its bytes do not depend on the BLAS thread setting.
     """
     decouplers = tuple(decouplers or (cfg.decoupler,))
     detectors = tuple(detectors or (cfg.detector,))
@@ -423,16 +395,6 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
     sigmas = np.sqrt([cfg.sigma_n2(s) for s in cfg.snr_db])
     bits_per_vec = cons.bits_per_symbol * cfg.m_total
     offsets = np.cumsum((0,) + cfg.m_i)
-    shapes = [(cfg.n_r, m_u) for m_u in cfg.m_i]
-
-    def factory_channels(trial: int, sc: int) -> list[np.ndarray]:
-        chans = [np.asarray(h, dtype=np.complex128) for h in channel_factory(trial, sc)]
-        if (got := [h.shape for h in chans]) != shapes:
-            raise ShapeError(f"channel_factory({trial}, {sc}) returned shapes {got}, "
-                             f"expected {cfg.k} users of n_r x m_i: {shapes}")
-        if not all(np.isfinite(h).all() for h in chans):
-            raise InvalidInputError(f"channel_factory({trial}, {sc}) returned non-finite entries")
-        return chans
 
     def detect(errors, di, decs, used, y_clean, unit, tx_labels):
         """Detect every user of every (trial, subcarrier) entry of a block at
@@ -472,8 +434,7 @@ def run_paired_ber(cfg: SimConfig, decouplers=None, detectors=None,
                                 (len(block), cfg.n_subcarriers, cfg.n_r), np.sqrt(0.5))
         # each trial's gen_awgn(1.0, n_subcarriers * n_r), a row per subcarrier
         unit = unit.reshape(len(entries), cfg.n_r)
-        true, used = _channels(cfg, entries, None if channel_factory is None else np.stack(
-            [np.concatenate(factory_channels(*entry), axis=1) for entry in entries]))
+        true, used = _channels(cfg, entries)
         # the signal crosses the true channels; decouplers and detection see the used ones
         y_clean = (true @ cons.points[tx_labels][..., None])[..., 0]
         # an arm's decoupler sets are freed once detected, before the next arm builds
@@ -549,24 +510,25 @@ def run_equivalence_audit(cfg: SimConfig) -> AuditReport:
 # ---------------------------------------------------------------------------
 # FLOP benches.
 
+_USERS_K = (30, 40, 50, 60, 70, 80)  # the users sweep's user counts
+_STREAMS_M, _STREAMS_K = (2, 4, 6, 8), 50  # the streams sweep's streams per user, users
+
+
 @dataclass(frozen=True)
 class FlopSweep:
     """One complexity sweep: vary users, streams per user, or inclusions.
 
-    ``mode`` is "users" (sweep k at fixed m_i), "streams" (sweep m_i at
-    fixed k) or "inclusion" (add 1..p_max users to the base system of
-    ``base_k`` users at ``base_n_r`` antennas).  When ``n_r`` is omitted it
-    defaults to total streams + 10.  Instrumented runs execute the
-    algorithms on seeded random channels; set ``instrumented=False`` to
-    tabulate closed-form estimates only.
+    ``mode`` is "users" (k = 30, 40, ..., 80 users of ``m_i`` streams),
+    "streams" (m_i = 2, 4, 6, 8 streams for each of 50 users) or "inclusion"
+    (add 1..p_max users of ``m_i`` streams to the base system of ``base_k``
+    users at ``base_n_r`` antennas).  A users or streams point has total
+    streams + 10 antennas.  Instrumented runs execute the algorithms on
+    seeded random channels; set ``instrumented=False`` to tabulate
+    closed-form estimates only.
     """
 
     mode: str = "users"
-    k_values: tuple[int, ...] = (30, 40, 50, 60, 70, 80)
-    m_values: tuple[int, ...] = (2, 4, 6, 8)
-    k: int = 50
     m_i: int = 2
-    n_r: int | None = None
     p_max: int = 5
     base_k: int = 60
     base_n_r: int = 130
@@ -584,11 +546,9 @@ def _flop_points(sweep: FlopSweep) -> list[tuple[str, int, int, int, int, int]]:
     if sweep.seed < 0:
         raise InvalidConfigError(f"seed must be >= 0, got {sweep.seed}")
     if sweep.mode == "users":
-        return [("k", k, sweep.n_r or k * sweep.m_i + 10, k, sweep.m_i, 0)
-                for k in sweep.k_values]
+        return [("k", k, k * sweep.m_i + 10, k, sweep.m_i, 0) for k in _USERS_K]
     if sweep.mode == "streams":
-        return [("m_i", m, sweep.n_r or sweep.k * m + 10, sweep.k, m, 0)
-                for m in sweep.m_values]
+        return [("m_i", m, _STREAMS_K * m + 10, _STREAMS_K, m, 0) for m in _STREAMS_M]
     if sweep.mode == "inclusion":
         for name in ("base_k", "m_i", "p_max", "base_n_r"):
             if getattr(sweep, name) < 1:

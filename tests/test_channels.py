@@ -131,6 +131,11 @@ class TestCorrelationMatrix:
         with pytest.raises(InvalidInputError, match="n must be >= 1"):
             correlation_matrix(0.5, 0)
 
+    def test_fractional_size_rejected(self):
+        # np.arange(2.5) has 3 entries: a fractional size would give a 3 x 3 matrix
+        with pytest.raises(InvalidInputError, match="an integer, got 2.5"):
+            correlation_matrix(0.5, 2.5)
+
 
 class TestMatrixSqrt:
     def test_square_root_squares_back(self):
@@ -325,8 +330,10 @@ class TestAwgn:
         assert abs(np.mean(np.abs(n) ** 2) - 0.25) <= 0.005
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(InvalidInputError, match="sigma_n2"):
-            gen_awgn(RngSeed(18), -1.0, 4)
+        # a non-finite variance would give NaN or infinite noise
+        for sigma_n2 in (-1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInputError, match="sigma_n2"):
+                gen_awgn(RngSeed(18), sigma_n2, 4)
 
     def test_negative_length_rejected(self):
         with pytest.raises(InvalidInputError, match="n must be >= 0"):

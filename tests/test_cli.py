@@ -11,6 +11,7 @@ import pytest
 import decoupsim
 from decoupsim import flops
 from decoupsim.cli import build_parser, main
+from decoupsim.harness import SimConfig
 
 
 @pytest.fixture
@@ -53,6 +54,67 @@ class TestBerCommand:
                      "--override", "snr_db=[5.0]"]) == 0
         body = (out / "ber.csv").read_text()
         assert ",5.0," in body and ",10.0," not in body
+
+    def test_override_paths(self, ber_config, tmp_path):
+        # an unset (null) section and an absent one can both be given fields
+        cfg = json.loads(ber_config.read_text())
+        ber_config.write_text(json.dumps({**cfg, "channel": {"ce_error": None},
+                                          "cost_model": None}))
+        out = tmp_path / "o"
+        assert main(["ber", "--config", str(ber_config), "--out", str(out),
+                     "--override", "system.k=4", "--override", "system.m_i=2",
+                     "--override", "seed=9", "--override", "bits_per_point=480",
+                     "--override", "channel.ce_error.sigma_e2=0.02",
+                     "--override", "channel.kronecker.rho_tx=0.2",
+                     "--override", "channel.kronecker.rho_rx=0.1",
+                     "--override", "cost_model.mul=1"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["system"] == {"n_r": 12, "k": 4, "m_i": [2, 2, 2, 2]}
+        assert manifest["seed"] == 9
+        assert manifest["config"]["channel"] == {
+            "kronecker": {"rho_tx": 0.2, "rho_rx": 0.1}, "large_scale": None,
+            "ce_error": {"sigma_e2": 0.02}}
+        assert manifest["cost_model"]["mul"] == 1
+
+    def test_override_acts_on_the_file_as_written(self, ber_config, tmp_path):
+        # the file's "m_i": 2 gives each of the overridden 4 users 2 streams
+        out = tmp_path / "o"
+        assert main(["ber", "--config", str(ber_config), "--out", str(out),
+                     "--override", "system.k=4", "--override", "bits_per_point=480"]) == 0
+        assert {r["user"] for r in _csv_rows(out / "ber.csv")} == {"0", "1", "2", "3", "all"}
+
+    @pytest.mark.parametrize("command,argv", [
+        ("ber", ["--seed", "5", "--threads", "2", "--override", "bits_per_point=120"]),
+        ("audit", ["--trials", "3"]),
+    ], ids=["ber", "audit"])
+    def test_config_is_validated_once(self, ber_config, tmp_path, monkeypatch, command, argv):
+        checks, check = [], SimConfig.__post_init__
+
+        def spy(cfg):
+            checks.append(cfg)
+            check(cfg)
+
+        monkeypatch.setattr(SimConfig, "__post_init__", spy)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(ber_config), "--out", str(out), *argv]) == 0
+        assert len(checks) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == checks[0].to_dict()
+
+    @pytest.mark.parametrize("override,message", [
+        ("system.k.x=1", "config path 'system.k.x' runs through a value"),
+        ("snr_db.0=5", "config path 'snr_db.0' runs through a value"),
+        ("sytem.k=8", "unknown config key(s) sytem"),
+        ("system.kk=8", "unknown config key(s) system.kk"),
+        ("channel.kronecker.rho=0.1", "unknown config key(s) channel.kronecker.rho"),
+    ])
+    def test_override_path_errors_name_the_path(self, ber_config, tmp_path, capsys,
+                                                override, message):
+        out = tmp_path / "o"
+        assert main(["ber", "--config", str(ber_config), "--out", str(out),
+                     "--override", override]) == 2
+        assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
+        assert not out.exists()
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["ber", "--config", str(tmp_path / "nope.json")]) == 2

@@ -1,5 +1,6 @@
 """Monte-Carlo harness: configuration, sweeps, audits, benches, output files."""
 
+import dataclasses
 import json
 import re
 
@@ -19,7 +20,7 @@ from decoupsim.channels import (
     matrix_sqrt_psd,
     perturb_channel,
 )
-from decoupsim.errors import InfeasibleSystemError, InvalidConfigError, InvalidInputError, ShapeError
+from decoupsim.errors import InfeasibleSystemError, InvalidConfigError
 from decoupsim.harness import (
     AUDIT_COLUMNS,
     BER_COLUMNS,
@@ -85,9 +86,15 @@ class TestSimConfig:
         ("channel.large_scale", "sigma_db"), ("channel.ce_error", "sigma2"),
     ])
     def test_unknown_section_key_is_named_by_its_dotted_path(self, section, unknown):
+        d = small_cfg().to_dict()
+        *parents, leaf = section.split(".")
+        node = d
+        for part in parents:
+            node = node[part]
+        node[leaf] = {unknown: 1.0}
         with pytest.raises(InvalidConfigError,
                            match=rf"^unknown config key\(s\) {re.escape(section)}\.{unknown}$"):
-            small_cfg().with_overrides({section: {unknown: 1.0}})
+            SimConfig.from_dict(d)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
@@ -103,13 +110,6 @@ class TestSimConfig:
     def test_numpy_integers_are_integers(self):
         cfg = small_cfg(n_r=np.int64(12), seed=np.int32(7), m_i=np.array([2, 2, 2]))
         assert cfg == small_cfg() and type(cfg.n_r) is int and type(cfg.m_i[0]) is int
-
-    def test_override_paths(self):
-        cfg = small_cfg().with_overrides({"system.k": 4, "system.m_i": 2, "seed": 9,
-                                          "channel.ce_error": {"sigma_e2": 0.02}})
-        assert cfg.k == 4 and cfg.seed == 9
-        assert cfg.m_i == (2, 2, 2, 2)
-        assert cfg.ce_error == CeErrorParams(0.02)
 
     def test_per_user_noise_scale(self):
         cfg = small_cfg()
@@ -224,7 +224,7 @@ class TestRunBerSweep:
 
         cfg = small_cfg(snr_db=(2.0, 9.0), bits_per_point=600, seed=31)
         res = run_paired_ber(cfg, (arm,), ("LMMSE", "SIC"))
-        cons = Constellation.qpsk()
+        cons = Constellation(4)
         errors = np.zeros((2, len(cfg.snr_db)), dtype=int)
         for trial in range(cfg.trials):
             bits = RngSeed(cfg.seed, trial * _STRIDE).generator().integers(
@@ -275,44 +275,6 @@ class TestRunBerSweep:
         for (dec, det), result in res.items():
             assert tuple(c.bit_errors for c in result.per_user) == golden[det], (dec, det)
 
-    def test_channel_factory_hook_drives_per_subcarrier_loop(self):
-        cfg = small_cfg(n_subcarriers=2, bits_per_point=2400)
-        calls = []
-
-        def factory(trial, subcarrier):
-            calls.append((trial, subcarrier))
-            rng = RngSeed(1000 + trial, subcarrier).generator()
-            return [np.sqrt(0.5) * (rng.standard_normal((12, 2))
-                                    + 1j * rng.standard_normal((12, 2)))
-                    for _ in range(3)]
-
-        res = run_paired_ber(cfg, channel_factory=factory)["SD", "LMMSE"]
-        assert res.aggregate.bits_sent[0] == 2400
-        assert set(calls) == {(t, s) for t in range(cfg.trials) for s in range(2)}
-
-    def test_non_finite_factory_channels_rejected(self):
-        def factory(trial, subcarrier):
-            return [np.full((12, 2), np.nan if trial == 3 else 1.0, dtype=complex)] * 3
-
-        with pytest.raises(InvalidInputError, match=r"channel_factory\(3, 0\) returned non-finite"):
-            run_paired_ber(small_cfg(), channel_factory=factory)
-
-    @pytest.mark.parametrize("shapes", [
-        [(12, 3)] * 3,            # 3-stream channels where m_i = 2
-        [(12, 2)] * 2,            # a user short
-        [(10, 2)] * 3,            # wrong antenna count
-    ], ids=["streams", "users", "antennas"])
-    def test_wrong_factory_channels_fail_before_any_work(self, shapes, monkeypatch):
-        folds = []
-        monkeypatch.setattr(decouplers, "_fold_group", lambda *args: folds.append(args))
-
-        def factory(trial, subcarrier):
-            return [np.ones(shape, dtype=complex) for shape in shapes]
-
-        with pytest.raises(ShapeError, match=r"channel_factory\(0, 0\) returned shapes"):
-            run_paired_ber(small_cfg(), channel_factory=factory)
-        assert folds == []
-
     def test_unknown_decoupler_rejected(self):
         with pytest.raises(InvalidConfigError, match="unknown decoupler 'QR'"):
             run_paired_ber(small_cfg(), ("QR",), ("LMMSE",))
@@ -342,7 +304,7 @@ class TestKroneckerRoots:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_roots_follow_the_parameters(self):
-        other = self.CFG.with_overrides({"channel.kronecker.rho_rx": 0.2})
+        other = dataclasses.replace(self.CFG, kronecker=KroneckerParams(rho_tx=0.35, rho_rx=0.2))
         (rx, tx), (rx_other, tx_other) = map(harness._kronecker_roots, (self.CFG, other))
         assert not np.array_equal(rx, rx_other)
         assert all(tx[m] is tx_other[m] for m in tx)
@@ -399,16 +361,32 @@ class TestBlockChannels:
             self.assert_same(one_true, want_true)
             self.assert_same(harness._perturb_channels(cfg, trial, sc, one_true), want_used)
 
-    @pytest.mark.parametrize("factory", [False, True], ids=["built_in", "channel_factory"])
-    def test_sweep_blocks_draw_the_public_channels(self, factory, monkeypatch):
+    def test_given_channels_are_only_perturbed(self, monkeypatch):
+        # a given true stack is kept as it is, with the public estimation error on top
+        cfg, given, stack = self.CFG, [], harness.gen_channel_stack
+
+        def spy(*args):
+            true, used = stack(*args)
+            given.append(true is args[-1])
+            return true, used
+
+        monkeypatch.setattr(harness, "gen_channel_stack", spy)
+        for trial, sc in [(0, 0), (5, 2), (4096, 1)]:
+            rng = RngSeed(500 + trial, sc).generator()
+            chans = [rng.standard_normal((cfg.n_r, m)) + 1j * rng.standard_normal((cfg.n_r, m))
+                     for m in cfg.m_i]
+            self.assert_same(harness._perturb_channels(cfg, trial, sc, chans),
+                             self.reference(cfg, trial, sc, chans)[1])
+        assert given == [True] * 3
+
+    def test_sweep_blocks_draw_the_public_channels(self, monkeypatch):
         cfg, blocks, stack = self.CFG, [], harness.gen_channel_stack
         sd_sets = harness._DECOUPLERS["SD"]
 
         def spy(seed, streams, n_r, widths, kronecker=None, large_scale=None, ce_error=None,
                 true=None):  # the public draw, under the name the harness calls
-            given = true
-            true, used = stack(seed, streams, n_r, widths, kronecker, large_scale, ce_error, given)
-            assert (true is given) == factory  # a factory's channels are only perturbed
+            assert true is None  # a sweep draws its own true channels
+            true, used = stack(seed, streams, n_r, widths, kronecker, large_scale, ce_error)
             blocks.append((len(streams), true, used))
             return true, used
 
@@ -416,22 +394,16 @@ class TestBlockChannels:
             assert local is blocks[-1][2]
             return sd_sets(local, widths)
 
-        def channels(trial, sc):  # a factory's own channels, kept as they are
-            rng = RngSeed(500 + trial, sc).generator()
-            return [rng.standard_normal((cfg.n_r, m)) + 1j * rng.standard_normal((cfg.n_r, m))
-                    for m in cfg.m_i]
-
         monkeypatch.setattr(harness, "gen_channel_stack", spy)
         monkeypatch.setitem(harness._DECOUPLERS, "SD", spy_sd)
-        run_paired_ber(cfg, channel_factory=channels if factory else None)
+        run_paired_ber(cfg)
         # two full blocks and a short one of 3 trials, 3 subcarriers each
         assert [n for n, _, _ in blocks] == [3 * harness._BLOCK] * 2 + [9]
         systems = iter((trial, sc) for trial in range(cfg.trials) for sc in range(3))
         for _, true, used in blocks:
             for h_true, h_used in zip(true, used, strict=True):
                 trial, sc = next(systems)
-                want_true, want_used = self.reference(
-                    cfg, trial, sc, channels(trial, sc) if factory else None)
+                want_true, want_used = self.reference(cfg, trial, sc)
                 self.assert_same(self.users(cfg, h_true), want_true)
                 self.assert_same(self.users(cfg, h_used), want_used)
         assert next(systems, None) is None
@@ -453,7 +425,7 @@ class TestTrialBlocks:
         assert cfg.trials == 2 * harness._BLOCK + 3
         reference = run_paired_ber(cfg, *self.ARMS)
         for threads in (2, 5):
-            assert run_paired_ber(cfg.with_overrides({"threads": threads}), *self.ARMS) == reference
+            assert run_paired_ber(dataclasses.replace(cfg, threads=threads), *self.ARMS) == reference
         monkeypatch.setattr(harness, "_BLOCK", 1)
         assert run_paired_ber(cfg, *self.ARMS) == reference
 
@@ -517,21 +489,25 @@ class TestAudit:
 
 
 class TestFlopBench:
-    def test_users_sweep_rows(self):
-        rows = run_flop_bench(FlopSweep(mode="users", k_values=(30, 40), instrumented=False))
+    def test_users_sweep_rows(self, monkeypatch):
+        monkeypatch.setattr(harness, "_USERS_K", (30, 40))
+        rows = run_flop_bench(FlopSweep(mode="users", instrumented=False))
         assert len(rows) == 6
         sd30 = next(r for r in rows if r["algorithm"] == "SD" and r["param"] == 30)
         assert sd30["ratio_to_svd"] <= 0.01
         assert sd30["flops_instrumented"] == ""
 
-    def test_instrumented_matches_estimates(self):
-        rows = run_flop_bench(FlopSweep(mode="users", k_values=(30,), instrumented=True))
+    def test_instrumented_matches_estimates(self, monkeypatch):
+        monkeypatch.setattr(harness, "_USERS_K", (30,))
+        rows = run_flop_bench(FlopSweep(mode="users", instrumented=True))
         for r in rows:
             assert r["flops_instrumented"] == r["flops_estimate"]
 
-    def test_streams_sweep(self):
-        rows = run_flop_bench(FlopSweep(mode="streams", k=10, m_values=(2, 4),
-                                        instrumented=False))
+    def test_streams_sweep(self, monkeypatch):
+        monkeypatch.setattr(harness, "_STREAMS_K", 10)
+        monkeypatch.setattr(harness, "_STREAMS_M", (2, 4))
+        rows = run_flop_bench(FlopSweep(mode="streams", instrumented=False))
+        assert [r["n_r"] for r in rows if r["algorithm"] == "SD"] == [30, 50]
         sd = [r["flops_estimate"] for r in rows if r["algorithm"] == "SD"]
         assert sd[0] < sd[1]
 
@@ -569,18 +545,23 @@ class TestFlopBench:
             assert [h.tobytes() for h in stacks] == [h.tobytes() for h in included]
 
     @pytest.mark.parametrize("instrumented", [False, True])
-    def test_zero_cost_baseline_gives_empty_ratio(self, instrumented):
-        # a single user's complement is empty: its SVD baseline costs 0 FLOPs
-        rows = run_flop_bench(FlopSweep(mode="users", k_values=(1, 2),
-                                        instrumented=instrumented))
-        assert [r["ratio_to_svd"] == "" for r in rows] == [True] * 3 + [False] * 3
-        assert rows[2]["ratio_to_pinv"] == 1.0
+    def test_zero_cost_baseline_gives_empty_ratio(self, instrumented, monkeypatch):
+        # at svd_scale 0 the SVD baseline costs 0 FLOPs; the PINV baseline does not
+        monkeypatch.setattr(harness, "_USERS_K", (1, 2))
+        rows = run_flop_bench(FlopSweep(mode="users", instrumented=instrumented),
+                              flops.CostModel(svd_scale=0))
+        assert len(rows) == 6
+        assert all(r["ratio_to_svd"] == "" for r in rows)
+        assert all(r["ratio_to_pinv"] != "" for r in rows)
+        assert [r["ratio_to_pinv"] for r in rows if r["algorithm"] == "PINV"] == [1.0, 1.0]
 
     def test_infeasible_entries_skipped_with_warning(self):
-        with pytest.warns(UserWarning):
-            rows = run_flop_bench(FlopSweep(mode="users", k_values=(4,), n_r=6,
-                                            instrumented=False))
-        assert rows == []
+        # 6 users of 2 streams fit 12 antennas; 7 and 8 users do not
+        with pytest.warns(UserWarning, match="skipping p=") as caught:
+            rows = run_flop_bench(FlopSweep(mode="inclusion", base_k=5, base_n_r=12, m_i=2,
+                                            p_max=3))
+        assert [str(w.message).split(":")[0] for w in caught] == ["skipping p=2", "skipping p=3"]
+        assert {r["param"] for r in rows} == {1}
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidConfigError, match="bogus"):
@@ -626,8 +607,9 @@ class TestOutputs:
         assert text.splitlines()[0] == ",".join(AUDIT_COLUMNS)
         assert len(rows) == 3
 
-    def test_flop_rows_schema(self):
-        rows = run_flop_bench(FlopSweep(mode="users", k_values=(30,), instrumented=False))
+    def test_flop_rows_schema(self, monkeypatch):
+        monkeypatch.setattr(harness, "_USERS_K", (30,))
+        rows = run_flop_bench(FlopSweep(mode="users", instrumented=False))
         assert all(set(r) == set(FLOP_COLUMNS) for r in rows)
 
     def test_golden_column_headers(self):

@@ -13,7 +13,6 @@ import pytest
 
 import decoupsim
 from decoupsim import _runtime, harness
-from decoupsim.channels import RngSeed, gen_iid_channel
 from decoupsim.cli import main
 from decoupsim.harness import AUDIT_COLUMNS, SimConfig, audit_rows, render_csv
 
@@ -61,22 +60,25 @@ def _small_cfg(threads):
 @needs_openblas
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
-def test_old_thread_count_is_restored_after_a_sweep(set_blas_threads, threads, fails):
+def test_old_thread_count_is_restored_after_a_sweep(set_blas_threads, threads, fails,
+                                                    monkeypatch):
     get, _ = BLAS
     set_blas_threads(3)
-    seen = []
+    seen, stack = [], harness.gen_channel_stack
 
-    def factory(trial, subcarrier):
+    def spy(*args):  # each block's channel draw, on the thread that runs the block
         seen.append(get())
         if fails:
-            raise RuntimeError("factory failed")
-        return [gen_iid_channel(RngSeed(trial, u), 12, 2) for u in range(3)]
+            raise RuntimeError("channel draw failed")
+        return stack(*args)
 
-    if fails:
-        with pytest.raises(RuntimeError, match="factory failed"):
-            harness.run_paired_ber(_small_cfg(threads), channel_factory=factory)
-    else:
-        harness.run_paired_ber(_small_cfg(threads), channel_factory=factory)
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "gen_channel_stack", spy)
+        if fails:
+            with pytest.raises(RuntimeError, match="channel draw failed"):
+                harness.run_paired_ber(_small_cfg(threads))
+        else:
+            harness.run_paired_ber(_small_cfg(threads))
     assert seen and set(seen) == {1}
     assert get() == 3
     harness.run_equivalence_audit(_small_cfg(1))
