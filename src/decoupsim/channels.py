@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, _is_int, _is_number, _require_numbers
+from .errors import InvalidInputError, ShapeError, _is_int, _is_number, _require_numbers
 
 __all__ = [
     "RngSeed",
@@ -318,13 +318,19 @@ def gen_channel_stack(seed: int, streams, n_r: int, widths,
     gain from the streams ``streams[s, u]`` (a ``(systems, users, 3)`` array), with
     the bytes of ``gen_iid_channel``, ``kronecker_correlate``, ``apply_large_scale``
     and ``perturb_channel``; the users of one width are drawn and correlated as one
-    stack.  A given complex ``true`` stack is only perturbed.  Without estimation
-    error ``used`` is ``true`` itself.
+    stack.  A given complex ``true`` stack is only perturbed; one of another shape
+    raises ``ShapeError``, a non-finite one ``InvalidInputError``.  Without
+    estimation error ``used`` is ``true`` itself.
     """
     streams = np.asarray(streams)
     if streams.shape[1:] != (len(widths), 3):
         raise InvalidInputError(f"streams must be (systems, {len(widths)}, 3), got {streams.shape}")
     offsets = np.cumsum((0, *widths))
+    if true is not None:
+        if np.shape(true) != (shape := (len(streams), n_r, int(offsets[-1]))):
+            raise ShapeError(f"true must be {shape}, got {np.shape(true)}")
+        if not np.isfinite(true).all():
+            raise InvalidInputError("true contains non-finite entries")
 
     def draw(purpose: int, scale) -> np.ndarray:
         out = np.empty((len(streams), n_r, offsets[-1]), dtype=np.complex128)

@@ -5,7 +5,10 @@ left nullspace of every other user's channel, so that ``W_i @ y`` is
 free of inter-user interference.  Three constructions are provided:
 
 * :func:`svd_decoupler` factors each user's complementary channel
-  directly (the straightforward baseline, one large SVD per user);
+  directly (the straightforward baseline, priced as one large SVD per
+  user); it executes a complete QR, the first step of an R-SVD, whose
+  rank a shifted-Cholesky certificate proves (the full SVD runs only
+  when the certificate fails);
 * :func:`sequential_decoupler` builds all decouplers at once over a
   binary partition tree, reusing intermediate common-nullspace
   estimates so that later stages work in ever smaller subspaces; each
@@ -437,7 +440,9 @@ def _unit_columns(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _svd_sets(h: np.ndarray, widths) -> list[DecouplerSet]:
     """:func:`svd_decoupler` of every system of a (B x n_r x sum(widths)) stack,
-    one stacked SVD per user; each set equals the system's own build bit for bit."""
+    one stacked nullspace kernel call (``kernels._nullspace_rows``: a complete
+    QR, the SVD for members the certificate cannot prove) per user, charged as
+    a full SVD; each set equals the system's own build bit for bit."""
     h = _unit_columns(h)[0]
     tally = flops._tally.get()
     w = []
@@ -475,7 +480,10 @@ def svd_decoupler(sys: SystemChannel) -> DecouplerSet:
     This is the correctness oracle for the tree-based construction and
     the expensive baseline of the complexity comparisons: user i's
     decoupler is the left-nullspace basis of the concatenation of all
-    other users' channels, charged as one full SVD.
+    other users' channels, charged as one full SVD.  The rows are those of
+    ``kernels.left_nullspace_basis``: the adjoints of an R-SVD's last U
+    columns, taken from one complete QR of the complement when the
+    shifted-Cholesky certificate proves it full rank, else from its SVD.
     Rows are orthonormal by construction and are not re-checked.  Nonzero
     columns are first scaled to unit norm (uncharged): this leaves every
     nullspace unchanged and keeps a faint user above the rank cutoff.  A
@@ -507,9 +515,16 @@ def pinv_decoupler(sys: SystemChannel) -> DecouplerSet:
 
 @dataclass(frozen=True)
 class DecouplingReport:
-    """Residual interference summary for one decoupler set."""
+    """Residual interference summary for one decoupler set.
+
+    Reports compare by value, record by record, and hash by the same values;
+    a record is not to be changed once made.
+    """
 
     per_user: tuple[dict, ...]
+
+    def __hash__(self) -> int:
+        return hash(tuple(frozenset(u.items()) for u in self.per_user))
 
     @property
     def max_cross_residual(self) -> float:

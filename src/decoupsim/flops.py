@@ -13,7 +13,8 @@ Inside a :func:`counting` block, each charge site adds its model cost at
 the dimensions actually used to the block's own tally.  The charge sites
 are the decouplers: ``_annihilate``, ``_fold_group`` and
 ``include_users`` for the sequential family's recursion below,
-``_svd_sets`` (a full SVD per user) and ``_pinv_sets`` (the
+``_svd_sets`` (a full SVD per user, though it executes a complete QR and a
+rank certificate wherever the certificate holds) and ``_pinv_sets`` (the
 pseudo-inverse, priced by the estimate's :func:`_pinv_breakdown`), each
 of which charges every system of the stack it builds as that system's
 own build.  No kernel is charged, and outside every block nothing is

@@ -469,12 +469,20 @@ def run_paired_ber(cfg: SimConfig, decouplers=None,
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Worst-case decoupling residuals over many seeded systems."""
+    """Worst-case decoupling residuals over many seeded systems, per method.
+
+    Reports compare by value and hash by the same values; a report's
+    dicts are not to be changed once made.
+    """
 
     trials: int
     max_cross_residual: dict
     rank_failures: dict
     max_subspace_distance_vs_svd: float
+
+    def __hash__(self) -> int:
+        return hash((self.trials, frozenset(self.max_cross_residual.items()),
+                     frozenset(self.rank_failures.items()), self.max_subspace_distance_vs_svd))
 
 
 @_runtime.one_blas_thread()

@@ -142,26 +142,49 @@ def numerical_rank(a) -> int:
 
 
 def _nullspace_rows(t_mats: np.ndarray) -> list[np.ndarray]:
-    """SVD kernel of :func:`left_nullspace_basis` over a stack ``(B, t, m)``:
-    each member's nullspace rows from one stacked SVD, its rank by the one
-    rank rule; no checks."""
+    """Kernel of :func:`left_nullspace_basis` over a stack ``(B, t, m)``: each
+    member's nullspace rows, the adjoints of the last columns of an R-SVD's U
+    (Chan's SVD that starts with a QR); no checks.
+
+    A tall stack (``m < t``) takes one stacked complete QR.  A member that
+    :func:`_certified_full_rank` proves full rank, by the whole stack's
+    certificate or else by its own, has rank m and its rows are the adjoints
+    of Q's trailing ``t - m`` columns.  Every other member (a failed
+    certificate, a wide or empty stack) takes one stacked full SVD, its rank
+    by the one rank rule.  A member's result never depends on its stack-mates.
+    """
     _, t, m = t_mats.shape
     if t == 0 or m == 0:
         return [np.eye(t, dtype=np.complex128) for _ in t_mats]
-    u, s, _ = np.linalg.svd(t_mats, full_matrices=True)
-    ranks = np.sum(s > _rank_cutoff(s, (t, m))[:, None], axis=1)
-    return [np.ascontiguousarray(u_b[:, rank:].conj().T) if rank else
-            np.eye(t, dtype=np.complex128) for u_b, rank in zip(u, ranks)]
+    rows = [None] * len(t_mats)
+    if m < t and len(t_mats):
+        q, r = np.linalg.qr(t_mats, mode="complete")
+        r = r[:, :m]
+        proved = ([True] * len(r) if _certified_full_rank(r) else
+                  [_certified_full_rank(r_b[None]) for r_b in r])
+        v = np.conj(q[..., m:].swapaxes(1, 2), order="C")
+        rows = [v_b if ok else None for v_b, ok in zip(v, proved)]
+    rest = [b for b, w in enumerate(rows) if w is None]
+    if rest:
+        u, s, _ = np.linalg.svd(t_mats[rest], full_matrices=True)
+        ranks = np.sum(s > _rank_cutoff(s, (t, m))[:, None], axis=1)
+        for b, u_b, rank in zip(rest, u, ranks):
+            rows[b] = (np.ascontiguousarray(u_b[:, rank:].conj().T) if rank else
+                       np.eye(t, dtype=np.complex128))
+    return rows
 
 
 def left_nullspace_basis(t_mat) -> SubspaceBasis:
     """Row-orthonormal basis of the left nullspace of ``t_mat`` (t x m).
 
     Rows w of the result satisfy ``w @ t_mat = 0`` up to the rank rule:
-    they are the adjoints of the left singular vectors whose singular
-    values fall at or below ``max(t, m) * eps * sigma_max``.  The row
-    count is ``t - numerical_rank(t_mat)``.  A zero or empty matrix
-    yields the canonical identity basis.
+    they are the adjoints of the last ``t - rank`` columns of U in an
+    R-SVD, the left singular vectors whose singular values fall at or
+    below ``max(t, m) * eps * sigma_max``.  A tall matrix that the
+    shifted-Cholesky certificate proves full rank takes them from one
+    complete QR (rank m); any other takes its rank and U from a full SVD.
+    The row count is ``t - numerical_rank(t_mat)``.  A zero or empty
+    matrix yields the canonical identity basis.
     """
     t_mat = as_complex_matrix(t_mat, "t_mat")
     return SubspaceBasis(_nullspace_rows(t_mat[None])[0])

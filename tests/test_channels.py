@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from decoupsim.errors import InvalidInputError
+from decoupsim.errors import InvalidInputError, ShapeError
 from decoupsim.channels import (
     _pcg64_states,
     _shadowing_gain,
@@ -316,6 +316,21 @@ class TestChannelStack:
         given = np.ones((2, 4, 4), dtype=complex)
         true, used = gen_channel_stack(5, streams, 4, (1, 2, 1), true=given)
         assert true is given and used is given
+
+    @pytest.mark.parametrize("shape", [(2, 4, 5), (1, 4, 4), (2, 4), (2, 3, 4)])
+    def test_true_of_another_shape_raises(self, shape):
+        streams = np.arange(18).reshape(2, 3, 3)
+        with pytest.raises(ShapeError, match=r"true must be \(2, 4, 4\)"):
+            gen_channel_stack(5, streams, 4, (1, 2, 1), ce_error=CeErrorParams(0.01),
+                              true=np.ones(shape, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_true_raises(self, bad):
+        streams = np.arange(18).reshape(2, 3, 3)
+        given = np.ones((2, 4, 4), dtype=complex)
+        given[1, 2, 3] = bad
+        with pytest.raises(InvalidInputError, match="true contains non-finite"):
+            gen_channel_stack(5, streams, 4, (1, 2, 1), true=given)
 
 
 class TestAwgn:

@@ -1,9 +1,11 @@
 """Decoupler constructions and the nullspace recursion behind them."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from decoupsim import decouplers, flops, harness
+from decoupsim import decouplers, flops, harness, kernels
 from decoupsim.channels import (
     CeErrorParams, KroneckerParams, LargeScaleParams, correlation_matrix, matrix_sqrt_psd,
 )
@@ -764,13 +766,15 @@ class TestIncludeUsers:
         stacks, qr = [], np.linalg.qr
 
         def spy(a, *args, **kwargs):
-            stacks.append(a.shape)
+            if inspect.currentframe().f_back.f_code is decouplers._fold_group.__code__:
+                stacks.append(a.shape)
             return qr(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", spy)
         include_users(sys, dec, new)
         # six existing users fold (H_6, H_7); newcomer p folds H_0 and the
         # other newcomer: all eight halves are 14 x 4 and share one complete QR
+        # (the block-by-block folds below take QRs of their own, not counted)
         assert stacks == [(8, 14, 4)]
         # a rank-1 newcomer costs every existing user and the other newcomer
         # its rank: those seven take the block-by-block fold alone
@@ -838,6 +842,45 @@ class TestRankCertificate:
         include_users(base, dec, sys.users[76:])
         assert calls == []
 
+    def test_generic_k80_svd_oracle_runs_no_svd(self, monkeypatch):
+        sys = certificate_systems()["generic_k80"]
+        calls = self.svd_calls(monkeypatch)
+        svd_decoupler(sys)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", list(certificate_systems()))
+    def test_svd_oracle_matches_its_svd_path(self, name, monkeypatch):
+        sys = certificate_systems()[name]
+        certified = svd_decoupler(sys).w
+        # whether the certificate proves each user's (column-scaled) complement
+        h = decouplers._unit_columns(sys.stacked()[None])[0]
+        ends = np.cumsum((0, *sys.m_per_user))
+        proved = []
+        for lo, hi in zip(ends, ends[1:]):
+            complement = np.delete(h, slice(lo, hi), axis=2)
+            r = np.linalg.qr(complement, mode="complete")[1]
+            proved.append(kernels._certified_full_rank(r[:, :complement.shape[2]]))
+        monkeypatch.setattr(kernels, "_certified_full_rank", lambda r: False)
+        for ok, w, w_svd in zip(proved, certified, svd_decoupler(sys).w, strict=True):
+            assert w.shape == w_svd.shape
+            assert subspace_distance(SubspaceBasis(w), SubspaceBasis(w_svd)) <= 1e-12
+            if not ok:
+                assert w.tobytes() == w_svd.tobytes()
+
+    def test_svd_stack_members_keep_their_alone_bytes(self, monkeypatch):
+        rng = np.random.default_rng(98)
+        systems = [random_system(rng, 24, 8, 2) for _ in range(3)]
+        systems[1] = SystemChannel(24, systems[1].users[:2] + (np.zeros((24, 2)),)
+                                   + systems[1].users[3:])
+        stacked = decouplers._svd_sets(np.stack([sys.stacked() for sys in systems]), (2,) * 8)
+        calls = self.svd_calls(monkeypatch)
+        for sys, dec in zip(systems, stacked, strict=True):
+            for w, w_alone in zip(dec.w, svd_decoupler(sys).w, strict=True):
+                assert w.shape == w_alone.shape and w.tobytes() == w_alone.tobytes()
+        # alone, only system 1's seven complements that hold its zero user take
+        # the SVD; every other member's rows, stacked or alone, are Q's
+        assert [shape for shape, _ in calls] == [(1, 24, 14)] * 7
+
     def test_collinear_inclusion_falls_back_to_the_svd_rule(self, monkeypatch, fold_calls):
         sys, dec, new = TestIncludeUsers.collinear_inclusion(np.random.default_rng(57))
         calls = self.svd_calls(monkeypatch)
@@ -887,6 +930,17 @@ class TestVerifyDecoupling:
             sys, dec = fine, DecouplerSet((dec.w[0] * 1e300,) + dec.w[1:], "SD")
         with pytest.raises(FloatingPointError, match="past the float range"):
             verify_decoupling(sys, dec)
+
+    def test_reports_compare_and_hash_by_value(self):
+        rng = np.random.default_rng(63)
+        sys = random_system(rng, 12, 4, 2)
+        rep, again = (verify_decoupling(sys, sequential_decoupler(sys)) for _ in range(2))
+        assert rep == again and hash(rep) == hash(again) and len({rep, again}) == 1
+        reordered = decouplers.DecouplingReport(tuple(dict(reversed(u.items()))
+                                                      for u in rep.per_user))
+        assert reordered == rep and hash(reordered) == hash(rep)
+        other = verify_decoupling(sys, svd_decoupler(random_system(rng, 12, 4, 2)))
+        assert other != rep and len({rep, other}) == 2
 
     def test_zero_user_channel_has_no_residual(self):
         rng = np.random.default_rng(62)

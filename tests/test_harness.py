@@ -456,6 +456,16 @@ class TestAudit:
         assert set(report.max_cross_residual) == {"SD", "SVD", "PINV"}
         assert all(v == 0 for v in report.rank_failures.values())
 
+    def test_reports_compare_and_hash_by_value(self):
+        report = run_equivalence_audit(small_cfg(n_r=16, k=4, audit_trials=3))
+        # the same values, with the per-method dicts in another key order
+        twin = harness.AuditReport(report.trials, dict(reversed(report.max_cross_residual.items())),
+                                   dict(reversed(report.rank_failures.items())),
+                                   report.max_subspace_distance_vs_svd)
+        assert twin == report and hash(twin) == hash(report) and len({report, twin}) == 1
+        other = dataclasses.replace(report, rank_failures={**report.rank_failures, "SD": 1})
+        assert other != report and len({report, other}) == 2
+
     def test_overloaded_system_skips_pinv_arm(self):
         # decoupling-feasible (m_bar = 10 < 11) but too many streams for pinv
         cfg = SimConfig(n_r=11, k=6, m_i=2, snr_db=(0.0,), bits_per_point=240,
